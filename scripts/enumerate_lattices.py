@@ -10,13 +10,12 @@ each lattice as DOT or JSON next to the chosen output directory.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 import time
 
 from qdouble import TwistedDouble, builtin_group, oracle, subcats as sc
-from qdouble.cli import _hasse_edges, _label, _triple_json
+from qdouble.cli import lattice_text
 from qdouble.groups import BUILTIN_GROUP_NAMES
 
 
@@ -48,20 +47,7 @@ def summarize(name: str, export: str | None, outdir: pathlib.Path | None) -> dic
     }
 
     if export and outdir:
-        edges = _hasse_edges(dd, triples)
-        if export == "dot":
-            lines = ["digraph lattice {", "  rankdir=BT;"]
-            lines += [f'  n{i} [label="{_label(dd, t)}"];'
-                      for i, t in enumerate(triples)]
-            lines += [f"  n{i} -> n{j};" for i, j in edges]
-            lines.append("}")
-            (outdir / f"{name}.dot").write_text("\n".join(lines) + "\n")
-        else:
-            doc = {"group": name, "order": G.order,
-                   "triples": [dict(_triple_json(dd, t), index=i)
-                               for i, t in enumerate(triples)],
-                   "edges": [list(e) for e in edges]}
-            (outdir / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
+        (outdir / f"{name}.{export}").write_text(lattice_text(dd, triples, export))
     return row
 
 

@@ -27,7 +27,16 @@ class UsageError(Exception):
 # -- loading -----------------------------------------------------------------------
 
 
+def _int_array(value: object, depth: int) -> bool:
+    """Whether value is a list nested depth levels deep with integer leaves."""
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_int_array(v, depth - 1) for v in value)
+
+
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
+    if args.cap < 1:
+        raise UsageError(f"--cap must be at least 1, got {args.cap}")
     if args.builtin is not None:
         if args.builtin not in BUILTIN_GROUP_NAMES:
             raise UsageError(
@@ -41,12 +50,14 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read group file: {exc}") from exc
-    if "mult" in data:
-        return FiniteGroup.from_mult_table(data["mult"], name=data.get("name", "G"),
-                                           cap=args.cap)
-    if "perm_gens" in data:
-        return FiniteGroup.from_permutation_generators(
-            data["perm_gens"], name=data.get("name", "G"), cap=args.cap)
+    if not isinstance(data, dict):
+        raise UsageError("group file must hold a JSON object")
+    for key, build in (("mult", FiniteGroup.from_mult_table),
+                       ("perm_gens", FiniteGroup.from_permutation_generators)):
+        if key in data:
+            if not _int_array(data[key], 2):
+                raise UsageError(f'"{key}" must be a list of lists of integers')
+            return build(data[key], name=data.get("name", "G"), cap=args.cap)
     raise UsageError('group file needs a "mult" table or "perm_gens" list')
 
 
@@ -60,6 +71,8 @@ def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
             n, q = int(n_s), int(q_s)
         except ValueError as exc:
             raise UsageError("--cocycle cyclic:N,Q needs two integers") from exc
+        if n < 1:
+            raise UsageError(f"--cocycle cyclic:N,Q needs N >= 1, got {n}")
         om = builtin_cyclic(n, q)
         if om.group.mult != G.mult:
             raise UsageError(
@@ -71,19 +84,26 @@ def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read cocycle file: {exc}") from exc
-    if "modulus" not in data or "dlog" not in data:
+    if not isinstance(data, dict) or "modulus" not in data or "dlog" not in data:
         raise UsageError('cocycle file needs "modulus" and "dlog"')
     m = data["modulus"]
     raw = data["dlog"]
+    if not _int_array(m, 0):
+        raise UsageError(f'"modulus" must be an integer, got {m!r}')
     n = G.order
-    if raw and isinstance(raw[0], int):
+    if raw and _int_array(raw, 1):
         if len(raw) != n ** 3:
             raise UsageError(f"flat dlog must have {n}^3 entries")
         dlog = tuple(tuple(tuple(raw[(x * n + y) * n + z] for z in range(n))
                            for y in range(n)) for x in range(n))
+    elif _int_array(raw, 3):
+        dlog = tuple(tuple(tuple(row) for row in plane) for plane in raw)
     else:
-        dlog = tuple(tuple(tuple(v for v in row) for row in plane) for plane in raw)
-    omega = ThreeCocycle(G, m, dlog)
+        raise UsageError('"dlog" must be a flat list or an n x n x n array of integers')
+    try:
+        omega = ThreeCocycle(G, m, dlog)
+    except ValueError as exc:
+        raise UsageError(f"bad cocycle file: {exc}") from exc
     validate(omega)
     return omega
 
@@ -204,25 +224,26 @@ def _cmd_subcats(args: argparse.Namespace) -> int:
     return 0
 
 
+def lattice_text(dd: TwistedDouble, triples: Sequence[sc.Triple], fmt: str) -> str:
+    """The lattice of the given triples with its Hasse edges, as DOT or JSON text."""
+    edges = _hasse_edges(dd, triples)
+    if fmt == "dot":
+        lines = ["digraph lattice {", "  rankdir=BT;"]
+        lines += [f'  n{i} [label="{_label(dd, t)}"];' for i, t in enumerate(triples)]
+        lines += [f"  n{i} -> n{j};" for i, j in edges]
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    doc = {"group": dd.group.name, "order": dd.group.order,
+           "cocycle_modulus": dd.omega.modulus,
+           "triples": [dict(_triple_json(dd, t), index=i)
+                       for i, t in enumerate(triples)],
+           "edges": [list(e) for e in edges]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _cmd_lattice(args: argparse.Namespace) -> int:
     dd = _double(args)
-    triples = sc.enumerate_all(dd)
-    edges = _hasse_edges(dd, triples)
-    if args.format == "dot":
-        lines = ["digraph lattice {", "  rankdir=BT;"]
-        for i, t in enumerate(triples):
-            lines.append(f'  n{i} [label="{_label(dd, t)}"];')
-        for i, j in edges:
-            lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        text = "\n".join(lines) + "\n"
-    else:
-        doc = {"group": dd.group.name, "order": dd.group.order,
-               "cocycle_modulus": dd.omega.modulus,
-               "triples": [dict(_triple_json(dd, t), index=i)
-                           for i, t in enumerate(triples)],
-               "edges": [list(e) for e in edges]}
-        text = json.dumps(doc, indent=2) + "\n"
+    text = lattice_text(dd, sc.enumerate_all(dd), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

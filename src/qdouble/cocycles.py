@@ -82,6 +82,18 @@ class ThreeCocycle:
                 + self.dlog[x][y][G.conj(G.inverse(xy), a)]
                 - self.dlog[x][G.conj(G.inverse(x), a)][y]) % self.modulus
 
+    def conj_exp(self, a: int, x: int, h: int) -> int:
+        """Exponent of beta_a(x,h) beta_a(xh,x^-1) / beta_a(x,x^-1).
+
+        The phase a beta_a-projective character picks up when it is moved
+        along x from the centralizer of a to that of x^-1 a x.
+        """
+        if self.dlog is None:
+            return 0
+        xi = self.group.inverse(x)
+        return (self.beta(a, x, h) + self.beta(a, self.group.mul(x, h), xi)
+                - self.beta(a, x, xi)) % self.modulus
+
     def eta(self, a: int, x: int, y: int) -> int:
         """Conjugation 2-cochain on the last slot."""
         if self.dlog is None:

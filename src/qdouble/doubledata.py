@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .characters import ProjectiveCharacterTable, projective_table
 from .cocycles import ThreeCocycle, trivial_cocycle
@@ -32,9 +31,6 @@ class SimpleObject:
     degree: int
     dim: int
     twist: Cyclo = field(compare=False)
-
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.char_index)
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,6 @@ class TwistedDouble:
         self.scale = self.ctx.N // omega.modulus
         self._centralizers: dict[int, CentralizerData] = {}
         self._gamma: tuple[SimpleObject, ...] | None = None
-        self._gamma_index: dict[tuple[int, int], int] = {}
         self._smatrix: tuple[tuple[Cyclo, ...], ...] | None = None
         self._fusion: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         self._duals: tuple[int, ...] | None = None
@@ -78,9 +73,6 @@ class TwistedDouble:
     def root_of_exp(self, e: int) -> Cyclo:
         """zeta_m^e as an element of Q(zeta_N)."""
         return self.ctx.root((e % self.omega.modulus) * self.scale)
-
-    def beta(self, a: int, x: int, y: int) -> int:
-        return self.omega.beta(a, x, y)
 
     # -- simple objects -----------------------------------------------------------
 
@@ -120,19 +112,11 @@ class TwistedDouble:
                 raise ArithmeticError(
                     f"squared dimensions sum to {total}, expected {G.order ** 2}")
             self._gamma = tuple(simples)
-            self._gamma_index = {s.key(): s.index for s in simples}
         return self._gamma
-
-    def simple(self, a: int, char_index: int) -> SimpleObject:
-        self.gamma
-        return self._gamma[self._gamma_index[(a, char_index)]]
 
     @property
     def unit_index(self) -> int:
         return 0
-
-    def char_value(self, s: SimpleObject, parent_element: int) -> Cyclo:
-        return self.centralizer_data(s.a).value(s.char_index, parent_element)
 
     # -- pairwise class data ----------------------------------------------------------
 
@@ -146,15 +130,23 @@ class TwistedDouble:
         return self._commuting_classes[key]
 
     def _pair_terms(self, a: int, b: int) -> list[tuple[int, int, int]]:
-        """Triples (g, g b g^{-1}, g^{-1} a g) over g with a and gbg^{-1} commuting."""
+        """Triples (u, v, e) over g with a and u = g b g^-1 commuting.
+
+        Here v = g^-1 a g and e = conj_exp(b, g^-1, a). Simples (a, chi_i) and
+        (b, chi_j) centralize each other iff zeta_m^e chi_i(u) chi_j(v) = d_i d_j
+        on every term; the untwisted S-matrix sums the conjugates of
+        chi_i(u) chi_j(v).
+        """
         key = (a, b)
         if key not in self._conj_lists:
             G = self.group
+            conj_exp = self.omega.conj_exp
             terms = []
             for g in range(G.order):
                 u = G.conj(g, b)
                 if G.commute(a, u):
-                    terms.append((g, u, G.conj(G.inverse(g), a)))
+                    gi = G.inverse(g)
+                    terms.append((u, G.conj(gi, a), conj_exp(b, gi, a)))
             self._conj_lists[key] = terms
         return self._conj_lists[key]
 
@@ -180,7 +172,7 @@ class TwistedDouble:
                     total = self.ctx.sum(
                         cdi.value(si.char_index, u).conj()
                         * cdj.value(sj.char_index, v).conj()
-                        for _, u, v in self._pair_terms(si.a, sj.a))
+                        for u, v, _ in self._pair_terms(si.a, sj.a))
                     entry = total * pref
                     rows[i][j] = entry
                     rows[j][i] = entry
@@ -238,37 +230,25 @@ class TwistedDouble:
     # -- exact braiding predicates -----------------------------------------------------
 
     def centralize(self, i: int, j: int) -> bool:
-        """Whether simples i and j have trivial double braiding, via character values."""
+        """Whether simples i and j have trivial double braiding, via character values.
+
+        The double braiding is a module map, so it is the identity exactly when
+        it is on the components (a, g b g^-1) that _pair_terms lists.
+        """
         gamma = self.gamma
         si, sj = gamma[i], gamma[j]
         a, b = si.a, sj.a
         if not self.classes_commute(a, b):
             return False
-        G = self.group
         cdi = self.centralizer_data(a)
         cdj = self.centralizer_data(b)
         degdeg = self.ctx.from_int(si.degree * sj.degree)
-        if self.omega.is_trivial:
-            for _, u, v in self._pair_terms(a, b):
-                if cdi.value(si.char_index, u) * cdj.value(sj.char_index, v) != degdeg:
-                    return False
-            return True
-        beta = self.omega.beta
-        m = self.omega.modulus
-        for x in range(G.order):
-            xi = G.inverse(x)
-            ax = G.conj(xi, a)           # x^{-1} a x
-            for y in range(G.order):
-                yi = G.inverse(y)
-                by = G.conj(yi, b)       # y^{-1} b y
-                e = (beta(a, x, by) + beta(a, G.mul(x, by), xi)
-                     + beta(b, y, ax) + beta(b, G.mul(y, ax), yi)
-                     - beta(a, x, xi) - beta(b, y, yi)) % m
-                lhs = (self.root_of_exp(e)
-                       * cdi.value(si.char_index, G.conj(x, by))
-                       * cdj.value(sj.char_index, G.conj(y, ax)))
-                if lhs != degdeg:
-                    return False
+        for u, v, e in self._pair_terms(a, b):
+            lhs = cdi.value(si.char_index, u) * cdj.value(sj.char_index, v)
+            if e:
+                lhs = lhs * self.root_of_exp(e)
+            if lhs != degdeg:
+                return False
         return True
 
     def magnitude_centralize(self, i: int, j: int) -> bool:

@@ -75,12 +75,6 @@ class Subgroup:
         G = self.group
         return all(G.mul(a, b) == G.mul(b, a) for a in self.members for b in self.members)
 
-    def index_in_parent(self) -> int:
-        return self.parent_order // len(self.members)
-
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return other.member_set <= self.member_set
-
     def sort_key(self) -> tuple[int, int]:
         return (len(self.members), self.bitmask)
 
@@ -240,14 +234,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv[a], -k
-        x = 0
-        for _ in range(k):
-            x = self.mult[x][a]
-        return x
-
     @cached_property
     def exponent(self) -> int:
         from math import lcm
@@ -286,9 +272,6 @@ class FiniteGroup:
     def class_reps(self) -> tuple[int, ...]:
         """Minimal-index representative of each class."""
         return tuple(cls[0] for cls in self.conjugacy_classes)
-
-    def rep_of(self, a: int) -> int:
-        return self.conjugacy_classes[self.class_index_of[a]][0]
 
     def class_of(self, a: int) -> tuple[int, ...]:
         return self.conjugacy_classes[self.class_index_of[a]]

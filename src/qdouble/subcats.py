@@ -151,6 +151,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, 
     N = dd.ctx.N
     scale = dd.scale
     beta = dd.omega.beta
+    conj_exp = dd.omega.conj_exp
     km, hm = K.members, H.members
     kpos = {g: i for i, g in enumerate(km)}
     hpos = {g: i for i, g in enumerate(hm)}
@@ -188,11 +189,8 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, 
     for k in km:
         for x in range(G.order):
             kx = G.conj(G.inverse(x), k)
-            xi = G.inverse(x)
             for h in hm:
-                rhs = scale * (beta(k, x, h) + beta(k, G.mul(x, h), xi)
-                               - beta(k, x, xi))
-                add(((kx, h, 1), (k, G.conj(x, h), -1)), rhs)
+                add(((kx, h, 1), (k, G.conj(x, h), -1)), scale * conj_exp(k, x, h))
 
     sols = solve_mod(equations, nu, N)
     out = []
@@ -283,7 +281,7 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
     # extract B on K x H from every member and every conjugator, consistently
     N = ctx.N
     table: dict[tuple[int, int], int] = {}
-    beta = dd.omega.beta
+    conj_exp = dd.omega.conj_exp
     scale = dd.scale
     for i in sorted(idx):
         s = gamma[i]
@@ -291,12 +289,10 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
         cd = dd.centralizer_data(a)
         deg = s.degree
         for x in range(G.order):
-            xi = G.inverse(x)
-            k = G.conj(xi, a)
+            k = G.conj(G.inverse(x), a)
             for h in H.members:
-                e = scale * (beta(a, x, h) + beta(a, G.mul(x, h), xi)
-                             - beta(a, x, xi))
-                val = ctx.root(e % N) * cd.value(s.char_index, G.conj(x, h)) / deg
+                val = (ctx.root(scale * conj_exp(a, x, h))
+                       * cd.value(s.char_index, G.conj(x, h)) / deg)
                 exp = ctx.root_exponent(val)
                 if exp is None:
                     raise NotASubcategory(

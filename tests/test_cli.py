@@ -145,6 +145,25 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "group", "info", "--builtin", "Z4",
                        "--cocycle", "cyclic:2,1")
     assert code == 2  # cocycle lives on a different group
+    # malformed JSON shapes and values: exit 2 with a message, no traceback
+    cases = (("group", {"mult": 5}), ("group", {"mult": [[0, 1], [1, "a"]]}),
+             ("group", [1, 2]),
+             ("cocycle", {"modulus": "2", "dlog": [0] * 8}),
+             ("cocycle", {"modulus": 0, "dlog": [0] * 8}),
+             ("cocycle", {"modulus": 2, "dlog": [[[0]]]}),
+             ("cocycle", {"modulus": 2, "dlog": [[[0, 0], [0, 0]], [[0, 0], [0, "1"]]]}))
+    for kind, doc in cases:
+        f = tmp_path / f"{kind}.json"
+        f.write_text(json.dumps(doc))
+        where = (["--group", str(f)] if kind == "group"
+                 else ["--builtin", "Z2", "--cocycle", str(f)])
+        code, _, err = run(capsys, "group", "info", *where)
+        assert code == 2 and err.startswith("error:"), (doc, err)
+    code, _, err = run(capsys, "group", "info", "--builtin", "Z2",
+                       "--cocycle", "cyclic:0,1")
+    assert code == 2 and "N >= 1" in err
+    code, _, err = run(capsys, "group", "info", "--builtin", "Z2", "--cap", "0")
+    assert code == 2 and "--cap" in err
 
 
 def test_non_group_table_fails(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import twisted_cyclic, untwisted, untwisted_cyclic
+from conftest import twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic
 
 
 EXPECTED_SIMPLES = {"Z2": 4, "Z3": 9, "Z4": 16, "Z2xZ2": 16, "S3": 8,
@@ -113,7 +113,7 @@ def test_twisted_centralize_table():
 
 
 def test_centralize_symmetry():
-    for dd in (untwisted("S3"), twisted_cyclic(4, 1)):
+    for dd in (untwisted("S3"), twisted_cyclic(4, 1), twisted_quotient("D4", 3)):
         n = len(dd.gamma)
         for i in range(n):
             for j in range(n):

@@ -4,7 +4,7 @@ import pytest
 
 from qdouble import oracle, subcats as sc
 
-from conftest import twisted_cyclic, untwisted, untwisted_cyclic
+from conftest import twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic
 
 
 def test_fusion_closure_basics():
@@ -57,6 +57,13 @@ def test_certify_twisted():
     rep = oracle.certify(twisted_cyclic(2, 1))
     assert rep["triples"] == 5
     assert rep["bijection"] is None
+    # non-abelian twisted doubles: certify compares every centralizer's members
+    # with the braiding predicate
+    for name, count in (("S3", 8), ("D4", 45), ("Q8", 45)):
+        for cob_m in (None, 3):
+            rep = oracle.certify(twisted_quotient(name, cob_m))
+            assert rep["triples"] == count
+            assert rep["bijection"] is None
 
 
 def test_certify_various():
