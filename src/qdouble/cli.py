@@ -42,7 +42,7 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
             raise UsageError(
                 f"unknown builtin group {args.builtin!r}; "
                 f"choose from {', '.join(BUILTIN_GROUP_NAMES)}")
-        return builtin_group(args.builtin)
+        return builtin_group(args.builtin, cap=args.cap)
     if args.group is None:
         raise UsageError("one of --builtin or --group is required")
     try:

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .characters import ProjectiveCharacterTable, projective_table
 from .cocycles import ThreeCocycle, trivial_cocycle
 from .cyclotomic import Cyclo, CycloContext
 from .groups import FiniteGroup
+from .linmod import primitive_root, smallest_prime_one_mod
 
 
 class VerlindeNonInteger(ArithmeticError):
@@ -182,9 +185,10 @@ class TwistedDouble:
                 if S[0][j] != self.ctx.from_int(dims[j]):
                     raise ArithmeticError("first S-matrix row does not match dimensions")
             order2 = self.ctx.from_int(G.order ** 2)
+            conj_rows = [[x.conj() for x in row] for row in S]
             for i in range(n):
                 for j in range(i, n):
-                    inner = self.ctx.sum(S[i][k] * S[j][k].conj() for k in range(n))
+                    inner = self.ctx.sum(S[i][k] * conj_rows[j][k] for k in range(n))
                     if inner != (order2 if i == j else self.ctx.zero):
                         raise ArithmeticError(f"S-matrix rows {i}, {j} not orthogonal")
             self._smatrix = S
@@ -192,26 +196,90 @@ class TwistedDouble:
 
     @property
     def fusion(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Fusion coefficients N[i][j][k], exact nonnegative integers."""
+        """Fusion coefficients N[i][j][k], exact nonnegative integers.
+
+        Verlinde's formula runs in F_p and proposes each N_ij^k in [0, d_i d_j];
+        _prove_fusion then checks N_i S = S Lambda_i in Q(zeta_N). Since
+        s_matrix has proved S S^dagger = |G|^2 I, that identity pins N_i to
+        S Lambda_i S^-1, Verlinde's value, so the table is exact.
+        """
         if self._fusion is None:
             S = self.s_matrix
-            gamma = self.gamma
-            n = len(gamma)
-            order2 = self.group.order ** 2
-            conj_rows = [[S[k][s].conj() for s in range(n)] for k in range(n)]
-            N = [[[0] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    t = [S[i][s] * S[j][s] / gamma[s].dim for s in range(n)]
-                    for k in range(n):
-                        val = self.ctx.sum(t[s] * conj_rows[k][s] for s in range(n))
-                        q = val.as_fraction() / order2
-                        if q.denominator != 1 or q < 0:
-                            raise VerlindeNonInteger(
-                                f"N[{i}][{j}][{k}] = {q} is not a nonnegative integer")
-                        N[i][j][k] = N[j][i][k] = int(q)
+            N = self._verlinde_mod_p(S)
+            self._prove_fusion(S, N)
             self._fusion = tuple(tuple(tuple(r) for r in p) for p in N)
         return self._fusion
+
+    def _verlinde_mod_p(self, S) -> list[list[list[int]]]:
+        """Candidate N_ij^k = sum_s S_is S_js conj(S_ks) / (S_0s |G|^2), lifted from F_p.
+
+        The prime p = 1 (mod N) exceeds every d_i d_j, divides neither |G|
+        nor a denominator of S, and sends no S_0s to 0; the lift of N_ij^k
+        must lie in [0, d_i d_j].
+        """
+        G = self.group
+        n = len(self.gamma)
+        dims = [s.dim for s in self.gamma]
+        name = G.name
+        if any(S[0][s].is_zero for s in range(n)):
+            raise VerlindeNonInteger(f"{name}: S has a zero entry in row 0")
+        dens = {x.den for row in S for x in row}
+        N = self.ctx.N
+        p = smallest_prime_one_mod(N, max(dims) ** 2)
+        while True:
+            if G.order % p and all(d % p for d in dens):
+                z = pow(primitive_root(p), (p - 1) // N, p)
+                at_z = _evaluator(p, z, self.ctx.degree)
+                row0 = [at_z(x) for x in S[0]]
+                if all(row0):
+                    break
+            p = smallest_prime_one_mod(N, p)
+        at_zinv = _evaluator(p, pow(z, p - 2, p), self.ctx.degree)
+        S_p = [[at_z(x) for x in row] for row in S]
+        conj_p = [[at_zinv(x) for x in row] for row in S]
+        scale = [pow(x * G.order ** 2, p - 2, p) for x in row0]
+        table = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            lam = [x * c % p for x, c in zip(S_p[i], scale)]
+            for j in range(i, n):
+                t = [x * y % p for x, y in zip(S_p[j], lam)]
+                bound = dims[i] * dims[j]
+                for k in range(n):
+                    v = sum(map(mul, t, conj_p[k])) % p
+                    if v > bound:
+                        raise VerlindeNonInteger(
+                            f"{name}: N[{i}][{j}][{k}] = {v} mod {p} "
+                            f"has no lift in [0, {bound}]")
+                    table[i][j][k] = table[j][i][k] = v
+        return table
+
+    def _prove_fusion(self, S, N) -> None:
+        """Raise unless sum_k N_ij^k S_ks = S_is S_js / d_s for all i <= j and s.
+
+        Exact in Q(zeta_N): with S over one denominator D, row k is a flat
+        integer vector of its coefficients, the left side of row (i, j) is
+        the combination of those vectors over the nonzero N_ij^k, and each
+        right side is one field product.
+        """
+        n = len(self.gamma)
+        deg = self.ctx.degree
+        dims = [s.dim for s in self.gamma]
+        D = lcm(*(x.den for row in S for x in row))
+        flat = [[c * (D // x.den) for x in row for c in x.num] for row in S]
+        for i in range(n):
+            for j in range(i, n):
+                ks = [k for k, c in enumerate(N[i][j]) if c]
+                cs = [N[i][j][k] for k in ks]
+                lhs = ([sum(map(mul, cs, vals)) for vals in zip(*(flat[k] for k in ks))]
+                       if ks else [0] * (n * deg))
+                for s in range(n):
+                    rhs = S[i][s] * S[j][s]
+                    q = rhs.den * dims[s]
+                    if any(a * q != b * D
+                           for a, b in zip(lhs[s * deg:(s + 1) * deg], rhs.num)):
+                        raise VerlindeNonInteger(
+                            f"{self.group.name}: fusion row N[{i}][{j}] fails "
+                            f"sum_k N_ij^k S_ks = S_is S_js / d_s at s = {s}")
 
     @property
     def duals(self) -> tuple[int, ...]:
@@ -263,3 +331,12 @@ class TwistedDouble:
     def tensor_components(self, i: int, j: int) -> tuple[int, ...]:
         N = self.fusion
         return tuple(k for k in range(len(self.gamma)) if N[i][j][k])
+
+
+def _evaluator(p: int, z: int, degree: int):
+    """The map Z[zeta_N][1/den] -> F_p sending zeta_N to z, on Cyclo values."""
+    powers = [pow(z, k, p) for k in range(degree)]
+
+    def at(x: Cyclo) -> int:
+        return sum(map(mul, x.num, powers)) * pow(x.den, p - 2, p) % p
+    return at

@@ -520,12 +520,15 @@ _BUILTIN_FACTORIES = {
 }
 
 
-def builtin_group(name: str) -> FiniteGroup:
+def builtin_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     try:
         factory = _BUILTIN_FACTORIES[name]
     except KeyError:
         raise ValueError(f"unknown builtin group {name!r}; known: {sorted(_BUILTIN_FACTORIES)}")
-    return factory()
+    G = factory()
+    if G.order > cap:
+        raise GroupTooLarge(f"order {G.order} exceeds cap {cap}")
+    return G
 
 
 BUILTIN_GROUP_NAMES = tuple(sorted(_BUILTIN_FACTORIES))

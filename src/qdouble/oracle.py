@@ -1,9 +1,10 @@
-"""Brute-force cross-checks for the triple enumeration.
+"""Set-level cross-checks for the triple enumeration.
 
 The oracle works directly on sets of simple objects: fusion closure uses the
-Verlinde coefficients (so it is independent of the triple machinery), and the
-full lattice of closed sets is generated by saturating pairwise joins of
-singleton closures.
+Verlinde coefficients (so it is independent of the triple machinery), on
+bitmasks of simples with precomputed product and dual masks, and the full
+lattice of closed sets is generated from the bottom by joining closed sets
+with the closures of single simples.
 """
 
 from __future__ import annotations
@@ -14,58 +15,92 @@ from .doubledata import TwistedDouble
 from . import subcats as sc
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(members: Iterable[int]) -> int:
+    mask = 0
+    for i in members:
+        mask |= 1 << i
+    return mask
+
+
+def _masks(dd: TwistedDouble) -> tuple[list[list[int]], list[int]]:
+    """Product masks prod[i][j] (bit k set iff N_ij^k > 0) and dual bits 1 << i*."""
+    key = ("oracle_masks",)
+    cached = dd.subcat_caches.get(key)
+    if cached is None:
+        n = len(dd.gamma)
+        prod = [[_mask(dd.tensor_components(i, j)) for j in range(n)] for i in range(n)]
+        cached = dd.subcat_caches[key] = (prod, [1 << d for d in dd.duals])
+    return cached
+
+
+def _close(dd: TwistedDouble, closed: int, extra: int) -> int:
+    """Closure of closed | extra under duals and products, where closed is closed."""
+    prod, dual = _masks(dd)
+    members = _bits(closed)
+    cur = closed
+    new = extra & ~closed
+    while new:
+        fresh = _bits(new)
+        cur |= new
+        members += fresh
+        grown = 0
+        for i in fresh:
+            grown |= dual[i]
+            row = prod[i]
+            for j in members:
+                grown |= row[j]
+        new = grown & ~cur
+    return cur
+
+
 def fusion_closure(dd: TwistedDouble, seed: Iterable[int]) -> frozenset[int]:
     """Smallest set of simples containing the seed and the unit, closed under
     duals and tensor constituents."""
-    cur = set(seed)
-    cur.add(dd.unit_index)
-    duals = dd.duals
-    frontier = list(cur)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            d = duals[i]
-            if d not in cur:
-                cur.add(d)
-                nxt.append(d)
-        snapshot = list(cur)
-        for i in snapshot:
-            for j in snapshot:
-                for k in dd.tensor_components(i, j):
-                    if k not in cur:
-                        cur.add(k)
-                        nxt.append(k)
-        frontier = nxt
-    return frozenset(cur)
+    return frozenset(_bits(_close(dd, 0, _mask(seed) | 1 << dd.unit_index)))
 
 
 def all_closed_sets(dd: TwistedDouble) -> frozenset[frozenset[int]]:
-    """Every fusion-closed set of simples, by saturating joins of closures."""
-    closed = {fusion_closure(dd, ())}
-    closed.update(fusion_closure(dd, (i,)) for i in range(len(dd.gamma)))
-    while True:
-        new = set()
-        current = sorted(closed, key=sorted)
-        for a in current:
-            for b in current:
-                u = a | b
-                if u in closed:
-                    continue
-                c = fusion_closure(dd, u)
-                if c not in closed and c not in new:
-                    new.add(c)
-        if not new:
-            return frozenset(closed)
-        closed.update(new)
+    """Every fusion-closed set of simples, by joining closed sets with atoms.
+
+    Atoms are the closures of single simples. A closed set is the join of the
+    atoms it contains, so the sets reachable from the bottom by joining one
+    atom at a time are all of them.
+    """
+    bottom = _mask(fusion_closure(dd, ()))
+    atoms = {_mask(fusion_closure(dd, (i,))) for i in range(len(dd.gamma))}
+    seen = {bottom}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for a in atoms:
+                if a & ~c:
+                    j = _close(dd, c, a)
+                    if j not in seen:
+                        seen.add(j)
+                        nxt.append(j)
+        frontier = nxt
+    return frozenset(frozenset(_bits(c)) for c in seen)
 
 
 def adjoint_closure(dd: TwistedDouble, members: Iterable[int]) -> frozenset[int]:
     """Fusion closure of all constituents of X (x) X* over the given simples."""
+    prod, _ = _masks(dd)
     duals = dd.duals
-    seed = set()
+    seed = 0
     for i in members:
-        seed.update(dd.tensor_components(i, duals[i]))
-    return fusion_closure(dd, seed)
+        seed |= prod[i][duals[i]]
+    return fusion_closure(dd, _bits(seed))
 
 
 def centralizing_simples(dd: TwistedDouble, members: Iterable[int]) -> frozenset[int]:

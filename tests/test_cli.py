@@ -164,6 +164,13 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "N >= 1" in err
     code, _, err = run(capsys, "group", "info", "--builtin", "Z2", "--cap", "0")
     assert code == 2 and "--cap" in err
+    # an over-cap group fails the same way whether builtin or read from a file
+    G = builtin_group("S4")
+    gf = tmp_path / "s4.json"
+    gf.write_text(json.dumps({"mult": [list(r) for r in G.mult]}))
+    for where in (["--builtin", "S4"], ["--group", str(gf)]):
+        code, _, err = run(capsys, "group", "info", *where, "--cap", "4")
+        assert code == 1 and "order 24 exceeds cap 4" in err, where
 
 
 def test_non_group_table_fails(tmp_path, capsys):

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble import (NotACocycle, NotNormalized, ThreeCocycle, builtin_cyclic,
-                     builtin_group, check_identities, coboundary, cyclic_group,
-                     pullback, trivial_cocycle, validate)
+from qdouble import (IdentityViolation, NotACocycle, NotNormalized, ThreeCocycle,
+                     builtin_cyclic, builtin_group, check_identities, coboundary,
+                     cyclic_group, pullback, trivial_cocycle, validate)
 from qdouble.cocycles import product
 
 
@@ -137,3 +137,129 @@ def test_beta_relation_random(spec, data):
     rhs = (om.beta(a, x, G.mul(y, z))
            + om.beta(G.conj(G.inverse(x), a), y, z)) % m
     assert lhs == rhs
+
+
+def _reference_identities(omega):
+    """The identity suite one instance at a time through the cochain methods:
+    counts per family, or (name, witness) of the first failure."""
+    G = omega.group
+    n = G.order
+    m = omega.modulus
+    counts = {name: 0 for name in
+              ("beta_cocycle", "centralizer_agreement", "gamma_product",
+               "nu_product", "commuting_nu_swap", "commuting_nu_conj",
+               "commuting_beta_sym")}
+    beta, eta, gamma, nu = omega.beta, omega.eta, omega.gamma, omega.nu
+    inv, conj, mul = G.inverse, G.conj, G.mul
+    for a in range(n):
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    lhs = beta(a, x, y) + beta(a, mul(x, y), z)
+                    rhs = beta(a, x, mul(y, z)) + beta(conj(inv(x), a), y, z)
+                    if (lhs - rhs) % m:
+                        return "beta_cocycle", (a, x, y, z)
+                    counts["beta_cocycle"] += 1
+    for a in range(n):
+        cent = G.centralizer_members(a)
+        for x in cent:
+            for y in cent:
+                if len({beta(a, x, y), eta(a, x, y), gamma(a, x, y), nu(a, x, y)}) != 1:
+                    return "centralizer_agreement", (a, x, y)
+                counts["centralizer_agreement"] += 1
+    for a in range(n):
+        ai = inv(a)
+        for b in range(n):
+            for x in range(n):
+                for y in range(n):
+                    lhs = (gamma(mul(a, b), x, y) - gamma(b, conj(ai, x), conj(ai, y))
+                           - gamma(a, x, y))
+                    rhs = beta(x, a, b) + beta(y, a, b) - beta(mul(x, y), a, b)
+                    if (lhs - rhs) % m:
+                        return "gamma_product", (a, b, x, y)
+                    counts["gamma_product"] += 1
+    for a in range(n):
+        for b in range(n):
+            for x in range(n):
+                for y in range(n):
+                    lhs = (nu(mul(a, b), x, y) - nu(a, conj(b, x), conj(b, y))
+                           - nu(b, x, y))
+                    rhs = eta(x, a, b) + eta(y, a, b) - eta(mul(x, y), a, b)
+                    if (lhs - rhs) % m:
+                        return "nu_product", (a, b, x, y)
+                    counts["nu_product"] += 1
+    for h in range(n):
+        for k in range(n):
+            if not G.commute(h, k):
+                continue
+            for x in range(n):
+                xi = inv(x)
+                hx = conj(x, h)
+                lhs = nu(x, h, k) - nu(x, k, h)
+                rhs = beta(hx, x, xi) - beta(hx, x, k) - beta(hx, mul(x, k), xi)
+                if (lhs - rhs) % m:
+                    return "commuting_nu_swap", (h, k, x)
+                counts["commuting_nu_swap"] += 1
+                hxi, kxi = conj(xi, h), conj(xi, k)
+                lhs = nu(x, hxi, kxi) - nu(x, kxi, hxi)
+                rhs = nu(xi, k, h) - nu(xi, h, k)
+                if (lhs - rhs) % m:
+                    return "commuting_nu_conj", (h, k, x)
+                counts["commuting_nu_conj"] += 1
+            for y in range(n):
+                if not G.commute(conj(y, k), h):
+                    continue
+                yi = inv(y)
+                lhs = beta(k, yi, y) - beta(k, yi, h) - beta(k, mul(yi, h), y)
+                rhs = beta(h, y, yi) - beta(h, y, k) - beta(h, mul(y, k), yi)
+                if (lhs - rhs) % m:
+                    return "commuting_beta_sym", (h, k, y)
+                counts["commuting_beta_sym"] += 1
+    return counts
+
+
+def _table_identities(omega):
+    try:
+        return check_identities(omega)
+    except IdentityViolation as exc:
+        return exc.name, exc.witness
+
+
+def _random_cochain(G, m, rng):
+    n = G.order
+    return ThreeCocycle(G, m, tuple(tuple(tuple(
+        rng.randrange(m) if x and y and z else 0 for z in range(n))
+        for y in range(n)) for x in range(n)))
+
+
+def test_identity_suite_matches_reference():
+    S3 = builtin_group("S3")
+    rng = random.Random(2008)
+    cases = [_random_cochain(S3, 3, rng) for _ in range(20)]
+    cases += [builtin_cyclic(n, q) for n, q in ((4, 1), (6, 3), (8, 1))]
+    cases.append(trivial_cocycle(builtin_group("S4")))
+    for omega in cases:
+        assert _table_identities(omega) == _reference_identities(omega)
+
+
+@pytest.mark.parametrize("cochain", ("beta", "eta", "gamma", "nu"))
+def test_identity_suite_witness_per_family(cochain):
+    # a valid cocycle whose derived cochain is wrong at one triple: the failing
+    # family and its first witness must be those of the reference loops
+    S3 = builtin_group("S3")
+    rng = random.Random(cochain)
+    mu = [[rng.randrange(3) if x and y else 0 for y in range(6)] for x in range(6)]
+    base = coboundary(S3, mu, 3)
+    # (a, a, a) lies in the centralizer of a; the others are random
+    a = rng.randrange(1, 6)
+    for bad in [(a, a, a)] + [tuple(rng.randrange(1, 6) for _ in range(3))
+                              for _ in range(2)]:
+
+        def shifted(self, a, x, y, _f=getattr(ThreeCocycle, cochain), _bad=bad):
+            return (_f(self, a, x, y) + ((a, x, y) == _bad)) % self.modulus
+
+        omega = type("Perturbed", (ThreeCocycle,), {cochain: shifted})(
+            S3, base.modulus, base.dlog)
+        got = _table_identities(omega)
+        assert got == _reference_identities(omega)
+        assert isinstance(got[0], str)

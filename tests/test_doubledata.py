@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdouble import TwistedDouble, VerlindeNonInteger, builtin_group
+
 from conftest import twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic
 
 
@@ -148,6 +150,59 @@ def test_tensor_components():
         for j in (0, 5, 13):
             comps = dd.tensor_components(i, j)
             assert set(comps) == {k for k in range(len(dd.gamma)) if N[i][j][k]}
+
+
+def _cyclo_verlinde(dd):
+    """N_ij^k = sum_s S_is S_js conj(S_ks) / (d_s |G|^2), every sum in Q(zeta_N)."""
+    S = dd.s_matrix
+    n = len(dd.gamma)
+    order2 = dd.group.order ** 2
+    N = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t = [S[i][s] * S[j][s] / dd.gamma[s].dim for s in range(n)]
+            for k in range(n):
+                val = dd.ctx.sum(t[s] * S[k][s].conj() for s in range(n))
+                q = val.as_fraction() / order2
+                assert q.denominator == 1 and q >= 0
+                N[i][j][k] = N[j][i][k] = int(q)
+    return tuple(tuple(tuple(r) for r in p) for p in N)
+
+
+def test_fusion_matches_cyclo_verlinde():
+    for name in ("Z2", "Z4", "S3", "D4"):
+        dd = untwisted(name)
+        assert dd.fusion == _cyclo_verlinde(dd)
+
+
+def test_fusion_proof_rejects_rescaled_column():
+    # zeta_N times column s keeps S S^dagger = |G|^2 I and leaves Verlinde's
+    # formula with S_0s in the denominator unchanged, so the F_p candidate is
+    # the true table; only the exact check N_i S = S Lambda_i sees the change
+    dd = TwistedDouble(builtin_group("D4"))
+    S = [list(row) for row in dd.s_matrix]
+    s = 5
+    zeta = dd.ctx.root(1)
+    for row in S:
+        row[s] = row[s] * zeta
+    dd._smatrix = tuple(tuple(row) for row in S)
+    with pytest.raises(VerlindeNonInteger,
+                       match=r"D4: fusion row N\[0\]\[0\] .* at s = 5$"):
+        dd.fusion
+
+
+def test_fusion_proof_rejects_wrong_candidate():
+    dd = untwisted("S3")
+    S, n = dd.s_matrix, len(dd.gamma)
+    for change in ("zero row", "one more"):
+        N = [[list(r) for r in p] for p in dd.fusion]
+        if change == "zero row":
+            N[2][3] = N[3][2] = [0] * n
+        else:
+            N[2][3][4] += 1
+            N[3][2][4] += 1
+        with pytest.raises(VerlindeNonInteger, match=r"N\[2\]\[3\]"):
+            dd._prove_fusion(S, N)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@
 import pytest
 
 from qdouble import oracle, subcats as sc
+from qdouble.groups import BUILTIN_GROUP_NAMES
 
 from conftest import twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic
 
@@ -37,6 +38,47 @@ def test_all_closed_sets_counts():
     for name, count in (("Z2", 5), ("Z4", 15), ("S3", 8)):
         dd = untwisted(name)
         assert len(oracle.all_closed_sets(dd)) == count
+
+
+def _reference_closed_sets(dd):
+    """Closed sets by saturating pairwise joins of frozenset closures."""
+    n = len(dd.gamma)
+    duals = dd.duals
+    comps = [[set(dd.tensor_components(i, j)) for j in range(n)] for i in range(n)]
+
+    def closure(seed):
+        cur = set(seed) | {dd.unit_index}
+        while True:
+            grown = set(cur)
+            for i in cur:
+                grown.add(duals[i])
+                for j in cur:
+                    grown |= comps[i][j]
+            if grown == cur:
+                return frozenset(cur)
+            cur = grown
+
+    closed = {closure(())} | {closure((i,)) for i in range(n)}
+    while True:
+        new = {closure(a | b) for a in closed for b in closed} - closed
+        if not new:
+            return frozenset(closed)
+        closed |= new
+
+
+def test_all_closed_sets_match_pairwise_joins():
+    for name in ("Z2xZ2", "S3", "D4", "Q8"):
+        dd = untwisted(name)
+        assert oracle.all_closed_sets(dd) == _reference_closed_sets(dd)
+
+
+def test_certify_every_builtin():
+    closed = {"Z2": 5, "Z3": 6, "Z4": 15, "Z2xZ2": 67, "S3": 8, "D4": 45,
+              "Q8": 45, "Z8": 37, "S4": 9}
+    assert set(closed) == set(BUILTIN_GROUP_NAMES)
+    for name, count in closed.items():
+        rep = oracle.certify(untwisted(name))
+        assert rep == {"triples": count, "closed_sets": count, "bijection": True}, name
 
 
 def test_closed_sets_are_joins_of_singletons():
