@@ -191,14 +191,9 @@ def _abelian_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
 
     n = C.order
     N = ctx.N
-    gens: list[int] = []
-    reached = C.generated_subgroup(()).member_set
-    while len(reached) < n:
-        gens.append(min(set(range(n)) - reached))
-        reached = C.generated_subgroup(gens).member_set
     equations = []
     for x in range(n):
-        for g in gens:
+        for g in C.whole_group.generators:
             row = [0] * (n - 1)
             for h, sign in ((C.mul(x, g), 1), (x, -1), (g, -1)):
                 if h != 0:

@@ -179,15 +179,47 @@ def _label(dd: TwistedDouble, t: sc.Triple) -> str:
         t.dim(dd.group.order), sc.classify(dd, t).short())
 
 
-def _hasse_edges(dd: TwistedDouble, triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
-    below = [[i for i, a in enumerate(triples)
-              if a != b and sc.contains(dd, a, b)] for b in triples]
+def _bits(mask: int):
+    """Set bit positions of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
+    """Covering pairs (i, j): S(triples[i]) is maximal in S(triples[j]), by j then i.
+
+    S(K1, H1, B1) lies in S(K2, H2, B2) iff K1 <= K2, H2 <= H1 and B1 = B2
+    on K1 x H2 (subcats.contains). The triples are grouped by (K, H); for
+    each pair of groups with nested subgroups both sides are keyed by B on
+    K1 x H2 and matched in a dict, giving below[j] as a bitmask.
+    """
+    by_pair: dict[tuple, list[int]] = {}
+    for i, t in enumerate(triples):
+        by_pair.setdefault((t.K.members, t.H.members), []).append(i)
+    below = [0] * len(triples)
+    for lows in by_pair.values():
+        K1, H1 = triples[lows[0]].K, triples[lows[0]].H
+        for highs in by_pair.values():
+            K2, H2 = triples[highs[0]].K, triples[highs[0]].H
+            if highs is lows or K1.bitmask & ~K2.bitmask or H2.bitmask & ~H1.bitmask:
+                continue
+            kpos = [K2.members.index(k) for k in K1.members]
+            hpos = [H1.members.index(h) for h in H2.members]
+            keyed: dict[tuple, int] = {}
+            for i in lows:
+                key = tuple(row[p] for row in triples[i].B.dlog for p in hpos)
+                keyed[key] = keyed.get(key, 0) | 1 << i
+            for j in highs:
+                dlog = triples[j].B.dlog
+                below[j] |= keyed.get(tuple(e for p in kpos for e in dlog[p]), 0)
     edges = []
-    for j, bs in enumerate(below):
-        bset = set(bs)
-        for i in bs:
-            if not any(i in below[k] for k in bset if k != i):
-                edges.append((i, j))
+    for j, mask in enumerate(below):
+        under = 0
+        for k in _bits(mask):
+            under |= below[k]
+        edges += [(i, j) for i in _bits(mask & ~under)]
     return edges
 
 
@@ -226,7 +258,7 @@ def _cmd_subcats(args: argparse.Namespace) -> int:
 
 def lattice_text(dd: TwistedDouble, triples: Sequence[sc.Triple], fmt: str) -> str:
     """The lattice of the given triples with its Hasse edges, as DOT or JSON text."""
-    edges = _hasse_edges(dd, triples)
+    edges = _hasse_edges(triples)
     if fmt == "dot":
         lines = ["digraph lattice {", "  rankdir=BT;"]
         lines += [f'  n{i} [label="{_label(dd, t)}"];' for i, t in enumerate(triples)]

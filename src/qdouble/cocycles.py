@@ -129,8 +129,11 @@ class ThreeCocycle:
 
 
 def validate(omega: ThreeCocycle) -> None:
-    """Raise NotNormalized or NotACocycle unless omega is a normalized 3-cocycle."""
-    if omega.dlog is None:
+    """Raise NotNormalized or NotACocycle unless omega is a normalized 3-cocycle.
+
+    A pass is remembered on omega; a failure is recomputed and raised again.
+    """
+    if omega.dlog is None or omega.__dict__.get("_valid"):
         return
     G = omega.group
     n = G.order
@@ -156,6 +159,7 @@ def validate(omega: ThreeCocycle) -> None:
         for l in range(n):
             if d[0][g][l] % m or d[g][l][0] % m:
                 raise NotNormalized((g, l))
+    omega.__dict__["_valid"] = True
 
 
 def trivial_cocycle(G: FiniteGroup) -> ThreeCocycle:

@@ -75,6 +75,16 @@ class Subgroup:
         G = self.group
         return all(G.mul(a, b) == G.mul(b, a) for a in self.members for b in self.members)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A greedy generating set: each generator is the least member not yet reached."""
+        gens: list[int] = []
+        reached = {0}
+        while len(reached) < len(self.members):
+            gens.append(next(g for g in self.members if g not in reached))
+            reached = self.group.generated_subgroup(gens).member_set
+        return tuple(gens)
+
     def sort_key(self) -> tuple[int, int]:
         return (len(self.members), self.bitmask)
 

@@ -8,7 +8,7 @@ degree-one projective characters and pairing enumeration).
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 # -- elementary number theory ---------------------------------------------------
@@ -209,57 +209,75 @@ def poly_roots_mod(coeffs: Sequence[int], p: int) -> list[int]:
 
 
 class _Echelon:
-    """Incremental echelon form of integer rows modulo N, with right-hand sides."""
+    """Incremental echelon form of sparse integer rows modulo N, with right-hand sides.
 
-    def __init__(self, n_unknowns: int, N: int):
-        self.n = n_unknowns
+    A row is a dict {column: coefficient}, nonzero coefficients only; each
+    pivot row is keyed by its least column.
+    """
+
+    def __init__(self, N: int):
         self.N = N
-        self.pivot_rows: dict[int, tuple[list[int], int]] = {}
+        self.pivot_rows: dict[int, tuple[dict[int, int], int]] = {}
         self.consistent = True
 
-    def insert(self, row: Sequence[int], rhs: int) -> None:
+    def insert(self, row: dict[int, int], rhs: int) -> None:
         N = self.N
-        row = [x % N for x in row]
-        rhs %= N
-        while True:
-            col = next((j for j, x in enumerate(row) if x), None)
-            if col is None:
-                if rhs % N:
-                    self.consistent = False
-                return
+        while row:
+            col = min(row)
             if col not in self.pivot_rows:
                 self.pivot_rows[col] = (row, rhs)
                 return
             prow, prhs = self.pivot_rows[col]
             pv, rv = prow[col], row[col]
-            g, x, y = _pivot_transform(pv, rv)
-            # unimodular 2x2 transform: new pivot has entry gcd, new row has 0
-            new_p = [(x * a + y * b) % N for a, b in zip(prow, row)]
-            new_pr = (x * prhs + y * rhs) % N
+            if rv % pv == 0:
+                # subtract a multiple of the pivot row; the pivot row stays
+                f = rv // pv
+                for j, a in prow.items():
+                    v = (row.get(j, 0) - f * a) % N
+                    if v:
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+                rhs = (rhs - f * prhs) % N
+                continue
+            # unimodular 2x2 transform on the union of the supports: the new
+            # pivot has entry gcd(pv, rv), the new row has 0
+            g, x, y = ext_gcd(pv, rv)
             fp, fr = pv // g, rv // g
-            new_r = [(fp * b - fr * a) % N for a, b in zip(prow, row)]
-            new_rr = (fp * rhs - fr * prhs) % N
-            self.pivot_rows[col] = (new_p, new_pr)
-            row, rhs = new_r, new_rr
+            new_p: dict[int, int] = {}
+            new_r: dict[int, int] = {}
+            for j in prow.keys() | row.keys():
+                a, b = prow.get(j, 0), row.get(j, 0)
+                if (u := (x * a + y * b) % N):
+                    new_p[j] = u
+                if (w := (fp * b - fr * a) % N):
+                    new_r[j] = w
+            self.pivot_rows[col] = (new_p, (x * prhs + y * rhs) % N)
+            row, rhs = new_r, (fp * rhs - fr * prhs) % N
+        if rhs:
+            self.consistent = False
 
 
-def solve_mod(equations: Iterable[tuple[Sequence[int], int]], n_unknowns: int,
-              N: int) -> list[tuple[int, ...]]:
+def solve_mod(equations: Iterable[tuple[Mapping[int, int] | Sequence[int], int]],
+              n_unknowns: int, N: int) -> list[tuple[int, ...]]:
     """All solutions in (Z/N)^n of the given (coefficients, rhs) equations, sorted.
 
-    Works for arbitrary composite N via gcd row/column reduction.
+    Coefficients are a dense sequence or a sparse {column: coefficient} dict.
+    Works for arbitrary composite N via gcd row/column reduction: rows are
+    eliminated sparsely, then only the pivot rows are diagonalized densely.
     """
     if N == 1:
         return [(0,) * n_unknowns]
-    ech = _Echelon(n_unknowns, N)
+    ech = _Echelon(N)
     for row, rhs in equations:
-        ech.insert(row, rhs)
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        ech.insert({j: c % N for j, c in items if c % N}, rhs % N)
         if not ech.consistent:
             return []
-    rows = [list(r) for r, _ in ech.pivot_rows.values()]
+    n = n_unknowns
+    rows = [[r.get(j, 0) for j in range(n)] for r, _ in ech.pivot_rows.values()]
     rhs = [b for _, b in ech.pivot_rows.values()]
     m = len(rows)
-    n = n_unknowns
     # diagonalize with row ops on [rows|rhs] and column ops tracked in V
     V = [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0
@@ -328,18 +346,26 @@ def solve_mod(equations: Iterable[tuple[Sequence[int], int]], n_unknowns: int,
             choice_lists.append([(y0 + k * (N // g)) % N for k in range(g)])
         else:
             choice_lists.append(list(range(N)))
+    # x = V y: the columns with one choice of y are summed once into the base,
+    # so each solution costs O(n) on top of it; V is invertible, so distinct
+    # choices give distinct solutions
+    base = [0] * n
+    branches = []
+    for c, choices in enumerate(choice_lists):
+        col = [r[c] for r in V]
+        if len(choices) > 1:
+            branches.append((col, choices))
+        elif choices[0]:
+            base = [(b + choices[0] * v) % N for b, v in zip(base, col)]
     solutions: list[tuple[int, ...]] = []
 
-    def rec(i: int, y: list[int]) -> None:
-        if i == n:
-            x = tuple(sum(V[r][c] * y[c] for c in range(n)) % N for r in range(n))
-            solutions.append(x)
+    def rec(i: int, x: list[int]) -> None:
+        if i == len(branches):
+            solutions.append(tuple(x))
             return
-        for val in choice_lists[i]:
-            y.append(val)
-            rec(i + 1, y)
-            y.pop()
+        col, choices = branches[i]
+        for val in choices:
+            rec(i + 1, [(a + val * v) % N for a, v in zip(x, col)])
 
-    rec(0, [])
-    solutions = sorted(set(solutions))
-    return solutions
+    rec(0, base)
+    return sorted(solutions)

@@ -13,6 +13,7 @@ from itertools import combinations
 from math import isqrt
 from typing import Iterable, Sequence
 
+from .cocycles import validate
 from .cyclotomic import Cyclo
 from .doubledata import TwistedDouble
 from .groups import Subgroup
@@ -141,12 +142,34 @@ def _pair_is_centralizing(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> None:
 
 
 def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, ...]:
-    """All G-invariant bicharacters on K x H for the ambient cocycle, sorted."""
+    """All G-invariant bicharacters on K x H for the ambient cocycle, sorted.
+
+    B is unknown off the identity row and column (B(e, h) = B(k, e) = 1).
+    The equations are imposed on generators only, which is exact for a
+    normalized 3-cocycle:
+
+    - second slot, B(k, h1 s) = B(k, h1) B(k, s) beta_k(h1, s)^-1 for every
+      h1 in H and s in a generating set of H. H centralizes k, so beta_k is
+      a 2-cocycle on H, and the equation for h2 = u and h2 = s gives it for
+      h2 = us. Every element of a finite group is a positive word in its
+      generators, and h2 = e holds by normalization.
+    - first slot, the same argument with beta_h on K and generators of K.
+    - G-invariance, B(x^-1 k x, h) = B(k, x h x^-1) times the transport
+      phase conj_exp(k, x, h), for x in a generating set of G. K and H are
+      normal and commute, so H centralizes every conjugate of k, and there
+      the phase composes along products: conj_exp(k, xy, h) =
+      conj_exp(k, x, y h y^-1) + conj_exp(x^-1 k x, y, h). Invariance under
+      x and y therefore gives it under xy.
+
+    Both arguments rest on the cocycle identity and normalization of
+    omega, so omega is validated first (once per cocycle).
+    """
     key = ("bichars", K.members, H.members)
     cached = dd.subcat_caches.get(key)
     if cached is not None:
         return cached
     _pair_is_centralizing(dd, K, H)
+    validate(dd.omega)
     G = dd.group
     N = dd.ctx.N
     scale = dd.scale
@@ -158,36 +181,31 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, 
     nk, nh = len(km), len(hm)
     nu = (nk - 1) * (nh - 1)
 
-    def var(k: int, h: int) -> int | None:
-        if k == 0 or h == 0:
-            return None
-        return (kpos[k] - 1) * (nh - 1) + (hpos[h] - 1)
-
-    equations: list[tuple[list[int], int]] = []
+    equations: list[tuple[dict[int, int], int]] = []
 
     def add(terms: Sequence[tuple[int, int, int]], rhs: int) -> None:
-        row = [0] * nu
+        row: dict[int, int] = {}
         for k, h, sign in terms:
-            v = var(k, h)
-            if v is not None:
-                row[v] += sign
+            if k and h:
+                v = (kpos[k] - 1) * (nh - 1) + (hpos[h] - 1)
+                row[v] = row.get(v, 0) + sign
         equations.append((row, rhs))
 
     # multiplicativity in the second slot, twisted by beta_k
     for k in km:
         for h1 in hm:
-            for h2 in hm:
-                add(((k, G.mul(h1, h2), 1), (k, h1, -1), (k, h2, -1)),
-                    -scale * beta(k, h1, h2))
+            for s in H.generators:
+                add(((k, G.mul(h1, s), 1), (k, h1, -1), (k, s, -1)),
+                    -scale * beta(k, h1, s))
     # multiplicativity in the first slot, twisted by beta_h
     for h in hm:
         for k1 in km:
-            for k2 in km:
-                add(((G.mul(k1, k2), h, 1), (k1, h, -1), (k2, h, -1)),
-                    scale * beta(h, k1, k2))
+            for s in K.generators:
+                add(((G.mul(k1, s), h, 1), (k1, h, -1), (s, h, -1)),
+                    scale * beta(h, k1, s))
     # G-invariance
     for k in km:
-        for x in range(G.order):
+        for x in G.whole_group.generators:
             kx = G.conj(G.inverse(x), k)
             for h in hm:
                 add(((kx, h, 1), (k, G.conj(x, h), -1)), scale * conj_exp(k, x, h))

@@ -2,10 +2,12 @@
 
 import functools
 import random
+from functools import reduce
 
 from qdouble import (TwistedDouble, builtin_cyclic, builtin_group, coboundary,
                      cyclic_group, pullback)
-from qdouble.cocycles import product
+from qdouble.cocycles import ThreeCocycle, product
+from qdouble.groups import direct_product
 
 
 @functools.lru_cache(maxsize=None)
@@ -25,6 +27,28 @@ def twisted_cyclic(n: int, q: int) -> TwistedDouble:
 
 
 @functools.lru_cache(maxsize=None)
+def untwisted_product(*names: str) -> TwistedDouble:
+    """Untwisted double of the direct product of builtin groups, e.g. ("Z2", "Z4")."""
+    return TwistedDouble(reduce(direct_product, map(builtin_group, names)))
+
+
+def times_coboundary(omega: ThreeCocycle, m: int) -> ThreeCocycle:
+    """omega times the coboundary of a normalized 2-cochain mod m, seeded by m."""
+    G = omega.group
+    rng = random.Random(m)
+    mu = [[rng.randrange(m) if x and y else 0 for y in range(G.order)]
+          for x in range(G.order)]
+    return product(omega, coboundary(G, mu, m))
+
+
+@functools.lru_cache(maxsize=None)
+def twisted_cyclic_coboundary(n: int, q: int, m: int) -> TwistedDouble:
+    """The standard cocycle omega_q on Z/n times a seeded coboundary mod m."""
+    omega = times_coboundary(builtin_cyclic(n, q), m)
+    return TwistedDouble(omega.group, omega)
+
+
+@functools.lru_cache(maxsize=None)
 def twisted_quotient(name: str, cob_m: int | None = None) -> TwistedDouble:
     """Semion cocycle pulled back along an index-2 quotient, times a coboundary mod cob_m."""
     G = builtin_group(name)
@@ -32,8 +56,5 @@ def twisted_quotient(name: str, cob_m: int | None = None) -> TwistedDouble:
     omega = pullback(builtin_cyclic(2, 1),
                      [0 if g in N.member_set else 1 for g in range(G.order)], G)
     if cob_m is not None:
-        rng = random.Random(cob_m)
-        mu = [[rng.randrange(cob_m) if x and y else 0 for y in range(G.order)]
-              for x in range(G.order)]
-        omega = product(omega, coboundary(G, mu, cob_m))
+        omega = times_coboundary(omega, cob_m)
     return TwistedDouble(G, omega)

@@ -1,9 +1,15 @@
 """Command line interface: formats, schemas, exit codes."""
 
+import hashlib
 import json
 
-from qdouble.cli import main
+import pytest
+
+from qdouble import subcats as sc
+from qdouble.cli import _hasse_edges, lattice_text, main
 from qdouble.groups import builtin_group
+
+from conftest import twisted_cyclic, untwisted, untwisted_product
 
 
 def run(capsys, *argv):
@@ -179,3 +185,46 @@ def test_non_group_table_fails(tmp_path, capsys):
     code, _, err = run(capsys, "group", "info", "--group", str(gf))
     assert code == 1
     assert "verification failure" in err
+
+
+def _pairwise_hasse_edges(dd, triples):
+    """Covering pairs from contains() on every pair, reduced transitively."""
+    below = [[i for i, a in enumerate(triples)
+              if a != b and sc.contains(dd, a, b)] for b in triples]
+    edges = []
+    for j, bs in enumerate(below):
+        bset = set(bs)
+        for i in bs:
+            if not any(i in below[k] for k in bset if k != i):
+                edges.append((i, j))
+    return edges
+
+
+# lattice export --format json: sha256 prefix, triples and covering edges
+LATTICES = {
+    ("Z2", "Z4"): ("1568d8e5c7aae8c7", 249, 1002),
+    ("D4",): ("269b161839b58dd2", 45, 98),
+    ("S3", "Z3"): ("ed9c489b786fca31", 48, 124),
+    ("Z4", "Z4"): ("f18b15d837b2f180", 1983, 9540),
+    ("Z2", "Z2", "Z2"): ("dd32ad485b1f7f06", 2825, 23562),
+    ("Q8", "Z2"): ("ece66cedee3dd82e", 1023, 5380),
+    ("D4", "Z2"): ("cb20c613b9157df7", 1023, 5380),
+}
+
+
+def test_hasse_edges_match_pairwise():
+    for dd in (untwisted_product("Z2", "Z4"), untwisted("D4"),
+               untwisted_product("S3", "Z3"), twisted_cyclic(4, 1), twisted_cyclic(4, 2)):
+        triples = sc.enumerate_all(dd)
+        assert _hasse_edges(triples) == _pairwise_hasse_edges(dd, triples)
+
+
+@pytest.mark.parametrize("names", list(LATTICES), ids="x".join)
+def test_lattice_export_pinned(names):
+    digest, n_triples, n_edges = LATTICES[names]
+    dd = untwisted_product(*names)
+    triples = sc.enumerate_all(dd)
+    text = lattice_text(dd, triples, "json")
+    doc = json.loads(text)
+    assert (len(doc["triples"]), len(doc["edges"])) == (n_triples, n_edges)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -106,3 +106,39 @@ def test_solve_mod_matches_brute_force(N, n, data):
         max_size=4))
     eqs = [(list(r), rhs) for r, rhs in rows]
     assert solve_mod(eqs, n, N) == _brute_solutions(eqs, n, N)
+
+
+@st.composite
+def _redundant_sparse_system(draw):
+    """Rows with at most 3 nonzeros, plus repeats and combinations of them.
+
+    With a planted solution the right-hand sides are consistent, so solution
+    sets are often nonempty.
+    """
+    N = draw(st.sampled_from((8, 12, 36)))
+    n = draw(st.integers(1, {8: 4, 12: 3, 36: 2}[N]))
+    planted = draw(st.none() | st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+    base = []
+    for row in draw(st.lists(st.dictionaries(st.integers(0, n - 1), st.integers(-N, N),
+                                             max_size=3), min_size=1, max_size=4)):
+        rhs = (draw(st.integers(0, N - 1)) if planted is None
+               else sum(c * planted[j] for j, c in row.items()))
+        base.append((row, rhs))
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 10))):
+        (r1, b1), (r2, b2) = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        a, c = draw(st.integers(-N, N)), draw(st.integers(-N, N))
+        rows.append(({j: a * r1.get(j, 0) + c * r2.get(j, 0) for j in r1.keys() | r2.keys()},
+                     a * b1 + c * b2))
+    return N, n, rows, draw(st.permutations(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_redundant_sparse_system())
+def test_solve_mod_sparse_redundant_rows(system):
+    N, n, rows, shuffled = system
+    dense = [([r.get(j, 0) for j in range(n)], b) for r, b in rows]
+    expected = _brute_solutions(dense, n, N)
+    assert solve_mod(rows, n, N) == expected
+    assert solve_mod(dense, n, N) == expected
+    assert solve_mod(shuffled, n, N) == expected

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdouble import subcats as sc
+from qdouble.linmod import solve_mod
 from qdouble.subcats import (DimensionMismatch, NotASubcategory, Pairing, Triple,
                              UnsupportedTriple)
 
-from conftest import twisted_cyclic, untwisted, untwisted_cyclic
+from conftest import (twisted_cyclic, twisted_cyclic_coboundary, twisted_quotient,
+                      untwisted, untwisted_cyclic, untwisted_product)
 
 
 EXPECTED_COUNTS = {"Z2": 5, "Z4": 15, "Z2xZ2": 67, "S3": 8, "D4": 45, "Q8": 45}
@@ -129,6 +131,56 @@ def test_bicharacters_match_brute_force():
     A3 = G.normal_subgroups[1]
     got = sorted(B.dlog for B in sc.bicharacters(dd, A3, A3))
     assert got == _brute_force_bichars(dd, A3, A3)
+
+
+def _all_pairs_bichars(dd, K, H):
+    """Solutions of the full system: every element pair in both slots, every x in G."""
+    G = dd.group
+    N, scale, beta = dd.ctx.N, dd.scale, dd.omega.beta
+    km, hm = K.members, H.members
+    nh = len(hm)
+    col = {(k, h): (i - 1) * (nh - 1) + (j - 1)
+           for i, k in enumerate(km) for j, h in enumerate(hm) if i and j}
+    equations = []
+
+    def add(terms, rhs):
+        row = [0] * ((len(km) - 1) * (nh - 1))
+        for k, h, sign in terms:
+            if (k, h) in col:
+                row[col[(k, h)]] += sign
+        equations.append((row, rhs))
+
+    for k in km:
+        for h1 in hm:
+            for h2 in hm:
+                add(((k, G.mul(h1, h2), 1), (k, h1, -1), (k, h2, -1)),
+                    -scale * beta(k, h1, h2))
+    for h in hm:
+        for k1 in km:
+            for k2 in km:
+                add(((G.mul(k1, k2), h, 1), (k1, h, -1), (k2, h, -1)),
+                    scale * beta(h, k1, k2))
+    for k in km:
+        for x in range(G.order):
+            for h in hm:
+                add(((G.conj(G.inverse(x), k), h, 1), (k, G.conj(x, h), -1)),
+                    scale * dd.omega.conj_exp(k, x, h))
+    return [tuple((0,) * nh if i == 0 else
+                  (0,) + tuple(s[(i - 1) * (nh - 1) + j - 1] for j in range(1, nh))
+                  for i in range(len(km)))
+            for s in solve_mod(equations, len(col), N)]
+
+
+def test_bicharacters_on_generators_match_all_pairs():
+    """Equations on generators only decide the same system as every element pair."""
+    doubles = [untwisted_product("Z2", "Z4"), untwisted_product("Z3", "Z3"),
+               untwisted("S3"), untwisted("D4"), untwisted("Q8")]
+    doubles += [twisted_cyclic_coboundary(n, q, 3) for n in (4, 6, 8) for q in (1, n // 2)]
+    doubles += [twisted_quotient(name, m) for name in ("S3", "D4", "Q8") for m in (None, 3)]
+    for dd in doubles:
+        for K, H in dd.group.centralizing_pairs():
+            got = [B.dlog for B in sc.bicharacters(dd, K, H)]
+            assert got == _all_pairs_bichars(dd, K, H), (dd.group.name, K.members, H.members)
 
 
 def test_contains_matches_member_sets():
