@@ -365,28 +365,3 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
                                     tuple(degrees[i] for i in order),
                                     tuple(values[i] for i in order))
 
-
-def degree_one_characters(ctx: CycloContext, C: FiniteGroup,
-                          beta: Sequence[Sequence[int]], m: int) -> list[tuple[int, ...]]:
-    """All degree-one beta-characters as root exponent tuples per element.
-
-    chi(x) = zeta_N^{L(x)} with chi(x) chi(y) = zeta_m^{beta(x,y)} chi(xy).
-    """
-    from .linmod import solve_mod
-
-    N = ctx.N
-    if N % m:
-        raise ValueError("cocycle modulus must divide N")
-    n = C.order
-    scale = N // m
-    equations = []
-    for h1 in range(n):
-        for h2 in range(n):
-            row = [0] * (n - 1)
-            h12 = C.mul(h1, h2)
-            for h, sign in ((h12, 1), (h1, -1), (h2, -1)):
-                if h != 0:
-                    row[h - 1] += sign
-            equations.append((row, -scale * (beta[h1][h2] % m)))
-    sols = solve_mod(equations, n - 1, N)
-    return [(0,) + s for s in sols]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .groups import FiniteGroup, cyclic_group
 

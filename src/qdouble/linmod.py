@@ -2,7 +2,7 @@
 
 Two independent pieces: dense linear algebra over a prime field F_p (used by
 the character-table engine) and a solver for linear systems over Z/N (used for
-degree-one projective characters and pairing enumeration).
+the character tables of abelian groups and the bicharacter enumeration).
 """
 
 from __future__ import annotations
@@ -72,15 +72,6 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def _pivot_transform(pv: int, rv: int) -> tuple[int, int, int]:
-    """Bezout pair for clearing rv against pivot pv, keeping the pivot row fixed
-    (coefficients (1, 0)) whenever pv already divides rv; this makes repeated
-    row/column clearing terminate."""
-    if rv % pv == 0:
-        return pv, 1, 0
-    return ext_gcd(pv, rv)
 
 
 # -- dense F_p linear algebra -----------------------------------------------------
@@ -263,11 +254,14 @@ def solve_mod(equations: Iterable[tuple[Mapping[int, int] | Sequence[int], int]]
     """All solutions in (Z/N)^n of the given (coefficients, rhs) equations, sorted.
 
     Coefficients are a dense sequence or a sparse {column: coefficient} dict.
-    Works for arbitrary composite N via gcd row/column reduction: rows are
-    eliminated sparsely, then only the pivot rows are diagonalized densely.
+    Works for arbitrary composite N. The rows are eliminated sparsely, then
+    brought to Howell form: for the pivot row at column c with pivot p,
+    (N / gcd(p, N)) times the row vanishes at c and is inserted too, in
+    ascending order of c, so it lies in the span of the rows pivoted after c.
+    Hence every assignment to the columns after c that satisfies their rows
+    extends to column c, and back substitution from the last column
+    enumerates the solutions without dead ends.
     """
-    if N == 1:
-        return [(0,) * n_unknowns]
     ech = _Echelon(N)
     for row, rhs in equations:
         items = row.items() if isinstance(row, Mapping) else enumerate(row)
@@ -275,97 +269,32 @@ def solve_mod(equations: Iterable[tuple[Mapping[int, int] | Sequence[int], int]]
         if not ech.consistent:
             return []
     n = n_unknowns
-    rows = [[r.get(j, 0) for j in range(n)] for r, _ in ech.pivot_rows.values()]
-    rhs = [b for _, b in ech.pivot_rows.values()]
-    m = len(rows)
-    # diagonalize with row ops on [rows|rhs] and column ops tracked in V
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    t = 0
-    while t < m and t < n:
-        pos = next(((i, j) for i in range(t, m) for j in range(t, n) if rows[i][j]), None)
-        if pos is None:
-            break
-        i0, j0 = pos
-        rows[t], rows[i0] = rows[i0], rows[t]
-        rhs[t], rhs[i0] = rhs[i0], rhs[t]
-        if j0 != t:
-            for r in rows:
-                r[t], r[j0] = r[j0], r[t]
-            for r in V:
-                r[t], r[j0] = r[j0], r[t]
-        while True:
-            # clear column t below the pivot
-            for i in range(t + 1, m):
-                if rows[i][t]:
-                    pv, rv = rows[t][t], rows[i][t]
-                    g, x, y = _pivot_transform(pv, rv)
-                    fp, fr = pv // g, rv // g
-                    new_t = [(x * a + y * b) % N for a, b in zip(rows[t], rows[i])]
-                    new_i = [(fp * b - fr * a) % N for a, b in zip(rows[t], rows[i])]
-                    rhs_t = (x * rhs[t] + y * rhs[i]) % N
-                    rhs_i = (fp * rhs[i] - fr * rhs[t]) % N
-                    rows[t], rows[i] = new_t, new_i
-                    rhs[t], rhs[i] = rhs_t, rhs_i
-            # clear row t right of the pivot (column ops, tracked in V)
-            for j in range(t + 1, n):
-                if rows[t][j]:
-                    pv, rv = rows[t][t], rows[t][j]
-                    g, x, y = _pivot_transform(pv, rv)
-                    fp, fr = pv // g, rv // g
-                    for r in rows:
-                        a, b = r[t], r[j]
-                        r[t] = (x * a + y * b) % N
-                        r[j] = (fp * b - fr * a) % N
-                    for r in V:
-                        a, b = r[t], r[j]
-                        r[t] = (x * a + y * b) % N
-                        r[j] = (fp * b - fr * a) % N
-            if all(rows[i][t] == 0 for i in range(t + 1, m)) and \
-               all(rows[t][j] == 0 for j in range(t + 1, n)):
-                break
-        t += 1
-    for i in range(t, m):
-        if rhs[i] % N:
-            return []
-    # solve d_i * y_i = rhs_i for i < t; columns >= t are free over Z/N
-    choice_lists: list[list[int]] = []
-    for i in range(n):
-        if i < t:
-            d = rows[i][i] % N
-            c = rhs[i] % N
-            if d == 0:
-                if c:
-                    return []
-                choice_lists.append(list(range(N)))
-                continue
-            g = gcd(d, N)
-            if c % g:
+    # the inserted rows vanish at c, so they only touch pivots after c
+    for c in range(n):
+        if c in ech.pivot_rows:
+            row, rhs = ech.pivot_rows[c]
+            a = N // gcd(row[c], N)
+            ech.insert({j: a * v % N for j, v in row.items() if a * v % N}, a * rhs % N)
+            if not ech.consistent:
                 return []
-            _, x, _ = ext_gcd(d, N)
-            y0 = (x * (c // g)) % (N // g)
-            choice_lists.append([(y0 + k * (N // g)) % N for k in range(g)])
-        else:
-            choice_lists.append(list(range(N)))
-    # x = V y: the columns with one choice of y are summed once into the base,
-    # so each solution costs O(n) on top of it; V is invertible, so distinct
-    # choices give distinct solutions
-    base = [0] * n
-    branches = []
-    for c, choices in enumerate(choice_lists):
-        col = [r[c] for r in V]
-        if len(choices) > 1:
-            branches.append((col, choices))
-        elif choices[0]:
-            base = [(b + choices[0] * v) % N for b, v in zip(base, col)]
-    solutions: list[tuple[int, ...]] = []
-
-    def rec(i: int, x: list[int]) -> None:
-        if i == len(branches):
-            solutions.append(tuple(x))
-            return
-        col, choices = branches[i]
-        for val in choices:
-            rec(i + 1, [(a + val * v) % N for a, v in zip(x, col)])
-
-    rec(0, base)
-    return sorted(solutions)
+    # back substitution from the last column: column c solves p x_c = t (mod N),
+    # which has gcd(p, N) solutions; a free column is p = 0, so it takes all N
+    partial = [[0] * n]
+    for c in reversed(range(n)):
+        row, rhs = ech.pivot_rows.get(c, ({}, 0))
+        g, u, _ = ext_gcd(row.get(c, 0), N)
+        step = N // g
+        rest = [(j, v) for j, v in row.items() if j != c]
+        extended = []
+        for x in partial:
+            t = (rhs - sum(v * x[j] for j, v in rest)) % N
+            if t % g:
+                raise AssertionError(f"dead end at column {c}: rows not in Howell form")
+            x[c] = u * (t // g) % step
+            extended.append(x)
+            for v in range(x[c] + step, N, step):
+                y = x.copy()
+                y[c] = v
+                extended.append(y)
+        partial = extended
+    return sorted(map(tuple, partial))

@@ -9,8 +9,7 @@ join, center) act on these triples directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import isqrt
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .cocycles import validate
@@ -46,21 +45,13 @@ class Pairing:
            any(len(r) != len(self.H.members) for r in self.dlog):
             raise ValueError("pairing table shape mismatch")
 
-    @property
-    def _kpos(self) -> dict:
-        d = self.__dict__.get("_kpos_cache")
-        if d is None:
-            d = {g: i for i, g in enumerate(self.K.members)}
-            self.__dict__["_kpos_cache"] = d
-        return d
+    @cached_property
+    def _kpos(self) -> dict[int, int]:
+        return {g: i for i, g in enumerate(self.K.members)}
 
-    @property
-    def _hpos(self) -> dict:
-        d = self.__dict__.get("_hpos_cache")
-        if d is None:
-            d = {g: i for i, g in enumerate(self.H.members)}
-            self.__dict__["_hpos_cache"] = d
-        return d
+    @cached_property
+    def _hpos(self) -> dict[int, int]:
+        return {g: i for i, g in enumerate(self.H.members)}
 
     def exp(self, k: int, h: int) -> int:
         """Discrete log of B(k, h) base zeta_N."""
@@ -82,9 +73,6 @@ class Pairing:
     @property
     def is_trivial(self) -> bool:
         return all(e == 0 for row in self.dlog for e in row)
-
-    def flat(self) -> tuple[int, ...]:
-        return tuple(e for row in self.dlog for e in row)
 
 
 def trivial_pairing(K: Subgroup, H: Subgroup, N: int) -> Pairing:

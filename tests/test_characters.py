@@ -5,7 +5,7 @@ import pytest
 from qdouble import (CapExceeded, CycloContext, builtin_cyclic, builtin_group,
                      cyclic_group, ordinary_table, projective_table)
 from qdouble.characters import (beta_regular_class_count, central_extension,
-                                degree_one_characters, validate_two_cocycle)
+                                validate_two_cocycle)
 
 
 EXPECTED_DEGREES = {
@@ -152,19 +152,6 @@ def test_projective_orthogonality():
             total = ctx.sum(P.value(i, x) * P.value(j, x).conj()
                             for x in range(C.order))
             assert total == (C.order if i == j else 0)
-
-
-def test_degree_one_characters_linear():
-    C = builtin_group("Z2xZ2")
-    ctx = CycloContext(4)
-    beta = [[0] * 4 for _ in range(4)]
-    chars = degree_one_characters(ctx, C, beta, 1)
-    assert len(chars) == 4
-    for L in chars:
-        assert L[0] == 0
-        for x in range(4):
-            for y in range(4):
-                assert (L[x] + L[y]) % ctx.N == L[C.mul(x, y)] % ctx.N
 
 
 def test_central_extension_cap():

@@ -93,8 +93,16 @@ def test_solve_mod_known_systems():
     # pivot divides later coefficient (the transform must terminate)
     eqs = [([4, 0], 2), ([4, 4], 2)]
     assert solve_mod(eqs, 2, 8) == _brute_solutions(eqs, 2, 8)
+    # dead ends without the Howell pass: 2x + y = 0 mod 4 forces y even, and
+    # in the mod-8 chain 2x0 + x1 = 0, 2x1 + x2 = 0 an odd x2 has no x1
+    eqs = [([2, 1], 0)]
+    assert solve_mod(eqs, 2, 4) == _brute_solutions(eqs, 2, 4)
+    eqs = [([2, 1, 0], 0), ([0, 2, 1], 0)]
+    assert solve_mod(eqs, 3, 8) == _brute_solutions(eqs, 3, 8)
     # free variables enumerate the whole modulus
     assert solve_mod([], 1, 6) == [(k,) for k in range(6)]
+    # over Z/1 every system has exactly the zero solution
+    assert solve_mod([([1, 1], 1)], 2, 1) == [(0, 0)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -30,3 +30,13 @@ def test_enumerate_lattices_export_matches_cli(tmp_path, monkeypatch, capsys):
     written = (tmp_path / "S3.json").read_text()
     assert written == expected
     assert json.loads(written)["cocycle_modulus"] == 1
+
+
+def test_twisted_scan_triple_counts(monkeypatch, capsys):
+    script = load_script("twisted_scan")
+    monkeypatch.setattr(sys, "argv", ["twisted_scan.py", "--max-n", "3"])
+    assert script.main() == 0
+    header, *rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    cells = [dict(zip(header, row)) for row in rows]
+    assert [(c["n"], c["q"], c["triples"]) for c in cells] == [
+        ("2", "0", "5"), ("2", "1", "5"), ("3", "0", "6"), ("3", "1", "3"), ("3", "2", "3")]
