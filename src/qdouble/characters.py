@@ -10,7 +10,7 @@ central character, restricted along the section x -> (x, 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 from .cyclotomic import Cyclo, CycloContext
@@ -148,18 +148,16 @@ def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
                 x = C.mul(x, g)
             zo_inv = pow(z, (N // o) * (p - 2), p)
             o_inv = pow(o, p - 2, p)
-            val = ctx.zero
-            total = 0
+            eigen_exps: list[int] = []
             for t in range(o):
                 m_t = o_inv * sum(X[pcls[s]] * pow(zo_inv, s * t, p) for s in range(o)) % p
                 if m_t > d:
                     raise LiftFailure(f"eigenvalue multiplicity {m_t} exceeds degree {d}")
-                if m_t:
-                    total += m_t
-                    val = val + ctx.root(t * (N // o)) * m_t
-            if total != d:
-                raise LiftFailure(f"multiplicities sum to {total}, expected degree {d}")
-            values.append(val)
+                eigen_exps += [t * (N // o)] * m_t
+            if len(eigen_exps) != d:
+                raise LiftFailure(
+                    f"multiplicities sum to {len(eigen_exps)}, expected degree {d}")
+            values.append(ctx.root_sum(eigen_exps))
         rows_out.append((d, tuple(values)))
 
     one = ctx.one
@@ -202,24 +200,21 @@ def _abelian_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
     sols = solve_mod(equations, n - 1, N)
     if len(sols) != n:
         raise LiftFailure(f"abelian group has {len(sols)} characters, expected {n}")
-    one = ctx.one
-    rows = []
-    for s in sols:
-        vals = (one,) + tuple(ctx.root(e) for e in s)
-        rows.append(vals)
-    rows.sort(key=lambda vals: (0 if all(v == one for v in vals) else 1,
-                                tuple(v.sort_key() for v in vals)))
-    # distinct homomorphisms are orthogonal; verify exactly on small groups
-    table = CharacterTable(C, ctx, (1,) * n, tuple(rows))
-    if len(set(rows)) != n:
+    exps = [(0,) + tuple(s) for s in sols]
+    exps.sort(key=lambda es: (1 if any(es) else 0,
+                              tuple(ctx.root(e).sort_key() for e in es)))
+    if len(set(exps)) != n:
         raise LiftFailure("abelian characters are not distinct")
+    # distinct homomorphisms are orthogonal; verify exactly on small groups,
+    # where row i times conj(row j) is zeta_N to the exponent differences
     if n <= 16:
         for i in range(n):
             for j in range(i, n):
-                inner = ctx.sum(rows[i][k] * rows[j][k].conj() for k in range(n))
+                inner = ctx.root_sum(x - y for x, y in zip(exps[i], exps[j]))
                 if inner != ctx.from_int(n if i == j else 0):
                     raise LiftFailure(f"abelian rows {i}, {j} are not orthonormal")
-    return table
+    rows = tuple(tuple(ctx.root(e) for e in es) for es in exps)
+    return CharacterTable(C, ctx, (1,) * n, rows)
 
 
 # -- projective characters ------------------------------------------------------
@@ -261,7 +256,7 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
     g = m
     for x in range(n):
         for y in range(n):
-            g = _gcd(g, beta[x][y] % m)
+            g = gcd(g, beta[x][y] % m)
     mp = m // g if g else 1
     if n * mp > cap:
         raise CapExceeded(f"extension order {n * mp} exceeds cap {cap}")
@@ -280,12 +275,6 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
     except GroupTooLarge as exc:
         raise CapExceeded(str(exc)) from exc
     return CentralExtension(C, ext, mp)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

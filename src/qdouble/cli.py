@@ -37,27 +37,32 @@ def _int_array(value: object, depth: int) -> bool:
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
     if args.cap < 1:
         raise UsageError(f"--cap must be at least 1, got {args.cap}")
-    if args.builtin is not None:
-        if args.builtin not in BUILTIN_GROUP_NAMES:
-            raise UsageError(
-                f"unknown builtin group {args.builtin!r}; "
-                f"choose from {', '.join(BUILTIN_GROUP_NAMES)}")
-        return builtin_group(args.builtin, cap=args.cap)
-    if args.group is None:
-        raise UsageError("one of --builtin or --group is required")
     try:
-        with open(args.group, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read group file: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError("group file must hold a JSON object")
-    for key, build in (("mult", FiniteGroup.from_mult_table),
-                       ("perm_gens", FiniteGroup.from_permutation_generators)):
-        if key in data:
-            if not _int_array(data[key], 2):
-                raise UsageError(f'"{key}" must be a list of lists of integers')
-            return build(data[key], name=data.get("name", "G"), cap=args.cap)
+        if args.builtin is not None:
+            if args.builtin not in BUILTIN_GROUP_NAMES:
+                raise UsageError(
+                    f"unknown builtin group {args.builtin!r}; "
+                    f"choose from {', '.join(BUILTIN_GROUP_NAMES)}")
+            return builtin_group(args.builtin, cap=args.cap)
+        if args.group is None:
+            raise UsageError("one of --builtin or --group is required")
+        try:
+            with open(args.group, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read group file: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError("group file must hold a JSON object")
+        for key, build in (("mult", FiniteGroup.from_mult_table),
+                           ("perm_gens", FiniteGroup.from_permutation_generators)):
+            if key in data:
+                if not _int_array(data[key], 2):
+                    raise UsageError(f'"{key}" must be a list of lists of integers')
+                if key == "perm_gens" and len({len(g) for g in data[key]}) != 1:
+                    raise UsageError('"perm_gens" must be a nonempty list of equal-length lists')
+                return build(data[key], name=data.get("name", "G"), cap=args.cap)
+    except GroupTooLarge as exc:  # --cap limits the input group
+        raise UsageError(str(exc)) from exc
     raise UsageError('group file needs a "mult" table or "perm_gens" list')
 
 
@@ -179,14 +184,6 @@ def _label(dd: TwistedDouble, t: sc.Triple) -> str:
         t.dim(dd.group.order), sc.classify(dd, t).short())
 
 
-def _bits(mask: int):
-    """Set bit positions of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
     """Covering pairs (i, j): S(triples[i]) is maximal in S(triples[j]), by j then i.
 
@@ -217,9 +214,9 @@ def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
     edges = []
     for j, mask in enumerate(below):
         under = 0
-        for k in _bits(mask):
+        for k in oracle.bits(mask):
             under |= below[k]
-        edges += [(i, j) for i in _bits(mask & ~under)]
+        edges += [(i, j) for i in oracle.bits(mask & ~under)]
     return edges
 
 

@@ -8,6 +8,7 @@ gcd-normalized. All equality tests are exact.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -101,6 +102,13 @@ class CycloContext:
         for t in terms:
             total = total + t
         return total
+
+    def root_sum(self, exps: Iterable[int]) -> "Cyclo":
+        """sum of zeta_N^e over the exponents: counted mod N, reduced once."""
+        res = [0] * self.degree
+        for e, c in Counter(e % self.N for e in exps).items():
+            res = [r + c * x for r, x in zip(res, self._pow_rows[e])]
+        return Cyclo(self, tuple(res), 1)
 
     def __repr__(self) -> str:
         return f"CycloContext(N={self.N})"

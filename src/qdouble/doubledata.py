@@ -68,14 +68,9 @@ class TwistedDouble:
         self._fusion: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         self._duals: tuple[int, ...] | None = None
         self._conj_lists: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        self._commuting_classes: dict[tuple[int, int], bool] = {}
+        self._scalar_exps: dict[int, tuple[int | None, ...]] = {}
+        self._braiding: tuple[int, ...] | None = None
         self.subcat_caches: dict = {}
-
-    # -- cocycle values in the field --------------------------------------------
-
-    def root_of_exp(self, e: int) -> Cyclo:
-        """zeta_m^e as an element of Q(zeta_N)."""
-        return self.ctx.root((e % self.omega.modulus) * self.scale)
 
     # -- simple objects -----------------------------------------------------------
 
@@ -123,22 +118,12 @@ class TwistedDouble:
 
     # -- pairwise class data ----------------------------------------------------------
 
-    def classes_commute(self, a: int, b: int) -> bool:
-        """Whether the classes of a and b commute elementwise."""
-        key = (min(a, b), max(a, b))
-        if key not in self._commuting_classes:
-            G = self.group
-            ca, cb = G.class_of(a), G.class_of(b)
-            self._commuting_classes[key] = all(G.commute(u, v) for u in ca for v in cb)
-        return self._commuting_classes[key]
-
     def _pair_terms(self, a: int, b: int) -> list[tuple[int, int, int]]:
         """Triples (u, v, e) over g with a and u = g b g^-1 commuting.
 
-        Here v = g^-1 a g and e = conj_exp(b, g^-1, a). Simples (a, chi_i) and
-        (b, chi_j) centralize each other iff zeta_m^e chi_i(u) chi_j(v) = d_i d_j
-        on every term; the untwisted S-matrix sums the conjugates of
-        chi_i(u) chi_j(v).
+        Here v = g^-1 a g and e = conj_exp(b, g^-1, a). The classes of a and b
+        commute elementwise iff every g gives a term. The untwisted S-matrix
+        sums the conjugates of chi_i(u) chi_j(v).
         """
         key = (a, b)
         if key not in self._conj_lists:
@@ -297,27 +282,54 @@ class TwistedDouble:
 
     # -- exact braiding predicates -----------------------------------------------------
 
+    def scalar_exps(self, i: int) -> tuple[int | None, ...]:
+        """r[x] = k with chi_i(x) = d_i zeta_N^k, or None; None off C_G(a_i)."""
+        if i not in self._scalar_exps:
+            s = self.gamma[i]
+            cd = self.centralizer_data(s.a)
+            self._scalar_exps[i] = tuple(
+                self.ctx.root_exponent(cd.value(s.char_index, x) / s.degree)
+                if x in cd.local_of else None for x in range(self.group.order))
+        return self._scalar_exps[i]
+
     def centralize(self, i: int, j: int) -> bool:
-        """Whether simples i and j have trivial double braiding, via character values.
+        """Whether simples i and j have trivial double braiding, on root exponents.
 
         The double braiding is a module map, so it is the identity exactly when
-        it is on the components (a, g b g^-1) that _pair_terms lists.
+        the classes of a_i and a_j commute elementwise and
+        zeta_m^e chi_i(u) chi_j(v) = d_i d_j on every term (u, v, e) of
+        _pair_terms. A projective character value chi(u) is a sum of d
+        eigenvalues of rho(u), each an N-th root of unity (rho comes from a
+        central extension whose exponent divides N = m |G|), so |chi(u)| <= d
+        with equality only when rho(u) is the scalar zeta_N^k, i.e. when
+        scalar_exps holds k at u. A term can reach d_i d_j only if both factors
+        are scalars, and then it does iff r_i[u] + r_j[v] + e scale = 0 (mod N).
         """
-        gamma = self.gamma
-        si, sj = gamma[i], gamma[j]
-        a, b = si.a, sj.a
-        if not self.classes_commute(a, b):
+        si, sj = self.gamma[i], self.gamma[j]
+        terms = self._pair_terms(si.a, sj.a)
+        if len(terms) < self.group.order:
             return False
-        cdi = self.centralizer_data(a)
-        cdj = self.centralizer_data(b)
-        degdeg = self.ctx.from_int(si.degree * sj.degree)
-        for u, v, e in self._pair_terms(a, b):
-            lhs = cdi.value(si.char_index, u) * cdj.value(sj.char_index, v)
-            if e:
-                lhs = lhs * self.root_of_exp(e)
-            if lhs != degdeg:
+        ri, rj = self.scalar_exps(i), self.scalar_exps(j)
+        N, scale = self.ctx.N, self.scale
+        for u, v, e in terms:
+            x, y = ri[u], rj[v]
+            if x is None or y is None or (x + y + e * scale) % N:
                 return False
         return True
+
+    @property
+    def braiding_rows(self) -> tuple[int, ...]:
+        """Bitmask rows: bit j of row i is set iff i and j centralize; each pair decided once."""
+        if self._braiding is None:
+            n = len(self.gamma)
+            rows = [0] * n
+            for i in range(n):
+                for j in range(i, n):
+                    if self.centralize(i, j):
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            self._braiding = tuple(rows)
+        return self._braiding
 
     def magnitude_centralize(self, i: int, j: int) -> bool:
         """Whether |S(i, j)| = dim(i) dim(j); defined for the trivial cocycle."""

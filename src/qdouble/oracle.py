@@ -15,7 +15,7 @@ from .doubledata import TwistedDouble
 from . import subcats as sc
 
 
-def _bits(mask: int) -> list[int]:
+def bits(mask: int) -> list[int]:
     """Indices of the set bits, ascending."""
     out = []
     while mask:
@@ -46,11 +46,11 @@ def _masks(dd: TwistedDouble) -> tuple[list[list[int]], list[int]]:
 def _close(dd: TwistedDouble, closed: int, extra: int) -> int:
     """Closure of closed | extra under duals and products, where closed is closed."""
     prod, dual = _masks(dd)
-    members = _bits(closed)
+    members = bits(closed)
     cur = closed
     new = extra & ~closed
     while new:
-        fresh = _bits(new)
+        fresh = bits(new)
         cur |= new
         members += fresh
         grown = 0
@@ -66,7 +66,7 @@ def _close(dd: TwistedDouble, closed: int, extra: int) -> int:
 def fusion_closure(dd: TwistedDouble, seed: Iterable[int]) -> frozenset[int]:
     """Smallest set of simples containing the seed and the unit, closed under
     duals and tensor constituents."""
-    return frozenset(_bits(_close(dd, 0, _mask(seed) | 1 << dd.unit_index)))
+    return frozenset(bits(_close(dd, 0, _mask(seed) | 1 << dd.unit_index)))
 
 
 def all_closed_sets(dd: TwistedDouble) -> frozenset[frozenset[int]]:
@@ -90,7 +90,7 @@ def all_closed_sets(dd: TwistedDouble) -> frozenset[frozenset[int]]:
                         seen.add(j)
                         nxt.append(j)
         frontier = nxt
-    return frozenset(frozenset(_bits(c)) for c in seen)
+    return frozenset(frozenset(bits(c)) for c in seen)
 
 
 def adjoint_closure(dd: TwistedDouble, members: Iterable[int]) -> frozenset[int]:
@@ -100,14 +100,16 @@ def adjoint_closure(dd: TwistedDouble, members: Iterable[int]) -> frozenset[int]
     seed = 0
     for i in members:
         seed |= prod[i][duals[i]]
-    return fusion_closure(dd, _bits(seed))
+    return fusion_closure(dd, bits(seed))
 
 
 def centralizing_simples(dd: TwistedDouble, members: Iterable[int]) -> frozenset[int]:
-    """Simples that centralize every member, by the braiding predicate."""
-    ms = list(members)
-    return frozenset(i for i in range(len(dd.gamma))
-                     if all(dd.centralize(i, j) for j in ms))
+    """Simples that centralize every member: the AND of the members' braiding rows."""
+    rows = dd.braiding_rows
+    mask = (1 << len(rows)) - 1
+    for j in members:
+        mask &= rows[j]
+    return frozenset(bits(mask))
 
 
 def projectively_centralizing_simples(dd: TwistedDouble,

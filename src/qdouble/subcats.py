@@ -224,17 +224,14 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
     if cached is not None:
         return cached
     G = dd.group
-    ctx = dd.ctx
+    N = dd.ctx.N
     members = []
     kset = t.K.member_set
     for s in dd.gamma:
         if s.a not in kset:
             continue
-        cd = dd.centralizer_data(s.a)
-        deg = s.degree
-        ok = all(cd.value(s.char_index, h) == ctx.root(t.B.exp(s.a, h)) * deg
-                 for h in t.H.members)
-        if ok:
+        r = dd.scalar_exps(s.index)
+        if all(r[h] == t.B.exp(s.a, h) % N for h in t.H.members):
             members.append(s.index)
     dim = sum(dd.gamma[i].dim ** 2 for i in members)
     expected = t.dim(G.order)
@@ -257,7 +254,6 @@ def build_subcat(dd: TwistedDouble, K: Subgroup, H: Subgroup, B: Pairing) -> Tri
 def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
     """Canonical triple of a set of simple objects; NotASubcategory if malformed."""
     G = dd.group
-    ctx = dd.ctx
     gamma = dd.gamma
     idx = frozenset(simples)
     if dd.unit_index not in idx:
@@ -275,34 +271,28 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
     # intersection of kernels of the characters at a = e
     hset = set(range(G.order))
     for i in idx:
-        s = gamma[i]
-        if s.a != 0:
-            continue
-        cd = dd.centralizer_data(0)
-        deg = ctx.from_int(s.degree)
-        ker = {g for g in range(G.order) if cd.value(s.char_index, g) == deg}
-        hset &= ker
+        if gamma[i].a == 0:
+            r = dd.scalar_exps(i)
+            hset &= {g for g in range(G.order) if r[g] == 0}
     H = G.subgroup(hset)
 
     # extract B on K x H from every member and every conjugator, consistently
-    N = ctx.N
+    N = dd.ctx.N
     table: dict[tuple[int, int], int] = {}
     conj_exp = dd.omega.conj_exp
     scale = dd.scale
     for i in sorted(idx):
-        s = gamma[i]
-        a = s.a
-        cd = dd.centralizer_data(a)
-        deg = s.degree
+        a = gamma[i].a
+        r = dd.scalar_exps(i)
         for x in range(G.order):
             k = G.conj(G.inverse(x), a)
             for h in H.members:
-                val = (ctx.root(scale * conj_exp(a, x, h))
-                       * cd.value(s.char_index, G.conj(x, h)) / deg)
-                exp = ctx.root_exponent(val)
+                # B(k, h) = zeta_m^conj_exp(a, x, h) chi(x h x^-1) / deg
+                exp = r[G.conj(x, h)]
                 if exp is None:
                     raise NotASubcategory(
                         f"pairing value at ({k}, {h}) is not a root of unity")
+                exp = (exp + scale * conj_exp(a, x, h)) % N
                 prev = table.setdefault((k, h), exp)
                 if prev != exp:
                     raise NotASubcategory(

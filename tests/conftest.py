@@ -58,3 +58,11 @@ def twisted_quotient(name: str, cob_m: int | None = None) -> TwistedDouble:
     if cob_m is not None:
         omega = times_coboundary(omega, cob_m)
     return TwistedDouble(G, omega)
+
+
+def braiding_doubles() -> list[TwistedDouble]:
+    """Untwisted, twisted cyclic, twisted quotient and coboundary-twisted doubles."""
+    return ([untwisted(name) for name in ("Z2", "Z4", "S3", "D4", "Q8")]
+            + [twisted_cyclic(n, q) for n, q in ((4, 1), (6, 3), (8, 3))]
+            + [twisted_quotient(name, m) for name in ("S3", "D4", "Q8") for m in (None, 3)]
+            + [twisted_cyclic_coboundary(4, 1, 3)])

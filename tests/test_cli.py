@@ -153,7 +153,9 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2  # cocycle lives on a different group
     # malformed JSON shapes and values: exit 2 with a message, no traceback
     cases = (("group", {"mult": 5}), ("group", {"mult": [[0, 1], [1, "a"]]}),
-             ("group", [1, 2]),
+             ("group", [1, 2]), ("group", {"perm_gens": []}),
+             ("group", {"perm_gens": [[1, 0], [0, 2, 1]]}),
+             ("group", {"perm_gens": [[1, 0], 1]}),
              ("cocycle", {"modulus": "2", "dlog": [0] * 8}),
              ("cocycle", {"modulus": 0, "dlog": [0] * 8}),
              ("cocycle", {"modulus": 2, "dlog": [[[0]]]}),
@@ -170,13 +172,17 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "N >= 1" in err
     code, _, err = run(capsys, "group", "info", "--builtin", "Z2", "--cap", "0")
     assert code == 2 and "--cap" in err
-    # an over-cap group fails the same way whether builtin or read from a file
+    # --cap limits the input: an over-cap group is bad input, builtin or from a file
     G = builtin_group("S4")
     gf = tmp_path / "s4.json"
     gf.write_text(json.dumps({"mult": [list(r) for r in G.mult]}))
     for where in (["--builtin", "S4"], ["--group", str(gf)]):
         code, _, err = run(capsys, "group", "info", *where, "--cap", "4")
-        assert code == 1 and "order 24 exceeds cap 4" in err, where
+        assert code == 2 and "order 24 exceeds cap 4" in err, where
+    pf = tmp_path / "s4_perm.json"
+    pf.write_text(json.dumps({"perm_gens": [[1, 0, 2, 3], [1, 2, 3, 0]]}))
+    code, _, err = run(capsys, "group", "info", "--group", str(pf), "--cap", "4")
+    assert code == 2 and "exceeds cap 4" in err
 
 
 def test_non_group_table_fails(tmp_path, capsys):

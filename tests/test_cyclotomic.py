@@ -130,3 +130,10 @@ def test_field_laws(N, ca, cb, cc, den):
         assert (a / b) * b == a
     assert (a + b).conj() == a.conj() + b.conj()
     assert (a * b).conj() == a.conj() * b.conj()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.lists(st.integers(-200, 200), max_size=30))
+def test_root_sum_matches_field_sum(N, exps):
+    ctx = CycloContext(N)
+    assert ctx.root_sum(exps) == ctx.sum(ctx.root(e) for e in exps)

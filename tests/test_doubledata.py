@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from qdouble import TwistedDouble, VerlindeNonInteger, builtin_group
 
-from conftest import twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic
+from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, untwisted,
+                      untwisted_cyclic)
 
 
 EXPECTED_SIMPLES = {"Z2": 4, "Z3": 9, "Z4": 16, "Z2xZ2": 16, "S3": 8,
@@ -132,6 +133,42 @@ def test_centralize_matches_s_matrix():
             for j in range(n):
                 equal = S[i][j] == dd.gamma[i].dim * dd.gamma[j].dim
                 assert dd.centralize(i, j) == equal
+
+
+def _cyclo_centralize(dd, i, j):
+    """The braiding predicate on field values: zeta_m^e chi_i(u) chi_j(v) = d_i d_j."""
+    G, ctx = dd.group, dd.ctx
+    si, sj = dd.gamma[i], dd.gamma[j]
+    if not all(G.commute(u, v) for u in G.class_of(si.a) for v in G.class_of(sj.a)):
+        return False
+    cdi, cdj = dd.centralizer_data(si.a), dd.centralizer_data(sj.a)
+    degdeg = ctx.from_int(si.degree * sj.degree)
+    for u, v, e in dd._pair_terms(si.a, sj.a):
+        lhs = cdi.value(si.char_index, u) * cdj.value(sj.char_index, v)
+        if lhs * ctx.root((e % dd.omega.modulus) * dd.scale) != degdeg:
+            return False
+    return True
+
+
+def test_braiding_rows_match_cyclo_predicate():
+    for dd in braiding_doubles():
+        n = len(dd.gamma)
+        rows = dd.braiding_rows
+        for i in range(n):
+            expect = sum(1 << j for j in range(n) if _cyclo_centralize(dd, i, j))
+            assert rows[i] == expect, (dd.group.name, dd.omega.modulus, i)
+        # r[x] is defined exactly where |chi(x)|^2 = d^2, an independent norm test
+        for s in dd.gamma:
+            cd = dd.centralizer_data(s.a)
+            r = dd.scalar_exps(s.index)
+            for x in range(dd.group.order):
+                if x not in cd.local_of:
+                    assert r[x] is None
+                    continue
+                chi = cd.value(s.char_index, x)
+                assert (r[x] is not None) == (chi * chi.conj() == s.degree ** 2)
+                if r[x] is not None:
+                    assert chi == dd.ctx.root(r[x]) * s.degree
 
 
 def test_magnitude_centralize_weaker():

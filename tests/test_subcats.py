@@ -10,8 +10,8 @@ from qdouble.linmod import solve_mod
 from qdouble.subcats import (DimensionMismatch, NotASubcategory, Pairing, Triple,
                              UnsupportedTriple)
 
-from conftest import (twisted_cyclic, twisted_cyclic_coboundary, twisted_quotient,
-                      untwisted, untwisted_cyclic, untwisted_product)
+from conftest import (braiding_doubles, twisted_cyclic, twisted_cyclic_coboundary,
+                      twisted_quotient, untwisted, untwisted_cyclic, untwisted_product)
 
 
 EXPECTED_COUNTS = {"Z2": 5, "Z4": 15, "Z2xZ2": 67, "S3": 8, "D4": 45, "Q8": 45}
@@ -21,6 +21,22 @@ def test_triple_counts():
     for name, count in EXPECTED_COUNTS.items():
         dd = untwisted(name)
         assert len(sc.enumerate_all(dd)) == count
+
+
+def test_members_match_cyclo_membership():
+    # (a, chi) lies in S(K, H, B) iff a is in K and chi(h) = deg B(a, h) on H
+    for dd in braiding_doubles():
+        ctx = dd.ctx
+        for t in sc.enumerate_all(dd):
+            expect = set()
+            for s in dd.gamma:
+                if s.a not in t.K.member_set:
+                    continue
+                cd = dd.centralizer_data(s.a)
+                if all(cd.value(s.char_index, h) == ctx.root(t.B.exp(s.a, h)) * s.degree
+                       for h in t.H.members):
+                    expect.add(s.index)
+            assert sc.subcat_members(dd, t) == expect, (dd.group.name, t)
 
 
 def test_enumeration_sorted_and_distinct():
@@ -44,8 +60,8 @@ def test_member_sets_partition_invariants():
 
 
 def test_round_trip_canonical_triple():
-    for dd in (untwisted("S3"), untwisted("D4"), untwisted("Q8"),
-               twisted_cyclic(2, 1), twisted_cyclic(4, 1), twisted_cyclic(4, 2)):
+    # the coboundary-twisted quotients carry nonzero conjugation phases
+    for dd in [twisted_cyclic(2, 1), twisted_cyclic(4, 2)] + braiding_doubles():
         for t in sc.enumerate_all(dd):
             assert sc.triple_of(dd, sc.subcat_members(dd, t)) == t
 
