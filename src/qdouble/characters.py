@@ -35,6 +35,8 @@ class CharacterTable:
     ctx: CycloContext = field(compare=False)
     degrees: tuple[int, ...]
     class_values: tuple[tuple[Cyclo, ...], ...]
+    # sorted exponents of zeta_N over the eigenvalues of rho_i on class k; they sum to the value
+    class_spectra: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
 
     @property
     def n_chars(self) -> int:
@@ -42,22 +44,6 @@ class CharacterTable:
 
     def value(self, i: int, g: int) -> Cyclo:
         return self.class_values[i][self.group.class_index_of[g]]
-
-    def row(self, i: int) -> tuple[Cyclo, ...]:
-        return self.class_values[i]
-
-    def kernel(self, i: int) -> tuple[int, ...]:
-        """Elements g with chi_i(g) = chi_i(e)."""
-        deg = self.ctx.from_int(self.degrees[i])
-        return tuple(g for g in range(self.group.order) if self.value(i, g) == deg)
-
-    @property
-    def trivial_index(self) -> int:
-        one = self.ctx.one
-        for i in range(self.n_chars):
-            if all(v == one for v in self.class_values[i]):
-                return i
-        raise LiftFailure("no trivial character found")
 
 
 def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
@@ -137,7 +123,7 @@ def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
             raise LiftFailure(f"degree squared lifted to non-square {d2}")
         X = [(d * omega[k]) % p * inv_size[k] % p for k in range(r)]
 
-        values = []
+        values, spectra = [], []
         for k in range(r):
             g = reps[k]
             o = C.order_of(g)
@@ -158,63 +144,94 @@ def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
                 raise LiftFailure(
                     f"multiplicities sum to {len(eigen_exps)}, expected degree {d}")
             values.append(ctx.root_sum(eigen_exps))
-        rows_out.append((d, tuple(values)))
+            spectra.append(tuple(eigen_exps))
+        rows_out.append((d, tuple(values), tuple(spectra)))
 
     one = ctx.one
     rows_out.sort(key=lambda row: (row[0],
                                    0 if all(v == one for v in row[1]) else 1,
                                    tuple(v.sort_key() for v in row[1])))
-    degrees = tuple(d for d, _ in rows_out)
-    table = CharacterTable(C, ctx, degrees, tuple(vals for _, vals in rows_out))
-
+    degrees, values, spectra = zip(*rows_out)
     if sum(d * d for d in degrees) != n:
         raise LiftFailure("squared degrees do not sum to the group order")
-    for i in range(r):
-        for j in range(i, r):
-            inner = ctx.sum(table.class_values[i][k] * table.class_values[j][k].conj() * sizes[k]
-                            for k in range(r))
-            expected = ctx.from_int(n if i == j else 0)
-            if inner != expected:
-                raise LiftFailure(f"rows {i}, {j} are not orthonormal")
-    return table
+    _check_orthonormal(ctx, spectra, n, "rows", weights=sizes)
+    return CharacterTable(C, ctx, degrees, values, spectra)
+
+
+def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str,
+                       weights: Sequence[int] | None = None) -> None:
+    """Raise unless sum_x w_x chi_i(x) conj(chi_j(x)) = order [i == j] for all i <= j.
+
+    chi_i(x) is the sum of zeta_N^a over a in spectra[i][x], so each inner product is
+    one root_sum of differences a - b; a weight w_x repeats the left exponents at x.
+    """
+    left = spectra if weights is None else [
+        [sp * w for sp, w in zip(row, weights)] for row in spectra]
+    for i, row in enumerate(left):
+        for j in range(i, len(spectra)):
+            inner = ctx.root_sum(a - b for si, sj in zip(row, spectra[j])
+                                 for a in si for b in sj)
+            if inner != (order if i == j else 0):
+                raise LiftFailure(f"{what} {i}, {j} are not orthonormal")
 
 
 def _abelian_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
-    """Characters of an abelian group: all homomorphisms into the roots of unity.
+    """Characters of an abelian group: all homomorphisms into the N-th roots of unity.
 
-    Solved from generator equations L(x g) = L(x) + L(g) mod N; each element is
-    its own class, so class values equal element values.
+    Built along the generators: if t is the least power with g^t in
+    H = <earlier generators>, a character of H with exponent e at g^t extends
+    to <H, g> in exactly the t ways c = e/t + k N/t (0 <= k < t), sending
+    h g^s to its exponent at h plus s c. Every row is then checked against
+    the generator equations L(x g) = L(x) + L(g) mod N. Each element is its
+    own class, so class values equal element values.
     """
-    from .linmod import solve_mod
-
-    n = C.order
-    N = ctx.N
-    equations = []
-    for x in range(n):
-        for g in C.whole_group.generators:
-            row = [0] * (n - 1)
-            for h, sign in ((C.mul(x, g), 1), (x, -1), (g, -1)):
-                if h != 0:
-                    row[h - 1] += sign
-            equations.append((row, 0))
-    sols = solve_mod(equations, n - 1, N)
-    if len(sols) != n:
-        raise LiftFailure(f"abelian group has {len(sols)} characters, expected {n}")
-    exps = [(0,) + tuple(s) for s in sols]
-    exps.sort(key=lambda es: (1 if any(es) else 0,
-                              tuple(ctx.root(e).sort_key() for e in es)))
+    n, N = C.order, ctx.N
+    gens = C.whole_group.generators
+    elems, member, rows = [0], {0}, [[0] * n]
+    for g in gens:
+        t, gt = 1, g
+        while gt not in member:
+            t, gt = t + 1, C.mul(gt, g)
+        coset, gs = [], 0
+        for s in range(1, t):
+            gs = C.mul(gs, g)
+            coset += [(s, h, C.mul(h, gs)) for h in elems]
+        extended = []
+        for row in rows:
+            e = row[gt]
+            if e % t:
+                raise LiftFailure(f"exponent {e} at {gt} = {g}^{t} is not divisible by {t}")
+            for k in range(t):
+                c = e // t + k * (N // t)
+                new = row[:]
+                for s, h, x in coset:
+                    new[x] = (row[h] + s * c) % N
+                extended.append(new)
+        rows = extended
+        elems += [x for _, _, x in coset]
+        member.update(elems)
+    if len(rows) != n:
+        raise LiftFailure(f"abelian group has {len(rows)} characters, expected {n}")
+    for g in gens:
+        times_g = [C.mul(x, g) for x in range(n)]
+        for row in rows:
+            for x, xg in enumerate(times_g):
+                if row[xg] != (row[x] + row[g]) % N:
+                    raise LiftFailure(f"abelian character {row} fails "
+                                      f"L(x g) = L(x) + L(g) at x = {x}, g = {g}")
+    roots = [ctx.root(e) for e in range(N)]
+    keys = [z.sort_key() for z in roots]
+    exps = sorted((tuple(row) for row in rows),
+                  key=lambda es: (1 if any(es) else 0, tuple(map(keys.__getitem__, es))))
     if len(set(exps)) != n:
         raise LiftFailure("abelian characters are not distinct")
-    # distinct homomorphisms are orthogonal; verify exactly on small groups,
-    # where row i times conj(row j) is zeta_N to the exponent differences
+    single = [(e,) for e in range(N)]
+    spectra = tuple(tuple(map(single.__getitem__, es)) for es in exps)
+    # distinct homomorphisms are orthogonal; verify exactly on small groups
     if n <= 16:
-        for i in range(n):
-            for j in range(i, n):
-                inner = ctx.root_sum(x - y for x, y in zip(exps[i], exps[j]))
-                if inner != ctx.from_int(n if i == j else 0):
-                    raise LiftFailure(f"abelian rows {i}, {j} are not orthonormal")
-    rows = tuple(tuple(ctx.root(e) for e in es) for es in exps)
-    return CharacterTable(C, ctx, (1,) * n, rows)
+        _check_orthonormal(ctx, spectra, n, "abelian rows")
+    values = tuple(tuple(map(roots.__getitem__, es)) for es in exps)
+    return CharacterTable(C, ctx, (1,) * n, values, spectra)
 
 
 # -- projective characters ------------------------------------------------------
@@ -290,6 +307,8 @@ class ProjectiveCharacterTable:
     modulus: int
     degrees: tuple[int, ...]
     values: tuple[tuple[Cyclo, ...], ...]
+    # sorted exponents of zeta_N over the eigenvalues of rho_i(x); they sum to values[i][x]
+    spectra: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
 
     @property
     def n_chars(self) -> int:
@@ -319,31 +338,20 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
         # exponent(E) divides m' * exponent(C)
         raise ValueError(f"context N = {ctx.N} too small for extension")
     T = ordinary_table(ctx, E)
-    keep = []
-    if mp == 1:
-        keep = list(range(T.n_chars))
-    else:
-        z = ce.central_generator
-        zeta = ctx.root(ctx.N // mp)
-        for i in range(T.n_chars):
-            if T.value(i, z) == zeta * T.degrees[i]:
-                keep.append(i)
-    degrees = []
-    values = []
-    for i in keep:
-        degrees.append(T.degrees[i])
-        values.append(tuple(T.value(i, ce.section(x)) for x in range(C.order)))
+    # chi(z) = zeta_m' d iff every eigenvalue of rho(z) is zeta_m': |chi(z)| = d only for scalars
+    zc = E.class_index_of[ce.central_generator]
+    keep = [i for i in range(T.n_chars)
+            if mp == 1 or all(e == ctx.N // mp for e in T.class_spectra[i][zc])]
+    secs = [E.class_index_of[ce.section(x)] for x in range(C.order)]
+    degrees = [T.degrees[i] for i in keep]
+    values = [tuple(T.class_values[i][k] for k in secs) for i in keep]
+    spectra = [tuple(T.class_spectra[i][k] for k in secs) for i in keep]
 
     if sum(d * d for d in degrees) != C.order:
         raise LiftFailure("projective squared degrees do not sum to the group order")
     if len(degrees) != beta_regular_class_count(C, beta, m):
         raise LiftFailure("projective character count does not match regular classes")
-    n = C.order
-    for i in range(len(degrees)):
-        for j in range(i, len(degrees)):
-            inner = ctx.sum(values[i][x] * values[j][x].conj() for x in range(n))
-            if inner != ctx.from_int(n if i == j else 0):
-                raise LiftFailure(f"projective rows {i}, {j} are not orthonormal")
+    _check_orthonormal(ctx, spectra, C.order, "projective rows")
 
     one = ctx.one
     order = sorted(range(len(degrees)),
@@ -352,5 +360,5 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
                                   tuple(v.sort_key() for v in values[i])))
     return ProjectiveCharacterTable(C, ctx, m,
                                     tuple(degrees[i] for i in order),
-                                    tuple(values[i] for i in order))
-
+                                    tuple(values[i] for i in order),
+                                    tuple(spectra[i] for i in order))

@@ -138,6 +138,10 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
         H = G.subgroup(_parse_members(parts[1], G.order))
     except ValueError as exc:
         raise UsageError(f"not a subgroup: {exc}") from exc
+    try:  # rejects K, H that are not normal or do not commute elementwise
+        valid = sc.bicharacters(dd, K, H)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if parts[2] == "trivial":
         B = sc.trivial_pairing(K, H, dd.ctx.N)
     else:
@@ -154,6 +158,9 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
                                  for row in data["dlog"]))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+    if B not in valid:
+        raise UsageError("the pairing is not a G-invariant bicharacter on K x H "
+                         "for this cocycle")
     return sc.Triple(K, H, B)
 
 

@@ -49,6 +49,9 @@ class CentralizerData:
     def value(self, char_index: int, parent_element: int) -> Cyclo:
         return self.table.value(char_index, self.local_of[parent_element])
 
+    def spectrum(self, char_index: int, parent_element: int) -> tuple[int, ...]:
+        return self.table.spectra[char_index][self.local_of[parent_element]]
+
 
 class TwistedDouble:
     """Bundle of (G, omega) with cached exact modular data."""
@@ -99,12 +102,13 @@ class TwistedDouble:
                 ksize = len(G.class_of(a))
                 for ci in range(cd.table.n_chars):
                     deg = cd.table.degrees[ci]
-                    theta = cd.value(ci, a) / deg
-                    if self.ctx.root_exponent(theta) is None:
+                    sp = cd.spectrum(ci, a)   # rho(a) is scalar iff its spectrum is
+                    if sp[0] != sp[-1]:
                         raise ArithmeticError(
-                            f"twist of ({a}, {ci}) is not a root of unity: {theta}")
+                            f"twist of ({a}, {ci}) is not a root of unity: "
+                            f"eigenvalue exponents {sp}")
                     simples.append(SimpleObject(len(simples), a, ci, deg,
-                                                ksize * deg, theta))
+                                                ksize * deg, self.ctx.root(sp[0])))
             total = sum(s.dim * s.dim for s in simples)
             if total != G.order ** 2:
                 raise ArithmeticError(
@@ -157,10 +161,10 @@ class TwistedDouble:
                     cdj = self.centralizer_data(sj.a)
                     pref = Fraction(G.order,
                                     len(cdi.members) * len(cdj.members))
-                    total = self.ctx.sum(
-                        cdi.value(si.char_index, u).conj()
-                        * cdj.value(sj.char_index, v).conj()
-                        for u, v, _ in self._pair_terms(si.a, sj.a))
+                    total = self.ctx.root_sum(
+                        -(x + y) for u, v, _ in self._pair_terms(si.a, sj.a)
+                        for x in cdi.spectrum(si.char_index, u)
+                        for y in cdj.spectrum(sj.char_index, v))
                     entry = total * pref
                     rows[i][j] = entry
                     rows[j][i] = entry
@@ -283,13 +287,14 @@ class TwistedDouble:
     # -- exact braiding predicates -----------------------------------------------------
 
     def scalar_exps(self, i: int) -> tuple[int | None, ...]:
-        """r[x] = k with chi_i(x) = d_i zeta_N^k, or None; None off C_G(a_i)."""
+        """r[x] = k with every eigenvalue of rho_i(x) zeta_N^k, or None; None off C_G(a_i)."""
         if i not in self._scalar_exps:
             s = self.gamma[i]
             cd = self.centralizer_data(s.a)
-            self._scalar_exps[i] = tuple(
-                self.ctx.root_exponent(cd.value(s.char_index, x) / s.degree)
-                if x in cd.local_of else None for x in range(self.group.order))
+            sps = (cd.spectrum(s.char_index, x) if x in cd.local_of else None
+                   for x in range(self.group.order))
+            self._scalar_exps[i] = tuple(sp[0] if sp and sp[0] == sp[-1] else None
+                                         for sp in sps)
         return self._scalar_exps[i]
 
     def centralize(self, i: int, j: int) -> bool:

@@ -1,11 +1,18 @@
 """Ordinary and projective character tables, computed exactly."""
 
+import random
+from functools import reduce
+
 import pytest
 
 from qdouble import (CapExceeded, CycloContext, builtin_cyclic, builtin_group,
                      cyclic_group, ordinary_table, projective_table)
-from qdouble.characters import (beta_regular_class_count, central_extension,
-                                validate_two_cocycle)
+from qdouble.characters import (LiftFailure, _check_orthonormal, beta_regular_class_count,
+                                central_extension, validate_two_cocycle)
+from qdouble.groups import FiniteGroup, direct_product
+from qdouble.linmod import solve_mod
+
+from conftest import braiding_doubles, twisted_cyclic, twisted_cyclic_coboundary
 
 
 EXPECTED_DEGREES = {
@@ -17,6 +24,17 @@ EXPECTED_DEGREES = {
 
 def _ctx_for(G):
     return CycloContext(G.exponent)
+
+
+def _trivial_index(T):
+    """The row whose class values are all 1."""
+    return next(i for i, row in enumerate(T.class_values) if all(v == T.ctx.one for v in row))
+
+
+def _kernel(T, i):
+    """Elements g with chi_i(g) = chi_i(e)."""
+    deg = T.ctx.from_int(T.degrees[i])
+    return tuple(g for g in range(T.group.order) if T.value(i, g) == deg)
 
 
 def test_degrees():
@@ -31,7 +49,7 @@ def test_trivial_character_first():
     for name in EXPECTED_DEGREES:
         G = builtin_group(name)
         T = ordinary_table(_ctx_for(G), G)
-        assert T.trivial_index == 0
+        assert _trivial_index(T) == 0
         one = T.ctx.one
         assert all(T.value(0, g) == one for g in range(G.order))
 
@@ -39,8 +57,8 @@ def test_trivial_character_first():
 def test_s3_values():
     G = builtin_group("S3")
     T = ordinary_table(CycloContext(6), G)
-    sign_row = T.row(1)
-    two_row = T.row(2)
+    sign_row = T.class_values[1]
+    two_row = T.class_values[2]
     # classes: identity, 3-cycles, transpositions
     assert sorted(v.as_int() for v in sign_row) == [-1, 1, 1]
     assert sorted(v.as_int() for v in two_row) == [-1, 0, 2]
@@ -74,9 +92,9 @@ def test_kernels_are_normal():
     G = builtin_group("S4")
     T = ordinary_table(_ctx_for(G), G)
     for i in range(T.n_chars):
-        ker = G.subgroup(T.kernel(i))
+        ker = G.subgroup(_kernel(T, i))
         assert ker.is_normal
-    assert len(T.kernel(0)) == G.order
+    assert len(_kernel(T, 0)) == G.order
 
 
 def test_counting_identity_ordinary():
@@ -160,3 +178,111 @@ def test_central_extension_cap():
     beta[1][2] = 1
     with pytest.raises(CapExceeded):
         central_extension(C, beta, 2, cap=4)
+
+
+# -- abelian tables by generator extension, spectra, the orthonormality kernel --------
+
+
+def _solve_mod_rows(ctx, C):
+    """Exponent rows of all characters of abelian C from L(x g) = L(x) + L(g) mod N.
+
+    One unknown per non-identity element, one equation per element and
+    generator, solved by solve_mod and sorted by root sort keys; the
+    construction the generator walk replaced.
+    """
+    n = C.order
+    equations = []
+    for x in range(n):
+        for g in C.whole_group.generators:
+            row = [0] * (n - 1)
+            for h, sign in ((C.mul(x, g), 1), (x, -1), (g, -1)):
+                if h != 0:
+                    row[h - 1] += sign
+            equations.append((row, 0))
+    exps = [(0,) + tuple(s) for s in solve_mod(equations, n - 1, ctx.N)]
+    exps.sort(key=lambda es: (1 if any(es) else 0,
+                              tuple(ctx.root(e).sort_key() for e in es)))
+    return exps
+
+
+def _exponent_rows(T):
+    cls = T.group.class_index_of
+    return [tuple(T.class_spectra[i][cls[x]][0] for x in range(T.group.order))
+            for i in range(T.n_chars)]
+
+
+def _relabeled(G, seed):
+    """G with its non-identity elements permuted at random."""
+    rng = random.Random(seed)
+    rest = list(range(1, G.order))
+    rng.shuffle(rest)
+    perm = [0] + rest
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    return FiniteGroup(table, name=f"{G.name}'")
+
+
+def _centralizer_extensions(dd):
+    """The central extensions projective_table builds for every centralizer of dd."""
+    m = dd.omega.modulus
+    for a in dd.group.class_reps:
+        cd = dd.centralizer_data(a)
+        beta = [[dd.omega.beta(a, x, y) % m for y in cd.members] for x in cd.members]
+        yield central_extension(cd.group, beta, m).ext
+
+
+def test_abelian_table_matches_solve_mod():
+    groups = [(CycloContext(G.exponent), _relabeled(G, seed)) for seed, G in enumerate(
+        [reduce(direct_product, map(builtin_group, names))
+         for names in (("Z2", "Z4"), ("Z3", "Z3"), ("Z2", "Z2", "Z2"), ("Z4", "Z4"))]
+        + [cyclic_group(12)])]
+    doubles = [twisted_cyclic(n, q) for n in range(2, 8) for q in range(1, n)]
+    doubles += [twisted_cyclic_coboundary(n, q, 3) for n, q in ((4, 1), (6, 1), (6, 3))]
+    groups += [(dd.ctx, E) for dd in doubles for E in _centralizer_extensions(dd)]
+    assert any(E.order == 49 for _, E in groups)
+    for ctx, C in groups:
+        T = ordinary_table(ctx, C)
+        assert _exponent_rows(T) == _solve_mod_rows(ctx, C), C.name
+
+
+def test_spectra_match_values():
+    for dd in braiding_doubles():
+        ctx = dd.ctx
+        tables = [(ordinary_table(ctx, dd.group), "class")]
+        tables += [(dd.centralizer_data(a).table, "element") for a in dd.group.class_reps]
+        for T, kind in tables:
+            spectra = T.class_spectra if kind == "class" else T.spectra
+            values = T.class_values if kind == "class" else T.values
+            for d, sp_row, val_row in zip(T.degrees, spectra, values):
+                assert len(sp_row) == len(val_row)
+                for sp, v in zip(sp_row, val_row):
+                    assert len(sp) == d and list(sp) == sorted(sp)
+                    assert all(0 <= e < ctx.N for e in sp)
+                    assert ctx.root_sum(sp) == v
+
+
+def _shifted(spectra, i, x):
+    """spectra with the first exponent of row i at column x moved by one."""
+    rows = [list(row) for row in spectra]
+    sp = rows[i][x]
+    rows[i][x] = (sp[0] + 1,) + sp[1:]
+    return rows
+
+
+def test_orthonormality_kernel_rejects_shifted_exponent():
+    G = builtin_group("S3")
+    T = ordinary_table(CycloContext(6), G)
+    sizes = [len(c) for c in G.conjugacy_classes]
+    _check_orthonormal(T.ctx, T.class_spectra, 6, "rows", weights=sizes)
+    with pytest.raises(LiftFailure, match="rows 0, 2 are not orthonormal"):
+        _check_orthonormal(T.ctx, _shifted(T.class_spectra, 2, 1), 6, "rows",
+                           weights=sizes)
+    A = ordinary_table(CycloContext(4), cyclic_group(4))
+    with pytest.raises(LiftFailure, match="abelian rows 0, 3 are not orthonormal"):
+        _check_orthonormal(A.ctx, _shifted(A.class_spectra, 3, 2), 4, "abelian rows")
+    P = twisted_cyclic(4, 1).centralizer_data(1).table
+    _check_orthonormal(P.ctx, P.spectra, 4, "projective rows")
+    with pytest.raises(LiftFailure, match="projective rows 0, 1 are not orthonormal"):
+        _check_orthonormal(P.ctx, _shifted(P.spectra, 1, 3), 4, "projective rows")

@@ -144,6 +144,17 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "invariants", "--builtin", "Z2",
                        "--triple", "0-1")
     assert code == 2
+    # --triple needs a centralizing pair (K, H) and a bicharacter on it
+    nonbich = tmp_path / "nonbich.json"
+    nonbich.write_text(json.dumps({"dlog": [[0, 0, 0], [0, 1, 0], [0, 0, 0]]}))
+    for builtin, cocycle, triple, msg in (
+            ("S3", "trivial", "0-1,0-1,trivial", "must be normal"),
+            ("S3", "trivial", "0-2-5,0-1-2-3-4-5,trivial", "must commute"),
+            ("Z3", "trivial", f"0-1-2,0-1-2,{nonbich}", "not a G-invariant bicharacter"),
+            ("Z2", "cyclic:2,1", "0-1,0-1,trivial", "not a G-invariant bicharacter")):
+        code, _, err = run(capsys, "invariants", "--builtin", builtin,
+                           "--cocycle", cocycle, "--triple", triple)
+        assert code == 2 and err.startswith("error:") and msg in err, (triple, err)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, _, err = run(capsys, "group", "info", "--group", str(bad))
