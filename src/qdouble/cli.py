@@ -10,6 +10,7 @@ import json
 import sys
 from typing import Sequence
 
+from .characters import CapExceeded
 from .cocycles import (NotACocycle, NotNormalized, IdentityViolation, ThreeCocycle,
                        builtin_cyclic, check_identities, trivial_cocycle, validate)
 from .cyclotomic import Cyclo
@@ -115,7 +116,7 @@ def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
 
 def _double(args: argparse.Namespace) -> TwistedDouble:
     G = _load_group(args)
-    return TwistedDouble(G, _load_cocycle(args, G))
+    return TwistedDouble(G, _load_cocycle(args, G), cap=args.cap)
 
 
 def _parse_members(text: str, order: int) -> tuple[int, ...]:
@@ -381,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, CapExceeded) as exc:  # --cap limits the central extensions too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotAGroup, GroupTooLarge, NotACocycle, NotNormalized, IdentityViolation,

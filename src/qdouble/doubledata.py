@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul
 
 from .characters import ProjectiveCharacterTable, projective_table
 from .cocycles import ThreeCocycle, trivial_cocycle
 from .cyclotomic import Cyclo, CycloContext
-from .groups import FiniteGroup
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup
 from .linmod import primitive_root, smallest_prime_one_mod
 
 
@@ -56,13 +56,15 @@ class CentralizerData:
 class TwistedDouble:
     """Bundle of (G, omega) with cached exact modular data."""
 
-    def __init__(self, G: FiniteGroup, omega: ThreeCocycle | None = None):
+    def __init__(self, G: FiniteGroup, omega: ThreeCocycle | None = None,
+                 cap: int = DEFAULT_ORDER_CAP):
         if omega is None:
             omega = trivial_cocycle(G)
         if omega.group is not G and omega.group.mult != G.mult:
             raise ValueError("cocycle is not defined on this group")
         self.group = G
         self.omega = omega
+        self.cap = cap                  # order cap for the central extensions
         self.ctx = CycloContext(omega.modulus * G.order)
         self.scale = self.ctx.N // omega.modulus
         self._centralizers: dict[int, CentralizerData] = {}
@@ -73,6 +75,7 @@ class TwistedDouble:
         self._conj_lists: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         self._scalar_exps: dict[int, tuple[int | None, ...]] = {}
         self._braiding: tuple[int, ...] | None = None
+        self._emb: _Embeddings | None = None
         self.subcat_caches: dict = {}
 
     # -- simple objects -----------------------------------------------------------
@@ -85,10 +88,11 @@ class TwistedDouble:
             local_of = {g: i for i, g in enumerate(members)}
             n = len(members)
             table = [[local_of[G.mul(x, y)] for y in members] for x in members]
-            C = FiniteGroup(table, name=f"C({G.name},{a})", validate=False)
+            # a subgroup of an admitted group is admitted
+            C = FiniteGroup(table, name=f"C({G.name},{a})", validate=False, cap=G.order)
             m = self.omega.modulus
             beta = [[self.omega.beta(a, x, y) % m for y in members] for x in members]
-            P = projective_table(self.ctx, C, beta, m)
+            P = projective_table(self.ctx, C, beta, m, cap=self.cap)
             self._centralizers[a] = CentralizerData(a, members, local_of, C, P)
         return self._centralizers[a]
 
@@ -173,13 +177,7 @@ class TwistedDouble:
             for j in range(n):
                 if S[0][j] != self.ctx.from_int(dims[j]):
                     raise ArithmeticError("first S-matrix row does not match dimensions")
-            order2 = self.ctx.from_int(G.order ** 2)
-            conj_rows = [[x.conj() for x in row] for row in S]
-            for i in range(n):
-                for j in range(i, n):
-                    inner = self.ctx.sum(S[i][k] * conj_rows[j][k] for k in range(n))
-                    if inner != (order2 if i == j else self.ctx.zero):
-                        raise ArithmeticError(f"S-matrix rows {i}, {j} not orthogonal")
+            self._prove_unitary(S)
             self._smatrix = S
         return self._smatrix
 
@@ -199,34 +197,47 @@ class TwistedDouble:
             self._fusion = tuple(tuple(tuple(r) for r in p) for p in N)
         return self._fusion
 
+    def _embeddings(self, S) -> "_Embeddings":
+        """S at every embedding of Z[zeta_N] into F_p, kept for the last S given."""
+        if self._emb is None or self._emb.S is not S:
+            self._emb = _Embeddings(self.ctx, S, self.group.order, [s.dim for s in self.gamma])
+        return self._emb
+
+    def _prove_unitary(self, S) -> None:
+        """Raise unless S S^dagger = |G|^2 I, checked at every sigma_t of _Embeddings.
+
+        Since sigma_t(conj x) = sigma_-t(x): sum_k sigma_t(c_ik) sigma_-t(c_jk) = D^2 |G|^2 delta_ij.
+        """
+        emb = self._embeddings(S)
+        pairs = [(t, A, emb.at[-t % self.ctx.N]) for t, A in emb.at.items()]
+        for i in range(len(S)):
+            for j in range(i, len(S)):
+                for t, A, Abar in pairs:
+                    if (sum(map(mul, A[i], Abar[j])) - (i == j) * emb.target) % emb.p:
+                        raise ArithmeticError(
+                            f"{self.group.name}: S-matrix rows {i}, {j} not orthogonal "
+                            f"mod p = {emb.p} at t = {t}")
+
     def _verlinde_mod_p(self, S) -> list[list[list[int]]]:
         """Candidate N_ij^k = sum_s S_is S_js conj(S_ks) / (S_0s |G|^2), lifted from F_p.
 
-        The prime p = 1 (mod N) exceeds every d_i d_j, divides neither |G|
-        nor a denominator of S, and sends no S_0s to 0; the lift of N_ij^k
-        must lie in [0, d_i d_j].
+        Read off sigma_1 and sigma_-1 of _embeddings. Its p > 2 D^2 |G|^2
+        exceeds every d_i d_j, divides neither |G| nor D, and sends no
+        S_0s = d_s to 0; the lift of N_ij^k must lie in [0, d_i d_j].
         """
         G = self.group
         n = len(self.gamma)
         dims = [s.dim for s in self.gamma]
         name = G.name
-        if any(S[0][s].is_zero for s in range(n)):
-            raise VerlindeNonInteger(f"{name}: S has a zero entry in row 0")
-        dens = {x.den for row in S for x in row}
-        N = self.ctx.N
-        p = smallest_prime_one_mod(N, max(dims) ** 2)
-        while True:
-            if G.order % p and all(d % p for d in dens):
-                z = pow(primitive_root(p), (p - 1) // N, p)
-                at_z = _evaluator(p, z, self.ctx.degree)
-                row0 = [at_z(x) for x in S[0]]
-                if all(row0):
-                    break
-            p = smallest_prime_one_mod(N, p)
-        at_zinv = _evaluator(p, pow(z, p - 2, p), self.ctx.degree)
-        S_p = [[at_z(x) for x in row] for row in S]
-        conj_p = [[at_zinv(x) for x in row] for row in S]
-        scale = [pow(x * G.order ** 2, p - 2, p) for x in row0]
+        emb = self._embeddings(S)
+        p, D = emb.p, emb.D
+        S_p, conj_p = emb.at[1 % self.ctx.N], emb.at[-1 % self.ctx.N]
+        row0 = S_p[0]
+        if not (G.order % p and D % p and all(row0) and p > max(dims) ** 2):
+            raise VerlindeNonInteger(f"{name}: prime {p} divides |G| or D = {D}, "
+                                     "sends some S_0s to 0 or is at most d_max^2")
+        # with c = D S the s-th term is c_is c_js conj(c_ks) / (D^2 c_0s |G|^2)
+        scale = [pow(D * D * x * G.order ** 2, p - 2, p) for x in row0]
         table = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i in range(n):
             lam = [x * c % p for x, c in zip(S_p[i], scale)]
@@ -245,30 +256,32 @@ class TwistedDouble:
     def _prove_fusion(self, S, N) -> None:
         """Raise unless sum_k N_ij^k S_ks = S_is S_js / d_s for all i <= j and s.
 
-        Exact in Q(zeta_N): with S over one denominator D, row k is a flat
-        integer vector of its coefficients, the left side of row (i, j) is
-        the combination of those vectors over the nonzero N_ij^k, and each
-        right side is one field product.
+        Times D^2 d_s at sigma_t: D d_s sum_k N_ij^k sigma_t(c_ks) = sigma_t(c_is c_js),
+        on flat vectors over (t, s). Rows with sum_k |N_ij^k| > n d_max^2, outside
+        the bound of _Embeddings, are no fusion rows (sum_k N_ij^k <= d_i d_j).
         """
-        n = len(self.gamma)
-        deg = self.ctx.degree
-        dims = [s.dim for s in self.gamma]
-        D = lcm(*(x.den for row in S for x in row))
-        flat = [[c * (D // x.den) for x in row for c in x.num] for row in S]
+        emb = self._embeddings(S)
+        p, name, n = emb.p, self.group.name, len(self.gamma)
+        ts = list(emb.at)
+        flat = [[x for t in ts for x in emb.at[t][k]] for k in range(n)]
+        weight = [emb.D * s.dim for s in self.gamma] * len(ts)
+        wflat = [list(map(mul, weight, row)) for row in flat]
         for i in range(n):
             for j in range(i, n):
-                ks = [k for k, c in enumerate(N[i][j]) if c]
-                cs = [N[i][j][k] for k in ks]
-                lhs = ([sum(map(mul, cs, vals)) for vals in zip(*(flat[k] for k in ks))]
-                       if ks else [0] * (n * deg))
-                for s in range(n):
-                    rhs = S[i][s] * S[j][s]
-                    q = rhs.den * dims[s]
-                    if any(a * q != b * D
-                           for a, b in zip(lhs[s * deg:(s + 1) * deg], rhs.num)):
-                        raise VerlindeNonInteger(
-                            f"{self.group.name}: fusion row N[{i}][{j}] fails "
-                            f"sum_k N_ij^k S_ks = S_is S_js / d_s at s = {s}")
+                lhs, mass = [0] * len(weight), 0
+                for k, c in enumerate(N[i][j]):
+                    if c:
+                        lhs = list(map(add, lhs, map(c.__mul__, wflat[k])))
+                        mass += abs(c)
+                if mass > emb.mass:
+                    raise VerlindeNonInteger(f"{name}: fusion row N[{i}][{j}] has "
+                                             f"sum_k |N_ij^k| = {mass} > n d_max^2")
+                res = [(u - x * y) % p for u, x, y in zip(lhs, flat[i], flat[j])]
+                if any(res):
+                    pos = next(q for q, r in enumerate(res) if r)
+                    raise VerlindeNonInteger(
+                        f"{name}: fusion row N[{i}][{j}] fails sum_k N_ij^k S_ks = "
+                        f"S_is S_js / d_s mod p = {p} at t = {ts[pos // n]}, at s = {pos % n}")
 
     @property
     def duals(self) -> tuple[int, ...]:
@@ -350,10 +363,40 @@ class TwistedDouble:
         return tuple(k for k in range(len(self.gamma)) if N[i][j][k])
 
 
-def _evaluator(p: int, z: int, degree: int):
-    """The map Z[zeta_N][1/den] -> F_p sending zeta_N to z, on Cyclo values."""
-    powers = [pow(z, k, p) for k in range(degree)]
+class _Embeddings:
+    """c = D S (D the lcm of its denominators) at every sigma_t: zeta_N -> z^t, t in (Z/N)^x.
 
-    def at(x: Cyclo) -> int:
-        return sum(map(mul, x.num, powers)) * pow(x.den, p - 2, p) % p
-    return at
+    at[t][i][k] = sigma_t(c_ik) in F_p, z a primitive N-th root of unity mod
+    p = 1 (mod N). An X in Z[zeta_N] with sigma_t(X) = 0 for every t is 0
+    once its power-basis coordinates are at most B < p / 2 in size: p splits
+    completely, the kernels of the phi(N) maps sigma_t are the distinct primes
+    above p, so X lies in their product pZ[zeta_N] and p divides each
+    coordinate. B is computed from S. With R_inf, R_1 the largest max and L1
+    norms of ctx._pow_rows (coordinates of the powers of zeta_N) and |c|_1,
+    |c|_inf those of the c_ik (conj x has L1 norm <= R_1 |x|_1; a product xy
+    has coordinates <= R_inf |x|_1 |y|_1), the residuals are at most
+    - unitarity: n R_inf |c|_1 R_1 |c|_1 + D^2 |G|^2;
+    - fusion: D d_max n d_max^2 |c|_inf + R_inf |c|_1^2, for sum_k |N_ij^k| <= n d_max^2.
+    p is the smallest such prime above twice the larger bound.
+    """
+
+    def __init__(self, ctx: CycloContext, S, order: int, dims: list[int]):
+        n, N, rows = len(S), ctx.N, ctx._pow_rows
+        self.S = S
+        self.D = D = lcm(*(x.den for row in S for x in row))
+        c = [[[v * (D // x.den) for v in x.num] for x in row] for row in S]
+        r_inf = max(abs(v) for r in rows for v in r)
+        r_one = max(sum(map(abs, r)) for r in rows)
+        l1 = max(sum(map(abs, x)) for row in c for x in row)
+        linf = max(abs(v) for row in c for x in row for v in x)
+        self.mass = n * max(dims) ** 2
+        self.target = D * D * order * order
+        self.bound = max(n * r_inf * l1 * r_one * l1 + self.target,
+                         D * max(dims) * self.mass * linf + r_inf * l1 * l1)
+        self.p = p = smallest_prime_one_mod(N, 2 * self.bound)
+        z = pow(primitive_root(p), (p - 1) // N, p)
+        self.at: dict[int, list[list[int]]] = {}
+        for t in range(N):
+            if gcd(t, N) == 1:
+                powers = [pow(z, t * e, p) for e in range(ctx.degree)]
+                self.at[t] = [[sum(map(mul, x, powers)) % p for x in row] for row in c]

@@ -97,6 +97,18 @@ def test_verify_twisted(capsys):
     assert "skipped (nontrivial cocycle)" in out
 
 
+def test_cap_reaches_derived_groups(capsys):
+    # omega_1 on Z4 needs central extensions of order 16: --cap limits them too
+    code, out, err = run(capsys, "verify", "all", "--builtin", "Z4",
+                         "--cocycle", "cyclic:4,1", "--cap", "4")
+    assert code == 2
+    assert "extension order 16 exceeds cap 4" in err
+    code, out, err = run(capsys, "verify", "all", "--builtin", "Z4",
+                         "--cocycle", "cyclic:4,1", "--cap", "16")
+    assert code == 0
+    assert "triples: 11" in out and "verified" in out
+
+
 def test_group_file_mult(tmp_path, capsys):
     G = builtin_group("S3")
     gf = tmp_path / "g.json"

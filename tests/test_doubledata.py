@@ -1,5 +1,8 @@
 """Modular data of the double: simples, S-matrix, twists, fusion."""
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,6 +243,149 @@ def test_fusion_proof_rejects_wrong_candidate():
             N[3][2][4] += 1
         with pytest.raises(VerlindeNonInteger, match=r"N\[2\]\[3\]"):
             dd._prove_fusion(S, N)
+
+
+def _cyclo_unitary(dd, S):
+    """Whether S S^dagger = |G|^2 I, with every inner product summed in Q(zeta_N)."""
+    ctx, n = dd.ctx, len(S)
+    order2 = ctx.from_int(dd.group.order ** 2)
+    conj_rows = [[x.conj() for x in row] for row in S]
+    for i in range(n):
+        for j in range(i, n):
+            inner = ctx.sum(S[i][k] * conj_rows[j][k] for k in range(n))
+            if inner != (order2 if i == j else ctx.zero):
+                return False
+    return True
+
+
+def _cyclo_prove_fusion(dd, S, N):
+    """Whether sum_k N_ij^k S_ks = S_is S_js / d_s, on flat coefficient vectors and field products."""
+    n, deg = len(dd.gamma), dd.ctx.degree
+    dims = [s.dim for s in dd.gamma]
+    D = lcm(*(x.den for row in S for x in row))
+    flat = [[c * (D // x.den) for x in row for c in x.num] for row in S]
+    for i in range(n):
+        for j in range(i, n):
+            ks = [k for k, c in enumerate(N[i][j]) if c]
+            cs = [N[i][j][k] for k in ks]
+            lhs = ([sum(a * b for a, b in zip(cs, vals)) for vals in zip(*(flat[k] for k in ks))]
+                   if ks else [0] * (n * deg))
+            for s in range(n):
+                rhs = S[i][s] * S[j][s]
+                q = rhs.den * dims[s]
+                if any(a * q != b * D for a, b in zip(lhs[s * deg:(s + 1) * deg], rhs.num)):
+                    return False
+    return True
+
+
+def _residual_coordinates(dd, S, N):
+    """Power-basis coordinates of every residual of both identities, for c = D S, exactly.
+
+    Unitarity: sum_k c_ik conj(c_jk) - D^2 |G|^2 delta_ij for i <= j.
+    Fusion: D d_s sum_k N_ij^k c_ks - c_is c_js for i <= j and every s.
+    """
+    ctx, n = dd.ctx, len(S)
+    dims = [s.dim for s in dd.gamma]
+    D = lcm(*(x.den for row in S for x in row))
+    c = [[x * D for x in row] for row in S]
+    target = D * D * dd.group.order ** 2
+    unitary, fusion = [], []
+    for i in range(n):
+        for j in range(i, n):
+            x = ctx.sum(c[i][k] * c[j][k].conj() for k in range(n)) - (target if i == j else 0)
+            assert x.den == 1
+            unitary += x.num
+            for s in range(n):
+                y = ctx.sum(c[k][s] * (D * dims[s] * m) for k, m in enumerate(N[i][j]) if m)
+                y = y - c[i][s] * c[j][s]
+                assert y.den == 1
+                fusion += y.num
+    return unitary, fusion
+
+
+BOUND_GROUPS = ("Z2", "Z4", "S3", "D4", "Q8", "Z2xZ2", "S4")
+
+
+def _mutations(dd):
+    """(label, S, N): the true data, then one entry + 1, one column times zeta_N, one wrong N_ij^k."""
+    S, n = dd.s_matrix, len(dd.gamma)
+    N = dd.fusion
+    bumped = [list(row) for row in S]
+    bumped[n - 1][n - 2] = bumped[n - 1][n - 2] + 1
+    turned = [[x * dd.ctx.root(1) if s == n - 1 else x for s, x in enumerate(row)]
+              for row in S]
+    wrong = [[list(r) for r in p] for p in N]
+    wrong[1][1][0] += 1
+    return [("true", S, N),
+            ("entry + 1", tuple(map(tuple, bumped)), N),
+            ("column * zeta", tuple(map(tuple, turned)), N),
+            ("wrong N", S, wrong)]
+
+
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def test_embedding_bound_covers_every_residual():
+    # p > 2B is a proof only if B bounds every coordinate of every residual,
+    # including the nonzero residuals of corrupted inputs
+    for name in BOUND_GROUPS:
+        dd = untwisted(name)
+        for label, S, N in _mutations(dd):
+            emb = dd._embeddings(S)
+            assert emb.p > 2 * emb.bound
+            unitary, fusion = _residual_coordinates(dd, S, N)
+            worst = max(map(abs, unitary + fusion))
+            assert worst <= emb.bound, (name, label, worst, emb.bound)
+            assert (worst == 0) == (label == "true"), (name, label)
+
+
+def test_embedding_checks_match_cyclo_checks():
+    for name in BOUND_GROUPS:
+        dd = untwisted(name)
+        for label, S, N in _mutations(dd):
+            unitary = _accepts(dd._prove_unitary, S)
+            fusion = _accepts(dd._prove_fusion, S, N)
+            assert unitary == _cyclo_unitary(dd, S), (name, label)
+            assert fusion == _cyclo_prove_fusion(dd, S, N), (name, label)
+            # unit-modulus column rescaling keeps S unitary; only fusion sees it
+            assert unitary == (label in ("true", "column * zeta", "wrong N")), (name, label)
+            assert fusion == (label == "true"), (name, label)
+
+
+def test_checks_reject_a_prime_multiple_perturbation():
+    # c + p zeta^k agrees with c at every embedding into F_p for the prime p
+    # that the true S picks; the checks must recompute B from their input and
+    # move to a larger prime
+    dd = TwistedDouble(builtin_group("D4"))
+    S, N = dd.s_matrix, dd.fusion
+    emb = dd._embeddings(S)
+    p, D = emb.p, emb.D
+    a, b = 3, 5
+    rows = [list(row) for row in S]
+    rows[a][b] = rows[a][b] + dd.ctx.root(1) * Fraction(p, D)
+    S2 = tuple(map(tuple, rows))
+    assert (rows[a][b] - S[a][b]) * D == dd.ctx.root(1) * p
+    unitary, fusion = _residual_coordinates(dd, S2, N)
+    for residual in (unitary, fusion):
+        assert any(residual) and all(x % p == 0 for x in residual)
+    p2 = dd._embeddings(S2).p
+    assert p2 > p
+    with pytest.raises(ArithmeticError,
+                       match=rf"^D4: S-matrix rows 0, 3 not orthogonal mod p = {p2} at t = 1$"):
+        dd._prove_unitary(S2)
+    with pytest.raises(VerlindeNonInteger,
+                       match=rf"^D4: fusion row N\[\d+\]\[\d+\] fails .* mod p = {p2} "
+                             rf"at t = \d+, at s = {b}$"):
+        dd._prove_fusion(S2, N)
+    # the true data still passes, on its own prime
+    dd._prove_unitary(S)
+    dd._prove_fusion(S, N)
+    assert dd._embeddings(S).p == p
 
 
 @settings(max_examples=40, deadline=None)

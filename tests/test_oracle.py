@@ -5,7 +5,8 @@ import pytest
 from qdouble import oracle, subcats as sc
 from qdouble.groups import BUILTIN_GROUP_NAMES
 
-from conftest import twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic
+from conftest import (twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic,
+                      untwisted_product)
 
 
 def test_fusion_closure_basics():
@@ -79,6 +80,12 @@ def test_certify_every_builtin():
     for name, count in closed.items():
         rep = oracle.certify(untwisted(name))
         assert rep == {"triples": count, "closed_sets": count, "bijection": True}, name
+
+
+def test_certify_d4xz2():
+    # 88 simples: both certificates of the S-matrix and the fusion proof at scale
+    rep = oracle.certify(untwisted_product("D4", "Z2"))
+    assert rep == {"triples": 1023, "closed_sets": 1023, "bijection": True}
 
 
 def test_closed_sets_are_joins_of_singletons():
