@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from typing import Sequence
 
 from .cyclotomic import Cyclo, CycloContext
-from .groups import FiniteGroup, GroupTooLarge, DEFAULT_ORDER_CAP
+from .groups import FiniteGroup, DEFAULT_ORDER_CAP
 from .linmod import (charpoly_mod, mat_mul_mod, nullspace_mod, poly_roots_mod,
                      primitive_root, rref_mod, smallest_prime_one_mod)
 
@@ -249,35 +249,31 @@ def validate_two_cocycle(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) 
                     raise ValueError(f"2-cocycle identity fails at ({x}, {y}, {w})")
 
 
-@dataclass(frozen=True)
-class CentralExtension:
-    """E = C x_{beta} Z/m', with section x -> (x, 0) at index x*m'."""
-
-    base: FiniteGroup = field(compare=False)
-    ext: FiniteGroup = field(compare=False)
-    m_prime: int
-
-    def section(self, x: int) -> int:
-        return x * self.m_prime
-
-    @property
-    def central_generator(self) -> int:
-        """The element (e, 1); only meaningful when m_prime > 1."""
-        return 1
-
-
 def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
-                      cap: int = DEFAULT_ORDER_CAP) -> CentralExtension:
-    """Central extension of C by the image of the cocycle values in Z/m."""
+                      cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """The central extension E of C by Z/m' that the 2-cocycle beta mod m defines.
+
+    With g = gcd(m, all beta) and b = (beta mod m) / g, E is C x Z/m' for
+    m' = m / g under (x, i)(y, j) = (xy, i + j + b(x, y)). (x, i) sits at index
+    x m' + i, so m' = |E| / |C|, the section x -> (x, 0) is x -> x m', and
+    (e, 1) is index 1.
+
+    After the cap check, validate_two_cocycle runs and E is built without the
+    group-table check, because the checked identity already proves E a group:
+    dividing it by g gives b(x,y) + b(xy,w) = b(x,yw) + b(y,w) (mod m'),
+    which is exactly associativity; normalization makes index 0 the identity;
+    and every row is a bijection, so every element has an inverse.
+    """
     n = C.order
     g = m
     for x in range(n):
         for y in range(n):
             g = gcd(g, beta[x][y] % m)
-    mp = m // g if g else 1
+    mp = m // g
     if n * mp > cap:
         raise CapExceeded(f"extension order {n * mp} exceeds cap {cap}")
-    bp = [[(beta[x][y] % m) // g if g else 0 for y in range(n)] for x in range(n)]
+    validate_two_cocycle(C, beta, m)
+    bp = [[(beta[x][y] % m) // g for y in range(n)] for x in range(n)]
     table = [[0] * (n * mp) for _ in range(n * mp)]
     for x in range(n):
         for i in range(mp):
@@ -287,11 +283,7 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
                 b = bp[x][y]
                 for j in range(mp):
                     row[y * mp + j] = xy * mp + (i + j + b) % mp
-    try:
-        ext = FiniteGroup(table, name=f"{C.name}~{mp}", cap=cap)
-    except GroupTooLarge as exc:
-        raise CapExceeded(str(exc)) from exc
-    return CentralExtension(C, ext, mp)
+    return FiniteGroup(table, name=f"{C.name}~{mp}", validate=False, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -331,18 +323,17 @@ def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: i
 def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int]],
                      m: int, cap: int = DEFAULT_ORDER_CAP) -> ProjectiveCharacterTable:
     """All irreducible beta-characters of C, exactly."""
-    validate_two_cocycle(C, beta, m)
-    ce = central_extension(C, beta, m, cap=cap)
-    E, mp = ce.ext, ce.m_prime
+    E = central_extension(C, beta, m, cap=cap)
+    mp = E.order // C.order
     if ctx.N % (mp * C.exponent):
         # exponent(E) divides m' * exponent(C)
         raise ValueError(f"context N = {ctx.N} too small for extension")
     T = ordinary_table(ctx, E)
-    # chi(z) = zeta_m' d iff every eigenvalue of rho(z) is zeta_m': |chi(z)| = d only for scalars
-    zc = E.class_index_of[ce.central_generator]
+    # chi(z) = zeta_m' d iff every eigenvalue of rho(z) is zeta_m': |chi(z)| = d only for scalars;
+    # z = (e, 1) is index 1, which exists only when m' > 1
     keep = [i for i in range(T.n_chars)
-            if mp == 1 or all(e == ctx.N // mp for e in T.class_spectra[i][zc])]
-    secs = [E.class_index_of[ce.section(x)] for x in range(C.order)]
+            if mp == 1 or all(e == ctx.N // mp for e in T.class_spectra[i][E.class_index_of[1]])]
+    secs = [E.class_index_of[x * mp] for x in range(C.order)]
     degrees = [T.degrees[i] for i in keep]
     values = [tuple(T.class_values[i][k] for k in secs) for i in keep]
     spectra = [tuple(T.class_spectra[i][k] for k in secs) for i in keep]

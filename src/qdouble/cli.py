@@ -79,8 +79,9 @@ def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
             raise UsageError("--cocycle cyclic:N,Q needs two integers") from exc
         if n < 1:
             raise UsageError(f"--cocycle cyclic:N,Q needs N >= 1, got {n}")
-        om = builtin_cyclic(n, q)
-        if om.group.mult != G.mult:
+        # compare orders first: builtin_cyclic(n, q) tabulates n^3 exponents
+        om = builtin_cyclic(n, q) if n == G.order else None
+        if om is None or om.group.mult != G.mult:
             raise UsageError(
                 f"cyclic:{n},{q} lives on Z/{n} with the standard table; "
                 "the selected group has a different table")
@@ -151,12 +152,13 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read pairing file: {exc}") from exc
-        if "dlog" not in data:
+        if not isinstance(data, dict) or "dlog" not in data:
             raise UsageError('pairing file needs a "dlog" table over K x H members')
+        if not _int_array(data["dlog"], 2):
+            raise UsageError('"dlog" must be a list of lists of integers')
         try:
             B = sc.Pairing(K, H, dd.ctx.N,
-                           tuple(tuple(int(v) % dd.ctx.N for v in row)
-                                 for row in data["dlog"]))
+                           tuple(tuple(v % dd.ctx.N for v in row) for row in data["dlog"]))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     if B not in valid:

@@ -202,40 +202,7 @@ class Cyclo:
             return _make(self.ctx, list(self.num), self.den * other)
         if isinstance(other, Fraction):
             return self * Fraction(other.denominator, other.numerator)
-        return self * other.inv()
-
-    def inv(self) -> "Cyclo":
-        """Field inverse via the extended Euclidean algorithm over Q[x]."""
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        ctx = self.ctx
-        phi = [Fraction(c) for c in cyclotomic_polynomial(ctx.N)]
-        a = [Fraction(c, self.den) for c in self.num]
-        # Bezout: track u with r_i = u_i*a + v_i*phi; ends with gcd(a, phi) constant
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while not (len(r1) == 1 and r1[0] == 0):
-            q, rem = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub_q(s0, _poly_mul_q(q, s1))
-        if len(r0) != 1 or r0[0] == 0:
-            raise ZeroDivisionError("element is a zero divisor (not a field element)")
-        c = r0[0]
-        u = [x / c for x in s0]
-        # reduce u modulo phi and clear denominators
-        d = ctx.degree
-        red = [Fraction(0)] * d
-        rows = ctx._pow_rows
-        for k, coef in enumerate(u):
-            if coef == 0:
-                continue
-            row = rows[k]
-            for i in range(d):
-                red[i] += coef * row[i]
-        den = 1
-        for f in red:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return _make(ctx, [int(f * den) for f in red], den)
+        return NotImplemented
 
     def conj(self) -> "Cyclo":
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -311,44 +278,3 @@ class Cyclo:
         body = " + ".join(terms) if terms else "0"
         return body if self.den == 1 else f"({body})/{self.den}"
 
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod_q(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] / b[-1]
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] -= c * b[j]
-        a.pop()
-    return _trim(q), _trim(a if a else [Fraction(0)])
-
-
-def _poly_mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)

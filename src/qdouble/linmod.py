@@ -2,7 +2,7 @@
 
 Two independent pieces: dense linear algebra over a prime field F_p (used by
 the character-table engine) and a solver for linear systems over Z/N (used for
-the character tables of abelian groups and the bicharacter enumeration).
+the bicharacter enumeration).
 """
 
 from __future__ import annotations

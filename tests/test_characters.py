@@ -180,6 +180,20 @@ def test_central_extension_cap():
         central_extension(C, beta, 2, cap=4)
 
 
+def test_central_extension_rejects_a_non_cocycle_before_building(monkeypatch):
+    # normalized, but beta(1,1) + beta(2,2) - beta(1,0) - beta(1,2) = 1 at (1, 1, 2)
+    C = cyclic_group(3)
+    beta = [[0] * 3 for _ in range(3)]
+    beta[1][1] = 1
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("extension table built from a non-cocycle")
+
+    monkeypatch.setattr("qdouble.characters.FiniteGroup", no_table)
+    with pytest.raises(ValueError, match=r"2-cocycle identity fails at \(1, 1, 2\)"):
+        central_extension(C, beta, 3)
+
+
 # -- abelian tables by generator extension, spectra, the orthonormality kernel --------
 
 
@@ -230,7 +244,7 @@ def _centralizer_extensions(dd):
     for a in dd.group.class_reps:
         cd = dd.centralizer_data(a)
         beta = [[dd.omega.beta(a, x, y) % m for y in cd.members] for x in cd.members]
-        yield central_extension(cd.group, beta, m).ext
+        yield central_extension(cd.group, beta, m)
 
 
 def test_abelian_table_matches_solve_mod():
@@ -245,6 +259,16 @@ def test_abelian_table_matches_solve_mod():
     for ctx, C in groups:
         T = ordinary_table(ctx, C)
         assert _exponent_rows(T) == _solve_mod_rows(ctx, C), C.name
+
+
+def test_central_extensions_are_groups():
+    # central_extension builds E without validation; the docstring's proof says
+    # the group axioms hold, and the full check on the same table agrees
+    doubles = braiding_doubles() + [twisted_cyclic(n, q) for n in range(2, 8) for q in range(n)]
+    extensions = [E for dd in doubles for E in _centralizer_extensions(dd)]
+    assert any(E.order == 49 for E in extensions)   # Z/7 by Z/7
+    for E in extensions:
+        FiniteGroup(E.mult, name=E.name)
 
 
 def test_spectra_match_values():

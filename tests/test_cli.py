@@ -159,11 +159,20 @@ def test_usage_errors(tmp_path, capsys):
     # --triple needs a centralizing pair (K, H) and a bicharacter on it
     nonbich = tmp_path / "nonbich.json"
     nonbich.write_text(json.dumps({"dlog": [[0, 0, 0], [0, 1, 0], [0, 0, 0]]}))
+    # malformed pairing files: a float, strings, a scalar, a null, not an object
+    malformed = []
+    for k, doc in enumerate(({"dlog": [[0, 0], [0, 1.7]]}, {"dlog": [["0", "0"], ["0", "1"]]},
+                             {"dlog": 5}, {"dlog": [[None]]}, "dlog")):
+        f = tmp_path / f"pairing{k}.json"
+        f.write_text(json.dumps(doc))
+        msg = '"dlog" must be a list' if isinstance(doc, dict) else 'needs a "dlog" table'
+        malformed.append(("Z2", "cyclic:2,1", f"0-1,0-1,{f}", msg))
     for builtin, cocycle, triple, msg in (
             ("S3", "trivial", "0-1,0-1,trivial", "must be normal"),
             ("S3", "trivial", "0-2-5,0-1-2-3-4-5,trivial", "must commute"),
             ("Z3", "trivial", f"0-1-2,0-1-2,{nonbich}", "not a G-invariant bicharacter"),
-            ("Z2", "cyclic:2,1", "0-1,0-1,trivial", "not a G-invariant bicharacter")):
+            ("Z2", "cyclic:2,1", "0-1,0-1,trivial", "not a G-invariant bicharacter"),
+            *malformed):
         code, _, err = run(capsys, "invariants", "--builtin", builtin,
                            "--cocycle", cocycle, "--triple", triple)
         assert code == 2 and err.startswith("error:") and msg in err, (triple, err)
@@ -174,6 +183,10 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "group", "info", "--builtin", "Z4",
                        "--cocycle", "cyclic:2,1")
     assert code == 2  # cocycle lives on a different group
+    # the order is compared before the N^3 cocycle table is built
+    code, _, err = run(capsys, "group", "info", "--builtin", "Z2",
+                       "--cocycle", "cyclic:3000,1")
+    assert code == 2 and "lives on Z/3000" in err
     # malformed JSON shapes and values: exit 2 with a message, no traceback
     cases = (("group", {"mult": 5}), ("group", {"mult": [[0, 1], [1, "a"]]}),
              ("group", [1, 2]), ("group", {"perm_gens": []}),

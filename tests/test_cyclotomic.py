@@ -83,16 +83,6 @@ def test_to_complex_accuracy():
             assert abs(approx - exact) < 1e-12
 
 
-def test_inverse_and_division():
-    ctx = CycloContext(5)
-    z = ctx.root(1) + 1
-    w = z.inv()
-    assert z * w == 1
-    assert (z / z) == 1
-    with pytest.raises(ZeroDivisionError):
-        ctx.zero.inv()
-
-
 def test_sort_key_consistent_with_eq():
     ctx = CycloContext(6)
     vals = [ctx.root(k) for k in range(6)] + [ctx.from_int(2), ctx.root(1) + 1]
@@ -126,8 +116,6 @@ def test_field_laws(N, ca, cb, cc, den):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a - a == 0
-    if not b.is_zero:
-        assert (a / b) * b == a
     assert (a + b).conj() == a.conj() + b.conj()
     assert (a * b).conj() == a.conj() * b.conj()
 

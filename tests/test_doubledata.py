@@ -22,6 +22,13 @@ def test_simple_counts():
         assert len(dd.gamma) == count
 
 
+def test_trivial_group_double():
+    # the trivial group's only extension has order 1, with no element (e, 1)
+    dd = untwisted_cyclic(1)
+    assert [(s.dim, s.twist) for s in dd.gamma] == [(1, 1)]
+    assert dd.s_matrix == ((1,),) and dd.fusion == (((1,),),)
+
+
 def test_global_dimension():
     for name in ("S3", "D4", "Q8", "S4"):
         dd = untwisted(name)
