@@ -7,8 +7,8 @@ from .cyclotomic import Cyclo, CycloContext
 from .cocycles import (IdentityViolation, NotACocycle, NotNormalized, ThreeCocycle,
                        builtin_cyclic, check_identities, coboundary, pullback,
                        trivial_cocycle, validate)
-from .characters import (CapExceeded, CharacterTable, LiftFailure,
-                         ProjectiveCharacterTable, ordinary_table, projective_table)
+from .characters import (CapExceeded, CharacterTable, LiftFailure, ordinary_table,
+                         projective_table)
 from .doubledata import SimpleObject, TwistedDouble, VerlindeNonInteger
 from .subcats import (DimensionMismatch, NotASubcategory, Pairing, Triple,
                       TripleFlags, UnsupportedTriple, adjoint_series_term,

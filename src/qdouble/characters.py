@@ -1,4 +1,4 @@
-"""Exact irreducible characters, ordinary and projective.
+"""Exact irreducible characters, ordinary and projective, as eigenvalue spectra.
 
 Ordinary tables come from the class-algebra method: common eigenvectors of the
 class-sum structure matrices over a prime field F_p with p = 1 (mod N), lifted
@@ -29,21 +29,42 @@ class CapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Ordinary irreducible characters; values indexed by conjugacy class."""
+    """Irreducible beta-characters of a group; beta = 0 gives the ordinary ones.
+
+    spectra[i][x] holds the sorted exponents of zeta_N over the eigenvalues of
+    rho_i(x), where rho(x) rho(y) = zeta_m^{beta(x,y)} rho(xy); chi_i(x) is their sum.
+    """
 
     group: FiniteGroup = field(compare=False)
     ctx: CycloContext = field(compare=False)
     degrees: tuple[int, ...]
-    class_values: tuple[tuple[Cyclo, ...], ...]
-    # sorted exponents of zeta_N over the eigenvalues of rho_i on class k; they sum to the value
-    class_spectra: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
+    spectra: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
 
     @property
     def n_chars(self) -> int:
         return len(self.degrees)
 
-    def value(self, i: int, g: int) -> Cyclo:
-        return self.class_values[i][self.group.class_index_of[g]]
+    def value(self, i: int, x: int) -> Cyclo:
+        return self.ctx.root_sum(self.spectra[i][x])
+
+
+def _canonical(ctx: CycloContext, C: FiniteGroup, degrees: Sequence[int],
+               spectra: Sequence[Sequence[tuple[int, ...]]]) -> CharacterTable:
+    """The table with its rows in the one canonical order.
+
+    Rows sort by degree, then the trivial character first, then the value
+    sort keys element by element. For class functions this is the order by
+    class values: classes are ordered by their least element, so the first
+    element where two rows differ is a class representative. Keys are
+    computed once per distinct spectrum.
+    """
+    key_of = {sp: ctx.root_sum(sp).sort_key() for sp in {sp for row in spectra for sp in row}}
+    one = ctx.one.sort_key()
+    keys = [tuple(map(key_of.__getitem__, row)) for row in spectra]
+    order = sorted(range(len(degrees)),
+                   key=lambda i: (degrees[i], any(k != one for k in keys[i]), keys[i]))
+    return CharacterTable(C, ctx, tuple(degrees[i] for i in order),
+                          tuple(tuple(spectra[i]) for i in order))
 
 
 def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
@@ -103,7 +124,7 @@ def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
 
     inv_size = [pow(s, p - 2, p) for s in sizes]
     inv_class = [C.class_index_of[C.inverse(reps[k])] for k in range(r)]
-    rows_out = []
+    degrees, rows = [], []
     for S, _ in spaces:
         w = S[0]
         if w[0] == 0:
@@ -123,7 +144,7 @@ def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
             raise LiftFailure(f"degree squared lifted to non-square {d2}")
         X = [(d * omega[k]) % p * inv_size[k] % p for k in range(r)]
 
-        values, spectra = [], []
+        per_class = []
         for k in range(r):
             g = reps[k]
             o = C.order_of(g)
@@ -143,31 +164,24 @@ def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
             if len(eigen_exps) != d:
                 raise LiftFailure(
                     f"multiplicities sum to {len(eigen_exps)}, expected degree {d}")
-            values.append(ctx.root_sum(eigen_exps))
-            spectra.append(tuple(eigen_exps))
-        rows_out.append((d, tuple(values), tuple(spectra)))
+            per_class.append(tuple(eigen_exps))
+        degrees.append(d)
+        rows.append(tuple(map(per_class.__getitem__, C.class_index_of)))
 
-    one = ctx.one
-    rows_out.sort(key=lambda row: (row[0],
-                                   0 if all(v == one for v in row[1]) else 1,
-                                   tuple(v.sort_key() for v in row[1])))
-    degrees, values, spectra = zip(*rows_out)
     if sum(d * d for d in degrees) != n:
         raise LiftFailure("squared degrees do not sum to the group order")
-    _check_orthonormal(ctx, spectra, n, "rows", weights=sizes)
-    return CharacterTable(C, ctx, degrees, values, spectra)
+    T = _canonical(ctx, C, degrees, rows)
+    _check_orthonormal(ctx, T.spectra, n, "rows")
+    return T
 
 
-def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str,
-                       weights: Sequence[int] | None = None) -> None:
-    """Raise unless sum_x w_x chi_i(x) conj(chi_j(x)) = order [i == j] for all i <= j.
+def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str) -> None:
+    """Raise unless sum_x chi_i(x) conj(chi_j(x)) = order [i == j] for all i <= j.
 
     chi_i(x) is the sum of zeta_N^a over a in spectra[i][x], so each inner product is
-    one root_sum of differences a - b; a weight w_x repeats the left exponents at x.
+    one root_sum of differences a - b.
     """
-    left = spectra if weights is None else [
-        [sp * w for sp, w in zip(row, weights)] for row in spectra]
-    for i, row in enumerate(left):
+    for i, row in enumerate(spectra):
         for j in range(i, len(spectra)):
             inner = ctx.root_sum(a - b for si, sj in zip(row, spectra[j])
                                  for a in si for b in sj)
@@ -182,8 +196,7 @@ def _abelian_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
     H = <earlier generators>, a character of H with exponent e at g^t extends
     to <H, g> in exactly the t ways c = e/t + k N/t (0 <= k < t), sending
     h g^s to its exponent at h plus s c. Every row is then checked against
-    the generator equations L(x g) = L(x) + L(g) mod N. Each element is its
-    own class, so class values equal element values.
+    the generator equations L(x g) = L(x) + L(g) mod N.
     """
     n, N = C.order, ctx.N
     gens = C.whole_group.generators
@@ -219,19 +232,15 @@ def _abelian_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
                 if row[xg] != (row[x] + row[g]) % N:
                     raise LiftFailure(f"abelian character {row} fails "
                                       f"L(x g) = L(x) + L(g) at x = {x}, g = {g}")
-    roots = [ctx.root(e) for e in range(N)]
-    keys = [z.sort_key() for z in roots]
-    exps = sorted((tuple(row) for row in rows),
-                  key=lambda es: (1 if any(es) else 0, tuple(map(keys.__getitem__, es))))
-    if len(set(exps)) != n:
-        raise LiftFailure("abelian characters are not distinct")
     single = [(e,) for e in range(N)]
-    spectra = tuple(tuple(map(single.__getitem__, es)) for es in exps)
+    spectra = [tuple(map(single.__getitem__, row)) for row in rows]
+    if len(set(spectra)) != n:
+        raise LiftFailure("abelian characters are not distinct")
+    T = _canonical(ctx, C, (1,) * n, spectra)
     # distinct homomorphisms are orthogonal; verify exactly on small groups
     if n <= 16:
-        _check_orthonormal(ctx, spectra, n, "abelian rows")
-    values = tuple(tuple(map(roots.__getitem__, es)) for es in exps)
-    return CharacterTable(C, ctx, (1,) * n, values, spectra)
+        _check_orthonormal(ctx, T.spectra, n, "abelian rows")
+    return T
 
 
 # -- projective characters ------------------------------------------------------
@@ -256,13 +265,15 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
     With g = gcd(m, all beta) and b = (beta mod m) / g, E is C x Z/m' for
     m' = m / g under (x, i)(y, j) = (xy, i + j + b(x, y)). (x, i) sits at index
     x m' + i, so m' = |E| / |C|, the section x -> (x, 0) is x -> x m', and
-    (e, 1) is index 1.
+    (e, 1) is index 1. When m' = 1 every beta is 0 mod m and E is C itself,
+    returned as is: the identity to check reads 0 = 0.
 
-    After the cap check, validate_two_cocycle runs and E is built without the
-    group-table check, because the checked identity already proves E a group:
-    dividing it by g gives b(x,y) + b(xy,w) = b(x,yw) + b(y,w) (mod m'),
-    which is exactly associativity; normalization makes index 0 the identity;
-    and every row is a bijection, so every element has an inverse.
+    Otherwise, after the cap check, validate_two_cocycle runs and E is built
+    without the group-table check, because the checked identity already
+    proves E a group: dividing it by g gives
+    b(x,y) + b(xy,w) = b(x,yw) + b(y,w) (mod m'), which is exactly
+    associativity; normalization makes index 0 the identity; and every row
+    is a bijection, so every element has an inverse.
     """
     n = C.order
     g = m
@@ -272,6 +283,8 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
     mp = m // g
     if n * mp > cap:
         raise CapExceeded(f"extension order {n * mp} exceeds cap {cap}")
+    if mp == 1:
+        return C
     validate_two_cocycle(C, beta, m)
     bp = [[(beta[x][y] % m) // g for y in range(n)] for x in range(n)]
     table = [[0] * (n * mp) for _ in range(n * mp)]
@@ -286,30 +299,6 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
     return FiniteGroup(table, name=f"{C.name}~{mp}", validate=False, cap=cap)
 
 
-@dataclass(frozen=True)
-class ProjectiveCharacterTable:
-    """Irreducible characters of the beta-twisted group algebra of C.
-
-    Values are stored per element (projective characters need not be class
-    functions). Convention: rho(x) rho(y) = zeta_m^{beta(x,y)} rho(xy).
-    """
-
-    group: FiniteGroup = field(compare=False)
-    ctx: CycloContext = field(compare=False)
-    modulus: int
-    degrees: tuple[int, ...]
-    values: tuple[tuple[Cyclo, ...], ...]
-    # sorted exponents of zeta_N over the eigenvalues of rho_i(x); they sum to values[i][x]
-    spectra: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
-
-    @property
-    def n_chars(self) -> int:
-        return len(self.degrees)
-
-    def value(self, i: int, x: int) -> Cyclo:
-        return self.values[i][x]
-
-
 def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> int:
     """Number of classes whose elements commute with their centralizer under beta."""
     count = 0
@@ -321,7 +310,7 @@ def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: i
 
 
 def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int]],
-                     m: int, cap: int = DEFAULT_ORDER_CAP) -> ProjectiveCharacterTable:
+                     m: int, cap: int = DEFAULT_ORDER_CAP) -> CharacterTable:
     """All irreducible beta-characters of C, exactly."""
     E = central_extension(C, beta, m, cap=cap)
     mp = E.order // C.order
@@ -329,27 +318,18 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
         # exponent(E) divides m' * exponent(C)
         raise ValueError(f"context N = {ctx.N} too small for extension")
     T = ordinary_table(ctx, E)
-    # chi(z) = zeta_m' d iff every eigenvalue of rho(z) is zeta_m': |chi(z)| = d only for scalars;
-    # z = (e, 1) is index 1, which exists only when m' > 1
-    keep = [i for i in range(T.n_chars)
-            if mp == 1 or all(e == ctx.N // mp for e in T.class_spectra[i][E.class_index_of[1]])]
-    secs = [E.class_index_of[x * mp] for x in range(C.order)]
+    if E is C:
+        return T            # beta = 0 mod m: the beta-characters are the ordinary ones
+    # chi(z) = zeta_m' d iff every eigenvalue of rho(z) is zeta_m': |chi(z)| = d only for
+    # scalars; z = (e, 1) is index 1, and (x, 0) is index x m'
+    keep = [i for i in range(T.n_chars) if all(e == ctx.N // mp for e in T.spectra[i][1])]
     degrees = [T.degrees[i] for i in keep]
-    values = [tuple(T.class_values[i][k] for k in secs) for i in keep]
-    spectra = [tuple(T.class_spectra[i][k] for k in secs) for i in keep]
+    spectra = [T.spectra[i][::mp] for i in keep]
 
     if sum(d * d for d in degrees) != C.order:
         raise LiftFailure("projective squared degrees do not sum to the group order")
     if len(degrees) != beta_regular_class_count(C, beta, m):
         raise LiftFailure("projective character count does not match regular classes")
-    _check_orthonormal(ctx, spectra, C.order, "projective rows")
-
-    one = ctx.one
-    order = sorted(range(len(degrees)),
-                   key=lambda i: (degrees[i],
-                                  0 if all(v == one for v in values[i]) else 1,
-                                  tuple(v.sort_key() for v in values[i])))
-    return ProjectiveCharacterTable(C, ctx, m,
-                                    tuple(degrees[i] for i in order),
-                                    tuple(values[i] for i in order),
-                                    tuple(spectra[i] for i in order))
+    P = _canonical(ctx, C, degrees, spectra)
+    _check_orthonormal(ctx, P.spectra, C.order, "projective rows")
+    return P

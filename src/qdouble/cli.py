@@ -284,8 +284,11 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     dd = _double(args)
     text = lattice_text(dd, sc.enumerate_all(dd), args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
-from .characters import ProjectiveCharacterTable, projective_table
+from .characters import CharacterTable, projective_table
 from .cocycles import ThreeCocycle, trivial_cocycle
 from .cyclotomic import Cyclo, CycloContext
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
@@ -44,7 +44,7 @@ class CentralizerData:
     members: tuple[int, ...]            # parent elements, sorted
     local_of: dict                      # parent element -> local index
     group: FiniteGroup = field(compare=False)
-    table: ProjectiveCharacterTable = field(compare=False)
+    table: CharacterTable = field(compare=False)
 
     def value(self, char_index: int, parent_element: int) -> Cyclo:
         return self.table.value(char_index, self.local_of[parent_element])

@@ -40,12 +40,6 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, g: int) -> bool:
-        return g in self.member_set
-
-    def __iter__(self):
-        return iter(self.members)
-
     @cached_property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
@@ -71,11 +65,6 @@ class Subgroup:
         return all(G.conj(g, k) in self.member_set for g in range(G.order) for k in self.members)
 
     @cached_property
-    def is_abelian(self) -> bool:
-        G = self.group
-        return all(G.mul(a, b) == G.mul(b, a) for a in self.members for b in self.members)
-
-    @cached_property
     def generators(self) -> tuple[int, ...]:
         """A greedy generating set: each generator is the least member not yet reached."""
         gens: list[int] = []
@@ -84,9 +73,6 @@ class Subgroup:
             gens.append(next(g for g in self.members if g not in reached))
             reached = self.group.generated_subgroup(gens).member_set
         return tuple(gens)
-
-    def sort_key(self) -> tuple[int, int]:
-        return (len(self.members), self.bitmask)
 
 
 def _mul_perm(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -449,17 +449,7 @@ def nondegenerate_count(dd: TwistedDouble) -> int:
 
 def is_prime(dd: TwistedDouble) -> bool:
     """No proper nontrivial subcategory is nondegenerate."""
-    G = dd.group
-    for K, H in G.centralizing_pairs():
-        extreme = (K.is_whole and H.is_trivial) or (K.is_trivial and H.is_whole)
-        if extreme:
-            continue
-        if len(G.product_subgroup(H, K)) != G.order:
-            continue
-        for B in bicharacters(dd, K, H):
-            if classify(dd, Triple(K, H, B)).nondegenerate:
-                return False
-    return True
+    return nondegenerate_count(dd) == 0
 
 
 def gauss_sum(dd: TwistedDouble, t: Triple) -> Cyclo:

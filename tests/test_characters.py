@@ -28,7 +28,8 @@ def _ctx_for(G):
 
 def _trivial_index(T):
     """The row whose class values are all 1."""
-    return next(i for i, row in enumerate(T.class_values) if all(v == T.ctx.one for v in row))
+    return next(i for i in range(T.n_chars)
+                if all(T.value(i, rep) == T.ctx.one for rep in T.group.class_reps))
 
 
 def _kernel(T, i):
@@ -57,8 +58,8 @@ def test_trivial_character_first():
 def test_s3_values():
     G = builtin_group("S3")
     T = ordinary_table(CycloContext(6), G)
-    sign_row = T.class_values[1]
-    two_row = T.class_values[2]
+    sign_row = [T.value(1, rep) for rep in G.class_reps]
+    two_row = [T.value(2, rep) for rep in G.class_reps]
     # classes: identity, 3-cycles, transpositions
     assert sorted(v.as_int() for v in sign_row) == [-1, 1, 1]
     assert sorted(v.as_int() for v in two_row) == [-1, 0, 2]
@@ -80,9 +81,10 @@ def test_column_orthogonality():
     G = builtin_group("D4")
     T = ordinary_table(CycloContext(4), G)
     classes = G.conjugacy_classes
+    reps = G.class_reps
     for ci, c in enumerate(classes):
         for cj in range(len(classes)):
-            total = T.ctx.sum(T.class_values[i][ci] * T.class_values[i][cj].conj()
+            total = T.ctx.sum(T.value(i, reps[ci]) * T.value(i, reps[cj]).conj()
                               for i in range(T.n_chars))
             expected = G.order // len(c) if ci == cj else 0
             assert total == expected
@@ -194,6 +196,19 @@ def test_central_extension_rejects_a_non_cocycle_before_building(monkeypatch):
         central_extension(C, beta, 3)
 
 
+def test_central_extension_is_the_group_when_beta_vanishes_mod_m(monkeypatch):
+    # beta = 0 mod m gives m' = 1: E is C itself, returned before the Theta(|C|^3)
+    # cocycle check; the identity it would check reads 0 = 0
+    def no_check(*args, **kwargs):
+        raise AssertionError("2-cocycle checked although m' = 1")
+
+    monkeypatch.setattr("qdouble.characters.validate_two_cocycle", no_check)
+    C = builtin_group("S3")
+    assert central_extension(C, [[0] * 6 for _ in range(6)], 4) is C
+    assert central_extension(C, [[2 * ((x * y) % 3) for y in range(6)] for x in range(6)],
+                             2) is C
+
+
 # -- abelian tables by generator extension, spectra, the orthonormality kernel --------
 
 
@@ -220,9 +235,7 @@ def _solve_mod_rows(ctx, C):
 
 
 def _exponent_rows(T):
-    cls = T.group.class_index_of
-    return [tuple(T.class_spectra[i][cls[x]][0] for x in range(T.group.order))
-            for i in range(T.n_chars)]
+    return [tuple(sp[0] for sp in row) for row in T.spectra]
 
 
 def _relabeled(G, seed):
@@ -272,19 +285,29 @@ def test_central_extensions_are_groups():
 
 
 def test_spectra_match_values():
+    # every spectrum is d sorted exponents in [0, N); rows sort by degree, then the
+    # trivial character first, then the value sort keys element by element
+    tables = []
     for dd in braiding_doubles():
-        ctx = dd.ctx
-        tables = [(ordinary_table(ctx, dd.group), "class")]
-        tables += [(dd.centralizer_data(a).table, "element") for a in dd.group.class_reps]
-        for T, kind in tables:
-            spectra = T.class_spectra if kind == "class" else T.spectra
-            values = T.class_values if kind == "class" else T.values
-            for d, sp_row, val_row in zip(T.degrees, spectra, values):
-                assert len(sp_row) == len(val_row)
-                for sp, v in zip(sp_row, val_row):
-                    assert len(sp) == d and list(sp) == sorted(sp)
-                    assert all(0 <= e < ctx.N for e in sp)
-                    assert ctx.root_sum(sp) == v
+        tables.append(ordinary_table(dd.ctx, dd.group))
+        tables += [dd.centralizer_data(a).table for a in dd.group.class_reps]
+    for name in EXPECTED_DEGREES:
+        G = builtin_group(name)
+        tables.append(ordinary_table(_ctx_for(G), G))
+    assert any(not T.group.is_abelian for T in tables)
+    for T in tables:
+        ctx, n = T.ctx, T.group.order
+        assert len(T.spectra) == T.n_chars
+        for d, row in zip(T.degrees, T.spectra):
+            assert len(row) == n
+            for sp in row:
+                assert len(sp) == d and list(sp) == sorted(sp)
+                assert all(0 <= e < ctx.N for e in sp)
+        keys = [(T.degrees[i],
+                 any(T.value(i, x) != ctx.one for x in range(n)),
+                 tuple(T.value(i, x).sort_key() for x in range(n)))
+                for i in range(T.n_chars)]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), T.group.name
 
 
 def _shifted(spectra, i, x):
@@ -296,16 +319,13 @@ def _shifted(spectra, i, x):
 
 
 def test_orthonormality_kernel_rejects_shifted_exponent():
-    G = builtin_group("S3")
-    T = ordinary_table(CycloContext(6), G)
-    sizes = [len(c) for c in G.conjugacy_classes]
-    _check_orthonormal(T.ctx, T.class_spectra, 6, "rows", weights=sizes)
+    T = ordinary_table(CycloContext(6), builtin_group("S3"))
+    _check_orthonormal(T.ctx, T.spectra, 6, "rows")
     with pytest.raises(LiftFailure, match="rows 0, 2 are not orthonormal"):
-        _check_orthonormal(T.ctx, _shifted(T.class_spectra, 2, 1), 6, "rows",
-                           weights=sizes)
+        _check_orthonormal(T.ctx, _shifted(T.spectra, 2, 1), 6, "rows")
     A = ordinary_table(CycloContext(4), cyclic_group(4))
     with pytest.raises(LiftFailure, match="abelian rows 0, 3 are not orthonormal"):
-        _check_orthonormal(A.ctx, _shifted(A.class_spectra, 3, 2), 4, "abelian rows")
+        _check_orthonormal(A.ctx, _shifted(A.spectra, 3, 2), 4, "abelian rows")
     P = twisted_cyclic(4, 1).centralizer_data(1).table
     _check_orthonormal(P.ctx, P.spectra, 4, "projective rows")
     with pytest.raises(LiftFailure, match="projective rows 0, 1 are not orthonormal"):

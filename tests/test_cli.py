@@ -208,6 +208,10 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "N >= 1" in err
     code, _, err = run(capsys, "group", "info", "--builtin", "Z2", "--cap", "0")
     assert code == 2 and "--cap" in err
+    # an unwritable --out path is bad input, reported without a traceback
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "lattice", "export", "--builtin", "Z2", "--out", str(out))
+    assert code == 2 and err.startswith("error: cannot write") and not out.exists()
     # --cap limits the input: an over-cap group is bad input, builtin or from a file
     G = builtin_group("S4")
     gf = tmp_path / "s4.json"
