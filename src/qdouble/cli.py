@@ -54,14 +54,24 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
             raise UsageError(f"cannot read group file: {exc}") from exc
         if not isinstance(data, dict):
             raise UsageError("group file must hold a JSON object")
+        name = data.get("name", "G")
+        if not isinstance(name, str):
+            raise UsageError('"name" must be a string')
         for key, build in (("mult", FiniteGroup.from_mult_table),
                            ("perm_gens", FiniteGroup.from_permutation_generators)):
             if key in data:
-                if not _int_array(data[key], 2):
+                rows = data[key]
+                if not _int_array(rows, 2):
                     raise UsageError(f'"{key}" must be a list of lists of integers')
-                if key == "perm_gens" and len({len(g) for g in data[key]}) != 1:
-                    raise UsageError('"perm_gens" must be a nonempty list of equal-length lists')
-                return build(data[key], name=data.get("name", "G"), cap=args.cap)
+                n = len(rows)
+                if key == "mult" and not (n and all(len(r) == n and all(0 <= x < n for x in r)
+                                                    for r in rows)):
+                    raise UsageError('"mult" must be a nonempty n x n table over 0..n-1')
+                if key == "perm_gens" and not (n and all(sorted(g) == list(range(len(rows[0])))
+                                                         for g in rows)):
+                    raise UsageError('"perm_gens" must be a nonempty list of permutations '
+                                     'of 0..d-1 for one d')
+                return build(rows, name=name, cap=args.cap)
     except GroupTooLarge as exc:  # --cap limits the input group
         raise UsageError(str(exc)) from exc
     raise UsageError('group file needs a "mult" table or "perm_gens" list')

@@ -48,7 +48,7 @@ def _poly_divide_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
 
 
 class CycloContext:
-    """Fixed field Q(zeta_N): reduction data and interned constants."""
+    """Fixed field Q(zeta_N) and its reduction data."""
 
     def __init__(self, N: int):
         if N < 1:
@@ -70,18 +70,24 @@ class CycloContext:
                     shifted[i] -= lead * phi[i]
             rows.append(tuple(shifted))
         self._pow_rows = tuple(rows)
-        self.zero = Cyclo(self, (0,) * d, 1)
-        self.one = Cyclo(self, rows[0], 1)
-        self._roots: dict[int, "Cyclo"] = {}
         self._root_exp: dict[tuple[int, ...], int] = {}
         for k in range(N):
-            z = Cyclo(self, rows[k], 1)
-            self._roots[k] = z
-            self._root_exp.setdefault(z.num, k)
+            self._root_exp.setdefault(rows[k], k)
+
+    # constants are built on demand: a Cyclo points to its context, so a
+    # context holding Cyclo values would be a reference cycle
+
+    @property
+    def zero(self) -> "Cyclo":
+        return Cyclo(self, (0,) * self.degree, 1)
+
+    @property
+    def one(self) -> "Cyclo":
+        return Cyclo(self, self._pow_rows[0], 1)
 
     def root(self, k: int) -> "Cyclo":
         """zeta_N^k."""
-        return self._roots[k % self.N]
+        return Cyclo(self, self._pow_rows[k % self.N], 1)
 
     def root_exponent(self, z: "Cyclo") -> int | None:
         """k with z = zeta_N^k, or None if z is not one of those roots."""

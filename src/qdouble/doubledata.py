@@ -224,6 +224,14 @@ class TwistedDouble:
         Read off sigma_1 and sigma_-1 of _embeddings. Its p > 2 D^2 |G|^2
         exceeds every d_i d_j, divides neither |G| nor D, and sends no
         S_0s = d_s to 0; the lift of N_ij^k must lie in [0, d_i d_j].
+
+        Only k over the class product are computed; every other N_ij^k stays 0.
+        The category is graded by G: (a, chi) lives over the class of a, and a
+        tensor product of objects over X and Y lives over XY, so N_ij^k = 0
+        unless class(a_k) lies in class(a_i) class(a_j). That product is a
+        union of classes, read off as the classes of a_i y over y in class(a_j)
+        (g a_i g^-1 y' = g (a_i g^-1 y' g) g^-1). _prove_fusion checks every
+        N_ij^k, the skipped zeros included, so a wrong grading cannot pass.
         """
         G = self.group
         n = len(self.gamma)
@@ -239,12 +247,23 @@ class TwistedDouble:
         # with c = D S the s-th term is c_is c_js conj(c_ks) / (D^2 c_0s |G|^2)
         scale = [pow(D * D * x * G.order ** 2, p - 2, p) for x in row0]
         table = [[[0] * n for _ in range(n)] for _ in range(n)]
+        # above[c]: the simples over class c; products[(a, b)]: those over class(a) class(b)
+        cls_of = G.class_index_of
+        above: list[list[int]] = [[] for _ in G.conjugacy_classes]
+        for k, s in enumerate(self.gamma):
+            above[cls_of[s.a]].append(k)
+        products: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
             lam = [x * c % p for x, c in zip(S_p[i], scale)]
+            ai = self.gamma[i].a
             for j in range(i, n):
                 t = [x * y % p for x, y in zip(S_p[j], lam)]
                 bound = dims[i] * dims[j]
-                for k in range(n):
+                key = (ai, self.gamma[j].a)
+                if key not in products:
+                    classes = {cls_of[G.mult[ai][y]] for y in G.class_of(key[1])}
+                    products[key] = [k for c in sorted(classes) for k in above[c]]
+                for k in products[key]:
                     v = sum(map(mul, t, conj_p[k])) % p
                     if v > bound:
                         raise VerlindeNonInteger(

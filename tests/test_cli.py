@@ -90,6 +90,13 @@ def test_verify_all(capsys):
     assert "bijection ok" in out and "verified" in out
 
 
+def test_verify_all_counts_vanishing_identities(capsys):
+    # the trivial cocycle's identity suite is counted, not looped, with the same total
+    code, out, err = run(capsys, "verify", "all", "--builtin", "S4")
+    assert code == 0
+    assert "cocycle identities: 1003944 instances across 7 families" in out
+
+
 def test_verify_twisted(capsys):
     code, out, err = run(capsys, "verify", "all", "--builtin", "Z4",
                          "--cocycle", "cyclic:4,1")
@@ -191,7 +198,11 @@ def test_usage_errors(tmp_path, capsys):
     cases = (("group", {"mult": 5}), ("group", {"mult": [[0, 1], [1, "a"]]}),
              ("group", [1, 2]), ("group", {"perm_gens": []}),
              ("group", {"perm_gens": [[1, 0], [0, 2, 1]]}),
-             ("group", {"perm_gens": [[1, 0], 1]}),
+             ("group", {"perm_gens": [[1, 0], 1]}), ("group", {"perm_gens": [[0, 0]]}),
+             ("group", {"perm_gens": [[1, 2]]}),
+             ("group", {"mult": [[0, 1], [1]]}), ("group", {"mult": []}),
+             ("group", {"mult": [[0, 1], [1, -1]]}), ("group", {"mult": [[0, 2], [2, 0]]}),
+             ("group", {"mult": [[0, 1], [1, 0]], "name": [1]}),
              ("cocycle", {"modulus": "2", "dlog": [0] * 8}),
              ("cocycle", {"modulus": 0, "dlog": [0] * 8}),
              ("cocycle", {"modulus": 2, "dlog": [[[0]]]}),

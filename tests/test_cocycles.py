@@ -1,5 +1,6 @@
 """3-cocycles: validation, builtin families, derived 2-cochains."""
 
+import itertools
 import random
 
 import pytest
@@ -242,18 +243,27 @@ def test_identity_suite_matches_reference():
         assert _table_identities(omega) == _reference_identities(omega)
 
 
+def test_identity_suite_zero_dlog_matches_reference():
+    # an explicit all-zero table is decided on its vanishing cochains, like dlog None
+    for name in ("S4", "D4"):
+        G = builtin_group(name)
+        n = G.order
+        omega = ThreeCocycle(G, 3, tuple(tuple((0,) * n for _ in range(n)) for _ in range(n)))
+        assert _table_identities(omega) == _reference_identities(omega)
+
+
 @pytest.mark.parametrize("cochain", ("beta", "eta", "gamma", "nu"))
 def test_identity_suite_witness_per_family(cochain):
     # a valid cocycle whose derived cochain is wrong at one triple: the failing
-    # family and its first witness must be those of the reference loops
+    # family and its first witness must be those of the reference loops, also
+    # on a trivial base, whose other tables all vanish
     S3 = builtin_group("S3")
     rng = random.Random(cochain)
     mu = [[rng.randrange(3) if x and y else 0 for y in range(6)] for x in range(6)]
-    base = coboundary(S3, mu, 3)
     # (a, a, a) lies in the centralizer of a; the others are random
     a = rng.randrange(1, 6)
-    for bad in [(a, a, a)] + [tuple(rng.randrange(1, 6) for _ in range(3))
-                              for _ in range(2)]:
+    bads = [(a, a, a)] + [tuple(rng.randrange(1, 6) for _ in range(3)) for _ in range(2)]
+    for base, bad in itertools.product((coboundary(S3, mu, 3), ThreeCocycle(S3, 3, None)), bads):
 
         def shifted(self, a, x, y, _f=getattr(ThreeCocycle, cochain), _bad=bad):
             return (_f(self, a, x, y) + ((a, x, y) == _bad)) % self.modulus

@@ -1,12 +1,16 @@
 """Modular data of the double: simples, S-matrix, twists, fusion."""
 
+import gc
+import weakref
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdouble import TwistedDouble, VerlindeNonInteger, builtin_group
+from qdouble.oracle import certify
 
 from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, untwisted,
                       untwisted_cyclic)
@@ -250,6 +254,66 @@ def test_fusion_proof_rejects_wrong_candidate():
             N[3][2][4] += 1
         with pytest.raises(VerlindeNonInteger, match=r"N\[2\]\[3\]"):
             dd._prove_fusion(S, N)
+
+
+def _ungraded_verlinde(dd, S):
+    """The F_p Verlinde candidate with k over every simple: no class grading."""
+    emb = dd._embeddings(S)
+    p, D, n = emb.p, emb.D, len(S)
+    S_p, conj_p = emb.at[1 % dd.ctx.N], emb.at[-1 % dd.ctx.N]
+    scale = [pow(D * D * x * dd.group.order ** 2, p - 2, p) for x in S_p[0]]
+    N = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            t = [x * y * c % p for x, y, c in zip(S_p[i], S_p[j], scale)]
+            for k in range(n):
+                N[i][j][k] = N[j][i][k] = sum(map(mul, t, conj_p[k])) % p
+    return N
+
+
+def test_graded_candidates_match_ungraded_loop():
+    doubles = [dd for dd in braiding_doubles() if dd.omega.is_trivial] + [untwisted_cyclic(8)]
+    for dd in doubles:
+        S = dd.s_matrix
+        assert dd._verlinde_mod_p(S) == _ungraded_verlinde(dd, S), dd.group.name
+
+
+def _off_grade(dd):
+    """(i, j, k), i <= j, with class(a_k) outside class(a_i) class(a_j): all |G|^2 products."""
+    G, gamma = dd.group, dd.gamma
+    for i, si in enumerate(gamma):
+        for j in range(i, len(gamma)):
+            grade = {G.mul(x, y) for x in G.class_of(si.a) for y in G.class_of(gamma[j].a)}
+            for k, sk in enumerate(gamma):
+                if sk.a not in grade:
+                    yield i, j, k
+
+
+def test_fusion_proof_is_not_graded():
+    # the candidates skip off-grade k, but the proof still pins those zeros
+    for name in ("S3", "D4"):
+        dd = untwisted(name)
+        S = dd.s_matrix
+        i, j, k = next(t for t in _off_grade(dd) if 0 not in t)
+        N = [[list(r) for r in p] for p in dd.fusion]
+        assert N[i][j][k] == 0
+        N[i][j][k] = N[j][i][k] = 1
+        with pytest.raises(VerlindeNonInteger, match=rf"N\[{i}\]\[{j}\]"):
+            dd._prove_fusion(S, N)
+
+
+def test_double_frees_its_field_without_the_cycle_collector():
+    # no Cyclo is held by its context, so a certified double's field is freed
+    # by reference counting alone
+    gc.disable()
+    try:
+        dd = TwistedDouble(builtin_group("D4"))
+        certify(dd)
+        ctx = weakref.ref(dd.ctx)
+        del dd
+        assert ctx() is None
+    finally:
+        gc.enable()
 
 
 def _cyclo_unitary(dd, S):
