@@ -8,7 +8,7 @@ the bicharacter enumeration).
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 
 # -- elementary number theory ---------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .cocycles import validate
 from .cyclotomic import Cyclo
 from .doubledata import TwistedDouble
-from .groups import Subgroup
+from .groups import FiniteGroup, Subgroup
 from .linmod import solve_mod
 
 
@@ -129,12 +129,23 @@ def _pair_is_centralizing(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> None:
         raise ValueError("K and H must commute elementwise")
 
 
+def _cayley_tree(G: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Edges (g, i, g * gens[i]) of a breadth-first tree of <gens> rooted at e."""
+    order, edges, seen = [0], [], {0}
+    for g in order:
+        for i, x in enumerate(gens):
+            if (c := G.mul(g, x)) not in seen:
+                seen.add(c)
+                order.append(c)
+                edges.append((g, i, c))
+    return edges
+
+
 def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, ...]:
     """All G-invariant bicharacters on K x H for the ambient cocycle, sorted.
 
-    B is unknown off the identity row and column (B(e, h) = B(k, e) = 1).
-    The equations are imposed on generators only, which is exact for a
-    normalized 3-cocycle:
+    B(e, h) = B(k, e) = 1, and the equations are imposed on generators
+    only, which is exact for a normalized 3-cocycle:
 
     - second slot, B(k, h1 s) = B(k, h1) B(k, s) beta_k(h1, s)^-1 for every
       h1 in H and s in a generating set of H. H centralizes k, so beta_k is
@@ -150,7 +161,12 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, 
       x and y therefore gives it under xy.
 
     Both arguments rest on the cocycle identity and normalization of
-    omega, so omega is validated first (once per cocycle).
+    omega, so omega is validated first (once per cocycle). The unknowns
+    are B(r, s) for generators r of K and s of H. The first-slot equations
+    along a Cayley tree of K make each B(k, s) an affine form in them, the
+    second-slot ones along a tree of H each B(k, h); being among the
+    equations above, they fix the table from the unknowns one to one. The
+    equations not vanishing identically on the forms go to solve_mod.
     """
     key = ("bichars", K.members, H.members)
     cached = dd.subcat_caches.get(key)
@@ -162,54 +178,56 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, 
     N = dd.ctx.N
     scale = dd.scale
     beta = dd.omega.beta
-    conj_exp = dd.omega.conj_exp
     km, hm = K.members, H.members
-    kpos = {g: i for i, g in enumerate(km)}
-    hpos = {g: i for i, g in enumerate(hm)}
-    nk, nh = len(km), len(hm)
-    nu = (nk - 1) * (nh - 1)
+    kgens, hgens = K.generators, H.generators
+    n, nh = len(kgens) * len(hgens), len(hm)
 
-    equations: list[tuple[dict[int, int], int]] = []
+    # form[k, h]: coefficients of B(k, h) in the unknowns, then its constant
+    form = {(k, 0): [0] * (n + 1) for k in km} | {(0, s): [0] * (n + 1) for s in hgens}
+    for j, s in enumerate(hgens):
+        for k1, i, k in _cayley_tree(G, kgens):
+            form[k, s] = f = form[k1, s].copy()
+            f[i * len(hgens) + j] += 1
+            f[n] += scale * beta(s, k1, kgens[i])
+    for h1, j, h in _cayley_tree(G, hgens):
+        for k in km:
+            form[k, h] = f = [a + b for a, b in zip(form[k, h1], form[k, hgens[j]])]
+            f[n] -= scale * beta(k, h1, hgens[j])
 
-    def add(terms: Sequence[tuple[int, int, int]], rhs: int) -> None:
-        row: dict[int, int] = {}
-        for k, h, sign in terms:
-            if k and h:
-                v = (kpos[k] - 1) * (nh - 1) + (hpos[h] - 1)
-                row[v] = row.get(v, 0) + sign
-        equations.append((row, rhs))
-
+    # each equation B(plus) - B(minus) - B(minus2) = rhs, by the keys of its terms
+    eqs: list[tuple] = []
     # multiplicativity in the second slot, twisted by beta_k
     for k in km:
         for h1 in hm:
-            for s in H.generators:
-                add(((k, G.mul(h1, s), 1), (k, h1, -1), (k, s, -1)),
-                    -scale * beta(k, h1, s))
+            for s in hgens:
+                eqs.append(((k, G.mul(h1, s)), (k, h1), (k, s), -scale * beta(k, h1, s)))
     # multiplicativity in the first slot, twisted by beta_h
     for h in hm:
         for k1 in km:
-            for s in K.generators:
-                add(((G.mul(k1, s), h, 1), (k1, h, -1), (s, h, -1)),
-                    scale * beta(h, k1, s))
-    # G-invariance
+            for s in kgens:
+                eqs.append(((G.mul(k1, s), h), (k1, h), (s, h), scale * beta(h, k1, s)))
+    # G-invariance, with B(e, e) = 1 as the second minus term
     for k in km:
         for x in G.whole_group.generators:
             kx = G.conj(G.inverse(x), k)
             for h in hm:
-                add(((kx, h, 1), (k, G.conj(x, h), -1)), scale * conj_exp(k, x, h))
+                eqs.append(((kx, h), (k, G.conj(x, h)), (0, 0),
+                            scale * dd.omega.conj_exp(k, x, h)))
 
-    sols = solve_mod(equations, nu, N)
-    out = []
-    for s in sols:
-        rows = []
-        for i in range(nk):
-            if i == 0:
-                rows.append((0,) * nh)
-            else:
-                rows.append((0,) + tuple(s[(i - 1) * (nh - 1) + (j - 1)]
-                                         for j in range(1, nh)))
-        out.append(Pairing(K, H, N, tuple(rows)))
-    result = tuple(out)
+    # evaluate column by column: each unknown's coefficients, then the constant
+    cols = [{key: f[p] for key, f in form.items()} for p in range(n + 1)]
+    values = [[(c[a] - c[b] - c[d]) % N for a, b, d, _ in eqs] for c in cols[:n]]
+    values.append([(r - cols[n][a] + cols[n][b] + cols[n][d]) % N for a, b, d, r in eqs])
+    residual = sorted({(v[:n], v[n]) for v in zip(*values) if any(v)})
+
+    table = [[c[k, h] for k in km for h in hm] for c in cols]
+    dlogs = []
+    for sol in solve_mod(residual, n, N):
+        flat = table[n]
+        for x, col in zip(sol, table):
+            flat = [a + x * b for a, b in zip(flat, col)] if x else flat
+        dlogs.append(tuple(tuple(v % N for v in flat[i:i + nh]) for i in range(0, len(flat), nh)))
+    result = tuple(Pairing(K, H, N, d) for d in sorted(dlogs))
     dd.subcat_caches[key] = result
     return result
 
@@ -420,8 +438,10 @@ def classify(dd: TwistedDouble, t: Triple) -> TripleFlags:
     isotropic = k_in_h and all(B.exp(k, k) % N == 0 for k in K.members)
     lagrangian = isotropic and K.members == H.members
     G = dd.group
-    KH = G.intersect(K, H)
-    hk_all = len(G.product_subgroup(t.H, t.K)) == G.order
+    pair = ("pair", K.members, H.members)
+    if pair not in dd.subcat_caches:
+        dd.subcat_caches[pair] = (G.intersect(K, H), len(G.product_subgroup(H, K)) == G.order)
+    KH, hk_all = dd.subcat_caches[pair]
     radical = [a for a in KH.members
                if all((B.exp(a, j) + B.exp(j, a)) % N == 0 for j in KH.members)]
     nondegenerate = hk_all and len(radical) == 1

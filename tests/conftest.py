@@ -7,7 +7,7 @@ from functools import reduce
 from qdouble import (TwistedDouble, builtin_cyclic, builtin_group, coboundary,
                      cyclic_group, pullback)
 from qdouble.cocycles import ThreeCocycle, product
-from qdouble.groups import direct_product
+from qdouble.groups import FiniteGroup, direct_product
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,6 +58,31 @@ def twisted_quotient(name: str, cob_m: int | None = None) -> TwistedDouble:
     if cob_m is not None:
         omega = times_coboundary(omega, cob_m)
     return TwistedDouble(G, omega)
+
+
+def _relabeling(n: int, seed: int) -> list[int]:
+    """A seeded random permutation of range(n) that fixes the identity 0."""
+    rest = list(range(1, n))
+    random.Random(seed).shuffle(rest)
+    return [0] + rest
+
+
+def relabeled_group(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """G with its non-identity elements permuted at random."""
+    perm = _relabeling(G.order, seed)
+    table = [[0] * G.order for _ in range(G.order)]
+    for a in range(G.order):
+        for b in range(G.order):
+            table[perm[a]][perm[b]] = perm[G.mul(a, b)]
+    return FiniteGroup(table, name=f"{G.name}'")
+
+
+@functools.lru_cache(maxsize=None)
+def relabeled(dd: TwistedDouble, seed: int) -> TwistedDouble:
+    """dd on relabeled_group(dd.group, seed), its cocycle pulled back along the relabeling."""
+    G = relabeled_group(dd.group, seed)
+    perm = _relabeling(G.order, seed)
+    return TwistedDouble(G, pullback(dd.omega, sorted(range(G.order), key=perm.__getitem__), G))
 
 
 def braiding_doubles() -> list[TwistedDouble]:

@@ -1,6 +1,5 @@
 """Ordinary and projective character tables, computed exactly."""
 
-import random
 from functools import reduce
 
 import pytest
@@ -12,7 +11,8 @@ from qdouble.characters import (LiftFailure, _check_orthonormal, beta_regular_cl
 from qdouble.groups import FiniteGroup, direct_product
 from qdouble.linmod import solve_mod
 
-from conftest import braiding_doubles, twisted_cyclic, twisted_cyclic_coboundary
+from conftest import (braiding_doubles, relabeled_group, twisted_cyclic,
+                      twisted_cyclic_coboundary)
 
 
 EXPECTED_DEGREES = {
@@ -238,19 +238,6 @@ def _exponent_rows(T):
     return [tuple(sp[0] for sp in row) for row in T.spectra]
 
 
-def _relabeled(G, seed):
-    """G with its non-identity elements permuted at random."""
-    rng = random.Random(seed)
-    rest = list(range(1, G.order))
-    rng.shuffle(rest)
-    perm = [0] + rest
-    table = [[0] * G.order for _ in range(G.order)]
-    for a in range(G.order):
-        for b in range(G.order):
-            table[perm[a]][perm[b]] = perm[G.mul(a, b)]
-    return FiniteGroup(table, name=f"{G.name}'")
-
-
 def _centralizer_extensions(dd):
     """The central extensions projective_table builds for every centralizer of dd."""
     m = dd.omega.modulus
@@ -261,7 +248,7 @@ def _centralizer_extensions(dd):
 
 
 def test_abelian_table_matches_solve_mod():
-    groups = [(CycloContext(G.exponent), _relabeled(G, seed)) for seed, G in enumerate(
+    groups = [(CycloContext(G.exponent), relabeled_group(G, seed)) for seed, G in enumerate(
         [reduce(direct_product, map(builtin_group, names))
          for names in (("Z2", "Z4"), ("Z3", "Z3"), ("Z2", "Z2", "Z2"), ("Z4", "Z4"))]
         + [cyclic_group(12)])]

@@ -10,7 +10,7 @@ from qdouble.linmod import solve_mod
 from qdouble.subcats import (DimensionMismatch, NotASubcategory, Pairing, Triple,
                              UnsupportedTriple)
 
-from conftest import (braiding_doubles, twisted_cyclic, twisted_cyclic_coboundary,
+from conftest import (braiding_doubles, relabeled, twisted_cyclic, twisted_cyclic_coboundary,
                       twisted_quotient, untwisted, untwisted_cyclic, untwisted_product)
 
 
@@ -197,6 +197,20 @@ def test_bicharacters_on_generators_match_all_pairs():
         for K, H in dd.group.centralizing_pairs():
             got = [B.dlog for B in sc.bicharacters(dd, K, H)]
             assert got == _all_pairs_bichars(dd, K, H), (dd.group.name, K.members, H.members)
+
+
+def test_bicharacters_match_all_pairs_under_relabeling():
+    """The generators, and so the Cayley trees, move with the labeling; the solutions do not."""
+    doubles = [untwisted_product("Z2", "Z4"), untwisted_product("Z3", "Z3"),
+               untwisted_product("S3", "Z3"), untwisted("D4"),
+               twisted_cyclic_coboundary(6, 1, 3),
+               twisted_quotient("S3", 3), twisted_quotient("D4", 3)]
+    for dd in doubles:
+        for seed in (1, 2):
+            rd = relabeled(dd, seed)
+            for K, H in rd.group.centralizing_pairs():
+                got = [B.dlog for B in sc.bicharacters(rd, K, H)]
+                assert got == _all_pairs_bichars(rd, K, H), (dd.group.name, seed, K.members)
 
 
 def test_contains_matches_member_sets():
