@@ -57,7 +57,7 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
         name = data.get("name", "G")
         if not isinstance(name, str):
             raise UsageError('"name" must be a string')
-        for key, build in (("mult", FiniteGroup.from_mult_table),
+        for key, build in (("mult", FiniteGroup),
                            ("perm_gens", FiniteGroup.from_permutation_generators)):
             if key in data:
                 rows = data[key]
@@ -67,6 +67,10 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
                 if key == "mult" and not (n and all(len(r) == n and all(0 <= x < n for x in r)
                                                     for r in rows)):
                     raise UsageError('"mult" must be a nonempty n x n table over 0..n-1')
+                # element labels are the file's own, in cocycles, --triple and output
+                if key == "mult" and not (rows[0] == [r[0] for r in rows] == list(range(n))):
+                    raise UsageError('"mult" must have its identity at index 0: '
+                                     'row 0 and column 0 must read 0..n-1')
                 if key == "perm_gens" and not (n and all(sorted(g) == list(range(len(rows[0])))
                                                          for g in rows)):
                     raise UsageError('"perm_gens" must be a nonempty list of permutations '

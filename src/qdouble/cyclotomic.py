@@ -223,9 +223,6 @@ class Cyclo:
                     res[j] += c * row[j]
         return _make(ctx, res, self.den)
 
-    def norm_squared(self) -> "Cyclo":
-        return self * self.conj()
-
     # -- predicates and conversions --------------------------------------------
 
     @property

@@ -329,30 +329,42 @@ class TwistedDouble:
                                          for sp in sps)
         return self._scalar_exps[i]
 
-    def centralize(self, i: int, j: int) -> bool:
-        """Whether simples i and j have trivial double braiding, on root exponents.
+    def common_phase(self, i: int, j: int) -> int | None:
+        """The k with the double braiding of simples i and j equal to zeta_N^k, else None.
 
-        The double braiding is a module map, so it is the identity exactly when
-        the classes of a_i and a_j commute elementwise and
-        zeta_m^e chi_i(u) chi_j(v) = d_i d_j on every term (u, v, e) of
-        _pair_terms. A projective character value chi(u) is a sum of d
-        eigenvalues of rho(u), each an N-th root of unity (rho comes from a
-        central extension whose exponent divides N = m |G|), so |chi(u)| <= d
-        with equality only when rho(u) is the scalar zeta_N^k, i.e. when
-        scalar_exps holds k at u. A term can reach d_i d_j only if both factors
-        are scalars, and then it does iff r_i[u] + r_j[v] + e scale = 0 (mod N).
+        S_ij is pref times a sum, over the terms (u, v, e) of _pair_terms, of
+        the deg_i deg_j conjugated eigenvalues of zeta_m^e rho_i(u) (x) rho_j(v),
+        each an N-th root of unity (rho comes from a central extension whose
+        exponent divides N = m |G|). There are at most |G| terms and
+        pref |G| deg_i deg_j = d_i d_j, so |S_ij| <= d_i d_j, with equality in
+        the triangle inequality iff there are |G| terms (the classes of a_i
+        and a_j commute elementwise) and all these roots agree. Then rho_i(u)
+        and rho_j(v) are scalars, held by scalar_exps, and
+        r_i[u] + r_j[v] + e scale takes one value k mod N: the double braiding,
+        a module map, acts on every term by zeta_N^k. So i and j centralize iff
+        k = 0, and projectively centralize (|S_ij| = d_i d_j) iff k exists.
         """
         si, sj = self.gamma[i], self.gamma[j]
         terms = self._pair_terms(si.a, sj.a)
         if len(terms) < self.group.order:
-            return False
+            return None
         ri, rj = self.scalar_exps(i), self.scalar_exps(j)
         N, scale = self.ctx.N, self.scale
+        k = None
         for u, v, e in terms:
             x, y = ri[u], rj[v]
-            if x is None or y is None or (x + y + e * scale) % N:
-                return False
-        return True
+            if x is None or y is None:
+                return None
+            phase = (x + y + e * scale) % N
+            if k is None:
+                k = phase
+            elif phase != k:
+                return None
+        return k
+
+    def centralize(self, i: int, j: int) -> bool:
+        """Whether simples i and j have trivial double braiding."""
+        return self.common_phase(i, j) == 0
 
     @property
     def braiding_rows(self) -> tuple[int, ...]:
@@ -367,13 +379,6 @@ class TwistedDouble:
                         rows[j] |= 1 << i
             self._braiding = tuple(rows)
         return self._braiding
-
-    def magnitude_centralize(self, i: int, j: int) -> bool:
-        """Whether |S(i, j)| = dim(i) dim(j); defined for the trivial cocycle."""
-        S = self.s_matrix
-        gamma = self.gamma
-        d = gamma[i].dim * gamma[j].dim
-        return S[i][j].norm_squared() == self.ctx.from_int(d * d)
 
     # -- fusion-closure helpers (used by the oracle and adjoint computations) -----------
 

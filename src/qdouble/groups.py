@@ -100,30 +100,6 @@ class FiniteGroup:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_mult_table(table: Sequence[Sequence[int]], name: str = "G",
-                        cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
-        """Build from an arbitrary table, relabeling so the identity sits at index 0."""
-        n = len(table)
-        if n == 0:
-            raise NotAGroup("empty table")
-        rows = [list(row) for row in table]
-        for row in rows:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
-                raise NotAGroup("table is not n x n over 0..n-1")
-        ident = None
-        for e in range(n):
-            if all(rows[e][j] == j for j in range(n)) and all(rows[j][e] == j for j in range(n)):
-                ident = e
-                break
-        if ident is None:
-            raise NotAGroup("no two-sided identity element")
-        if ident != 0:
-            p = list(range(n))
-            p[0], p[ident] = ident, 0  # involution swapping 0 and the identity
-            rows = [[p[rows[p[a]][p[b]]] for b in range(n)] for a in range(n)]
-        return FiniteGroup(rows, name=name, cap=cap)
-
-    @staticmethod
     def from_permutation_generators(gens: Sequence[Sequence[int]], name: str = "G",
                                     cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
         """Closure of permutation generators under composition, breadth first."""
@@ -177,23 +153,9 @@ class FiniteGroup:
             if mult[b][a] != 0:
                 raise NotAGroup(f"element {a} has no two-sided inverse")
         # Light's test: associativity on a generating set implies it everywhere.
-        gens: list[int] = []
-        reached = {0}
-        frontier = [0]
-        while len(reached) < n:
-            g = min(all_elems - reached)
-            gens.append(g)
-            frontier = list(reached | {g})
-            new = set(frontier)
-            while frontier:
-                x = frontier.pop()
-                for y in list(new):
-                    for z in (mult[x][y], mult[y][x]):
-                        if z not in new:
-                            new.add(z)
-                            frontier.append(z)
-            reached = new
-        for g in gens:
+        # The right-multiplication closure of the greedy generators is the whole
+        # table, so every element is a product of them.
+        for g in self.whole_group.generators:
             col_g = [mult[x][g] for x in range(n)]
             row_g = mult[g]
             for x in range(n):
@@ -277,13 +239,6 @@ class FiniteGroup:
         if a not in cache:
             cache[a] = tuple(g for g in range(self.order) if self.commute(g, a))
         return cache[a]
-
-    def conjugating_element(self, a: int, b: int) -> int:
-        """Some g with g a g^{-1} = b; raises if a, b are not conjugate."""
-        for g in range(self.order):
-            if self.conj(g, a) == b:
-                return g
-        raise ValueError(f"{a} and {b} are not conjugate")
 
     # -- subgroups -------------------------------------------------------------
 

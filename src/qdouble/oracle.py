@@ -114,14 +114,26 @@ def centralizing_simples(dd: TwistedDouble, members: Iterable[int]) -> frozenset
 
 def projectively_centralizing_simples(dd: TwistedDouble,
                                       members: Iterable[int]) -> frozenset[int]:
-    """Simples whose S-matrix entries against the set have maximal magnitude.
+    """Simples whose double braiding with every member is a scalar.
 
-    These are exactly the simples centralizing the adjoint of the subcategory
-    the set spans.
+    Equivalently |S_ij| = d_i d_j against every member: these are exactly the
+    simples centralizing the adjoint of the subcategory the set spans.
     """
     ms = list(members)
     return frozenset(i for i in range(len(dd.gamma))
-                     if all(dd.magnitude_centralize(i, j) for j in ms))
+                     if all(dd.common_phase(i, j) is not None for j in ms))
+
+
+def _where(dd: TwistedDouble, t: sc.Triple | None = None) -> str:
+    """The group and cocycle modulus of a failed check, and the triple's K and H."""
+    where = f"{dd.group.name} (cocycle mod {dd.omega.modulus})"
+    if t is not None:
+        where += f" at K = {list(t.K.members)}, H = {list(t.H.members)}"
+    return where
+
+
+def _differ(got: frozenset[int], expect: frozenset[int]) -> str:
+    return f"they differ first at simple {min(got ^ expect)}"
 
 
 def certify(dd: TwistedDouble) -> dict:
@@ -134,30 +146,39 @@ def certify(dd: TwistedDouble) -> dict:
     """
     triples = sc.enumerate_all(dd)
     members = {t: sc.subcat_members(dd, t) for t in triples}
-    sets = list(members.values())
-    if len(set(sets)) != len(sets):
-        raise AssertionError("two distinct triples share one member set")
+    owner: dict[frozenset[int], sc.Triple] = {}
+    for t, ms in members.items():
+        other = owner.setdefault(ms, t)
+        if other is not t:
+            raise AssertionError(
+                f"{_where(dd, t)}: member set shared with K = {list(other.K.members)}, "
+                f"H = {list(other.H.members)}")
 
     report = {"triples": len(triples)}
     order = dd.group.order
     whole_dim = order * order
     for t in triples:
         c = sc.centralizer_triple(dd, t)
-        if sc.subcat_members(dd, c) != centralizing_simples(dd, members[t]):
-            raise AssertionError(f"centralizer member set wrong at {t}")
-        if sc.subcat_members(dd, sc.centralizer_triple(dd, c)) != members[t]:
-            raise AssertionError(f"double centralizer failed at {t}")
+        got, expect = sc.subcat_members(dd, c), centralizing_simples(dd, members[t])
+        if got != expect:
+            raise AssertionError(f"{_where(dd, t)}: centralizer triple's members are not "
+                                 f"the AND of braiding rows; {_differ(got, expect)}")
+        got = sc.subcat_members(dd, sc.centralizer_triple(dd, c))
+        if got != members[t]:
+            raise AssertionError(f"{_where(dd, t)}: double centralizer is not the triple; "
+                                 f"{_differ(got, members[t])}")
         if t.dim(order) * c.dim(order) != whole_dim:
-            raise AssertionError(f"dimension product law failed at {t}")
+            raise AssertionError(f"{_where(dd, t)}: dimension product law fails: "
+                                 f"{t.dim(order)} * {c.dim(order)} != {whole_dim}")
 
     if dd.omega.is_trivial:
+        sets = frozenset(members.values())
         closed = all_closed_sets(dd)
-        if frozenset(sets) != closed:
-            missing = closed - frozenset(sets)
-            extra = frozenset(sets) - closed
+        if sets != closed:
             raise AssertionError(
-                f"enumeration mismatch: {len(missing)} closed sets missing, "
-                f"{len(extra)} member sets not closed")
+                f"{_where(dd)}: enumeration mismatch: {len(closed - sets)} closed sets "
+                f"missing, {len(sets - closed)} member sets not closed; the least set "
+                f"in only one family is {min(map(sorted, closed ^ sets))}")
         report["closed_sets"] = len(closed)
         report["bijection"] = True
     else:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qdouble import subcats as sc
+from qdouble import builtin_cyclic, oracle, subcats as sc
 from qdouble.cli import _hasse_edges, lattice_text, main
 from qdouble.groups import builtin_group
 
@@ -234,6 +234,20 @@ def test_usage_errors(tmp_path, capsys):
     pf.write_text(json.dumps({"perm_gens": [[1, 0, 2, 3], [1, 2, 3, 0]]}))
     code, _, err = run(capsys, "group", "info", "--group", str(pf), "--cap", "4")
     assert code == 2 and "exceeds cap 4" in err
+    # Z3 with its identity at index 2 and omega_1 in the file's labels: the
+    # labels are the file's own everywhere, so the table is bad input
+    lab = [2, 0, 1]   # Z3 element x has file label lab[x]
+    inv = [lab.index(y) for y in range(3)]
+    zf = tmp_path / "z3.json"
+    zf.write_text(json.dumps({"mult": [[lab[(inv[a] + inv[b]) % 3] for b in range(3)]
+                                       for a in range(3)]}))
+    om = builtin_cyclic(3, 1)
+    cf = tmp_path / "z3_omega.json"
+    cf.write_text(json.dumps({"modulus": om.modulus, "dlog": [
+        [[om.dlog[inv[x]][inv[y]][inv[z]] for z in range(3)] for y in range(3)]
+        for x in range(3)]}))
+    code, _, err = run(capsys, "verify", "all", "--group", str(zf), "--cocycle", str(cf))
+    assert code == 2 and "identity at index 0" in err, err
 
 
 def test_non_group_table_fails(tmp_path, capsys):
@@ -242,6 +256,15 @@ def test_non_group_table_fails(tmp_path, capsys):
     code, _, err = run(capsys, "group", "info", "--group", str(gf))
     assert code == 1
     assert "verification failure" in err
+
+
+def test_certify_failure_names_group_and_simple(monkeypatch, capsys):
+    # a centralizer oracle that drops simple 7 fails at a named triple, naming 7
+    real = oracle.centralizing_simples
+    monkeypatch.setattr(oracle, "centralizing_simples", lambda dd, ms: real(dd, ms) - {7})
+    code, _, err = run(capsys, "verify", "all", "--builtin", "S3")
+    assert code == 1 and err.startswith("verification failure: S3 (cocycle mod 1) at K = ")
+    assert "differ first at simple 7" in err, err
 
 
 def _pairwise_hasse_edges(dd, triples):

@@ -185,13 +185,33 @@ def test_braiding_rows_match_cyclo_predicate():
                     assert chi == dd.ctx.root(r[x]) * s.degree
 
 
-def test_magnitude_centralize_weaker():
-    dd = untwisted("S3")
-    n = len(dd.gamma)
-    for i in range(n):
-        for j in range(n):
-            if dd.centralize(i, j):
-                assert dd.magnitude_centralize(i, j)
+def _pair_sum(dd, i, j):
+    """X = sum over _pair_terms of zeta_m^e chi_i(u) chi_j(v), with Cyclo products."""
+    si, sj = dd.gamma[i], dd.gamma[j]
+    cdi, cdj = dd.centralizer_data(si.a), dd.centralizer_data(sj.a)
+    return dd.ctx.sum(cdi.value(si.char_index, u) * cdj.value(sj.char_index, v)
+                      * dd.ctx.root(e * dd.scale)
+                      for u, v, e in dd._pair_terms(si.a, sj.a))
+
+
+def test_common_phase_matches_cyclo_predicates():
+    # |S_ij| = d_i d_j iff |X| = |G| deg_i deg_j, and then X = |G| deg_i deg_j zeta_N^k
+    for dd in braiding_doubles():
+        order = dd.group.order
+        S = dd.s_matrix if dd.omega.is_trivial else None
+        for i, si in enumerate(dd.gamma):
+            for j, sj in enumerate(dd.gamma):
+                k = dd.common_phase(i, j)
+                X = _pair_sum(dd, i, j)
+                top = order * si.degree * sj.degree
+                where = (dd.group.name, dd.omega.modulus, i, j)
+                assert (k is not None) == (X * X.conj() == top * top), where
+                if k is not None:
+                    assert X == dd.ctx.root(k) * top, where
+                if S is not None:
+                    d = si.dim * sj.dim
+                    assert (k is not None) == (S[i][j] * S[i][j].conj() == d * d), where
+                assert (k == 0) == _cyclo_centralize(dd, i, j), where
 
 
 def test_tensor_components():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdouble import oracle, subcats as sc
+from qdouble import Cyclo, TwistedDouble, builtin_group, oracle, subcats as sc
 from qdouble.groups import BUILTIN_GROUP_NAMES
 
 from conftest import (twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic,
@@ -148,3 +148,22 @@ def test_projective_centralizer_is_adjoint_centralizer():
             proj = oracle.projectively_centralizing_simples(dd, members)
             ad = oracle.adjoint_closure(dd, members)
             assert proj == oracle.centralizing_simples(dd, ad)
+
+
+def test_braiding_oracles_multiply_no_cyclo_pair(monkeypatch):
+    # certify and the projective centralizer decide on exponents, never on field products
+    mul = Cyclo.__mul__
+
+    def guarded(self, other):
+        if isinstance(other, Cyclo):
+            raise RuntimeError("Cyclo x Cyclo product")
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclo, "__mul__", guarded)
+    # fresh doubles, so no cached table hides a product
+    for dd in (TwistedDouble(builtin_group("D4")), twisted_quotient.__wrapped__("D4", 3)):
+        oracle.certify(dd)
+        for t in sc.enumerate_all(dd):
+            members = sc.subcat_members(dd, t)
+            proj = oracle.projectively_centralizing_simples(dd, members)
+            assert oracle.centralizing_simples(dd, members) <= proj
