@@ -2,7 +2,8 @@
 """Enumerate and certify the subcategory lattice for a batch of groups.
 
 For each group this prints the triple count, the closed-set count from the
-brute-force oracle, flag statistics, primality, and timing. Optionally dumps
+closure oracle (intersections of Müger centralizer rows, each checked to be
+fusion-closed), flag statistics, primality, and timing. Optionally dumps
 each lattice as DOT or JSON next to the chosen output directory.
 
     python3 scripts/enumerate_lattices.py

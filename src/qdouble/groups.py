@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 512
@@ -293,29 +292,20 @@ class FiniteGroup:
 
     @cached_property
     def normal_subgroups(self) -> tuple[Subgroup, ...]:
-        """All normal subgroups, by join-closure of normal closures of single elements."""
-        found: dict[frozenset[int], Subgroup] = {}
+        """All normal subgroups, as joins of normal closures of classes, in one pass.
 
-        def add(sub: Subgroup) -> bool:
-            key = sub.member_set
-            if key in found:
-                return False
-            found[key] = sub
-            return True
-
-        add(self.trivial_subgroup)
-        for g in range(1, self.order):
-            add(self.normal_closure((g,)))
-        changed = True
-        while changed:
-            changed = False
-            subs = list(found.values())
-            for A, B in combinations(subs, 2):
-                if A.member_set <= B.member_set or B.member_set <= A.member_set:
-                    continue
-                if add(self.product_subgroup(A, B)):
-                    changed = True
-        return tuple(sorted(found.values(), key=lambda s: (len(s), s.members)))
+        A normal subgroup is the join of the atoms, the normal closures of the
+        classes it contains. After each class, found holds every join of the
+        atoms met so far; an atom already found is such a join, so its joins
+        are found too, and a new atom is joined with each of them.
+        """
+        found = {self.trivial_subgroup}
+        for g in self.class_reps[1:]:
+            atom = self.normal_closure((g,))
+            if atom not in found:
+                found |= {atom if sub.member_set <= atom.member_set
+                          else self.product_subgroup(sub, atom) for sub in found}
+        return tuple(sorted(found, key=lambda s: (len(s), s.members)))
 
     def centralizing_pairs(self) -> tuple[tuple[Subgroup, Subgroup], ...]:
         """Ordered pairs (K, H) of normal subgroups commuting elementwise."""

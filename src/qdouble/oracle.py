@@ -1,10 +1,10 @@
 """Set-level cross-checks for the triple enumeration.
 
-The oracle works directly on sets of simple objects: fusion closure uses the
-Verlinde coefficients (so it is independent of the triple machinery), on
-bitmasks of simples with precomputed product and dual masks, and the full
-lattice of closed sets is generated from the bottom by joining closed sets
-with the closures of single simples.
+The oracle works directly on sets of simple objects, as bitmasks: fusion
+closure uses the Verlinde coefficients (so it is independent of the triple
+machinery) through precomputed product and dual masks, and the full lattice
+of closed sets is every intersection of the Müger centralizer rows read off
+the S-matrix, each checked to be fusion-closed.
 """
 
 from __future__ import annotations
@@ -70,27 +70,36 @@ def fusion_closure(dd: TwistedDouble, seed: Iterable[int]) -> frozenset[int]:
 
 
 def all_closed_sets(dd: TwistedDouble) -> frozenset[frozenset[int]]:
-    """Every fusion-closed set of simples, by joining closed sets with atoms.
+    """Every fusion-closed set of simples: the intersections of centralizer rows.
 
-    Atoms are the closures of single simples. A closed set is the join of the
-    atoms it contains, so the sets reachable from the bottom by joining one
-    atom at a time are all of them.
+    Bit j of row i is set iff S_ij = d_i d_j, Müger's criterion for simples
+    i and j to centralize, read off the S-matrix by comparing coordinates.
+    The family is exact. s_matrix has proved S S^dagger = |G|^2 I, so the
+    category is modular, and by Müger's double centralizer theorem every
+    fusion subcategory D equals D'': the intersection of the rows of the
+    members of its centralizer D'. Conversely an intersection of rows is the
+    centralizer of a set of simples, so it is closed; the empty intersection
+    is the whole set. One pass over the rows therefore yields every closed
+    set. The rows must equal braiding_rows, which cross-checks centralize,
+    and every set must be closed under duals and the Verlinde products.
     """
-    bottom = _mask(fusion_closure(dd, ()))
-    atoms = {_mask(fusion_closure(dd, (i,))) for i in range(len(dd.gamma))}
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for a in atoms:
-                if a & ~c:
-                    j = _close(dd, c, a)
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-        frontier = nxt
-    return frozenset(frozenset(bits(c)) for c in seen)
+    S, gamma, from_int = dd.s_matrix, dd.gamma, dd.ctx.from_int
+    rows = [_mask(j for j, sj in enumerate(gamma) if S[i][j] == from_int(si.dim * sj.dim))
+            for i, si in enumerate(gamma)]
+    braided = dd.braiding_rows
+    for i, row in enumerate(rows):
+        if row != braided[i]:
+            raise AssertionError(
+                f"{_where(dd)}: centralizer row {i} read off S is not braiding row {i}; "
+                f"they differ first at simple {bits(row ^ braided[i])[0]}")
+    fam = {(1 << len(rows)) - 1}
+    for r in rows:
+        fam |= {c & r for c in fam}
+    for c in fam:
+        if _close(dd, 0, c) != c:
+            raise AssertionError(f"{_where(dd)}: the intersection of centralizer rows "
+                                 f"{bits(c)} is not fusion-closed")
+    return frozenset(frozenset(bits(c)) for c in fam)
 
 
 def adjoint_closure(dd: TwistedDouble, members: Iterable[int]) -> frozenset[int]:

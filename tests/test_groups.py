@@ -1,5 +1,7 @@
 """Group layer: construction, validation, subgroup machinery, series."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,8 @@ from qdouble import (FiniteGroup, GroupTooLarge, NotAGroup, builtin_group,
                      cyclic_group, dihedral_group, direct_product,
                      quaternion_group, symmetric_group)
 from qdouble.groups import BUILTIN_GROUP_NAMES
+
+from conftest import relabeled_group
 
 
 ORDERS = {"Z2": 2, "Z3": 3, "Z4": 4, "Z2xZ2": 4, "S3": 6, "D4": 8, "Q8": 8,
@@ -98,6 +102,26 @@ def test_lagrange_and_normality():
         for N in G.normal_subgroups:
             assert G.order % len(N) == 0
             assert N.is_normal
+
+
+def _normal_closures_of_class_sets(G):
+    """Member tuples of the normal closures of every set of class reps, sorted by size."""
+    reps = G.class_reps
+    closures = {G.normal_closure(r for b, r in enumerate(reps) if mask >> b & 1).members
+                for mask in range(1 << len(reps))}
+    return tuple(sorted(closures, key=lambda ms: (len(ms), ms)))
+
+
+def test_normal_subgroups_are_closures_of_class_sets():
+    groups = [builtin_group(n) for n in ("S3", "D4", "Q8", "S4", "Z8", "Z2xZ2")]
+    groups += [reduce(direct_product, map(builtin_group, names))
+               for names in (("S3", "S3"), ("D4", "Z2"))]
+    groups.append(relabeled_group(groups[-1], 3))
+    for G in groups:
+        got = tuple(N.members for N in G.normal_subgroups)
+        assert got == _normal_closures_of_class_sets(G), G.name
+    Z2_4 = reduce(direct_product, [builtin_group("Z2")] * 4)
+    assert len(Z2_4.normal_subgroups) == 67
 
 
 def test_centralizing_pairs_s4():

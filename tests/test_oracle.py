@@ -73,6 +73,24 @@ def test_all_closed_sets_match_pairwise_joins():
         assert oracle.all_closed_sets(dd) == _reference_closed_sets(dd)
 
 
+def test_all_closed_sets_rejects_rows_that_disagree_with_braiding():
+    # a fresh double, so the cached ones keep their tables
+    dd = TwistedDouble(builtin_group("D4"))
+    rows = list(dd.braiding_rows)
+    rows[3] &= ~1
+    dd._braiding = tuple(rows)
+    with pytest.raises(AssertionError, match="centralizer row 3 read off S is not braiding row 3"):
+        oracle.all_closed_sets(dd)
+
+
+def test_all_closed_sets_rejects_a_set_that_is_not_fusion_closed():
+    dd = TwistedDouble(builtin_group("D4"))
+    prod, _ = oracle._masks(dd)
+    prod[0][0] |= 1 << 1   # the unit alone is an intersection of rows
+    with pytest.raises(AssertionError, match=r"rows \[0\] is not fusion-closed"):
+        oracle.all_closed_sets(dd)
+
+
 def test_certify_every_builtin():
     closed = {"Z2": 5, "Z3": 6, "Z4": 15, "Z2xZ2": 67, "S3": 8, "D4": 45,
               "Q8": 45, "Z8": 37, "S4": 9}
