@@ -1,5 +1,6 @@
 """Exact modular data and fusion subcategory lattices for twisted doubles."""
 
+from .errors import CheckFailure, InputError
 from .groups import (BUILTIN_GROUP_NAMES, FiniteGroup, GroupTooLarge, NotAGroup,
                      Subgroup, builtin_group, cyclic_group, dihedral_group,
                      direct_product, quaternion_group, symmetric_group)
@@ -7,8 +8,7 @@ from .cyclotomic import Cyclo, CycloContext
 from .cocycles import (IdentityViolation, NotACocycle, NotNormalized, ThreeCocycle,
                        builtin_cyclic, check_identities, coboundary, pullback,
                        trivial_cocycle, validate)
-from .characters import (CapExceeded, CharacterTable, LiftFailure, ordinary_table,
-                         projective_table)
+from .characters import CharacterTable, LiftFailure, ordinary_table, projective_table
 from .doubledata import SimpleObject, TwistedDouble, VerlindeNonInteger
 from .subcats import (DimensionMismatch, NotASubcategory, Pairing, Triple,
                       TripleFlags, UnsupportedTriple, adjoint_series_term,

@@ -14,17 +14,14 @@ from math import gcd, isqrt
 from typing import Sequence
 
 from .cyclotomic import Cyclo, CycloContext
-from .groups import FiniteGroup, DEFAULT_ORDER_CAP
+from .errors import CheckFailure, InputError
+from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupTooLarge
 from .linmod import (charpoly_mod, mat_mul_mod, nullspace_mod, poly_roots_mod,
                      primitive_root, rref_mod, smallest_prime_one_mod)
 
 
-class LiftFailure(ArithmeticError):
+class LiftFailure(CheckFailure):
     """The exact lift of a modular character value failed a consistency check."""
-
-
-class CapExceeded(ValueError):
-    """A derived group (central extension) exceeds the order cap."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def _canonical(ctx: CycloContext, C: FiniteGroup, degrees: Sequence[int],
 def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
     """The full irreducible character table of C over Q(zeta_N)."""
     if ctx.N % C.exponent:
-        raise ValueError(f"exponent {C.exponent} does not divide N = {ctx.N}")
+        raise InputError(f"exponent {C.exponent} does not divide N = {ctx.N}")
     if C.is_abelian:
         return _abelian_table(ctx, C)
     classes = C.conjugacy_classes
@@ -249,13 +246,13 @@ def _abelian_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
 def validate_two_cocycle(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> None:
     n = C.order
     if any(beta[0][x] % m or beta[x][0] % m for x in range(n)):
-        raise ValueError("2-cocycle must be normalized")
+        raise CheckFailure("2-cocycle must be normalized")
     for x in range(n):
         for y in range(n):
             xy = C.mul(x, y)
             for w in range(n):
                 if (beta[x][y] + beta[xy][w] - beta[x][C.mul(y, w)] - beta[y][w]) % m:
-                    raise ValueError(f"2-cocycle identity fails at ({x}, {y}, {w})")
+                    raise CheckFailure(f"2-cocycle identity fails at ({x}, {y}, {w})")
 
 
 def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
@@ -282,7 +279,7 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
             g = gcd(g, beta[x][y] % m)
     mp = m // g
     if n * mp > cap:
-        raise CapExceeded(f"extension order {n * mp} exceeds cap {cap}")
+        raise GroupTooLarge(f"extension order {n * mp} exceeds cap {cap}")
     if mp == 1:
         return C
     validate_two_cocycle(C, beta, m)
@@ -316,7 +313,7 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
     mp = E.order // C.order
     if ctx.N % (mp * C.exponent):
         # exponent(E) divides m' * exponent(C)
-        raise ValueError(f"context N = {ctx.N} too small for extension")
+        raise InputError(f"context N = {ctx.N} too small for extension")
     T = ordinary_table(ctx, E)
     if E is C:
         return T            # beta = 0 mod m: the beta-characters are the ordinary ones

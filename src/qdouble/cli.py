@@ -1,6 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 when a mathematical check fails, 2 on bad input.
+Exit codes: 0 on success, 1 when a mathematical check fails (CheckFailure),
+2 on bad input (InputError). Any other exception is a bug and escapes with
+its traceback.
 """
 
 from __future__ import annotations
@@ -10,19 +12,13 @@ import json
 import sys
 from typing import Sequence
 
-from .characters import CapExceeded
-from .cocycles import (NotACocycle, NotNormalized, IdentityViolation, ThreeCocycle,
-                       builtin_cyclic, check_identities, trivial_cocycle, validate)
+from .cocycles import ThreeCocycle, builtin_cyclic, check_identities, trivial_cocycle, validate
 from .cyclotomic import Cyclo
 from .doubledata import TwistedDouble
-from .groups import (BUILTIN_GROUP_NAMES, DEFAULT_ORDER_CAP, FiniteGroup,
-                     GroupTooLarge, NotAGroup, builtin_group)
+from .errors import CheckFailure, InputError
+from .groups import BUILTIN_GROUP_NAMES, DEFAULT_ORDER_CAP, FiniteGroup, builtin_group
 from . import oracle
 from . import subcats as sc
-
-
-class UsageError(Exception):
-    """Malformed input files or arguments."""
 
 
 # -- loading -----------------------------------------------------------------------
@@ -37,48 +33,29 @@ def _int_array(value: object, depth: int) -> bool:
 
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
     if args.cap < 1:
-        raise UsageError(f"--cap must be at least 1, got {args.cap}")
+        raise InputError(f"--cap must be at least 1, got {args.cap}")
+    if args.builtin is not None:
+        return builtin_group(args.builtin, cap=args.cap)
+    if args.group is None:
+        raise InputError("one of --builtin or --group is required")
     try:
-        if args.builtin is not None:
-            if args.builtin not in BUILTIN_GROUP_NAMES:
-                raise UsageError(
-                    f"unknown builtin group {args.builtin!r}; "
-                    f"choose from {', '.join(BUILTIN_GROUP_NAMES)}")
-            return builtin_group(args.builtin, cap=args.cap)
-        if args.group is None:
-            raise UsageError("one of --builtin or --group is required")
-        try:
-            with open(args.group, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read group file: {exc}") from exc
-        if not isinstance(data, dict):
-            raise UsageError("group file must hold a JSON object")
-        name = data.get("name", "G")
-        if not isinstance(name, str):
-            raise UsageError('"name" must be a string')
-        for key, build in (("mult", FiniteGroup),
-                           ("perm_gens", FiniteGroup.from_permutation_generators)):
-            if key in data:
-                rows = data[key]
-                if not _int_array(rows, 2):
-                    raise UsageError(f'"{key}" must be a list of lists of integers')
-                n = len(rows)
-                if key == "mult" and not (n and all(len(r) == n and all(0 <= x < n for x in r)
-                                                    for r in rows)):
-                    raise UsageError('"mult" must be a nonempty n x n table over 0..n-1')
-                # element labels are the file's own, in cocycles, --triple and output
-                if key == "mult" and not (rows[0] == [r[0] for r in rows] == list(range(n))):
-                    raise UsageError('"mult" must have its identity at index 0: '
-                                     'row 0 and column 0 must read 0..n-1')
-                if key == "perm_gens" and not (n and all(sorted(g) == list(range(len(rows[0])))
-                                                         for g in rows)):
-                    raise UsageError('"perm_gens" must be a nonempty list of permutations '
-                                     'of 0..d-1 for one d')
-                return build(rows, name=name, cap=args.cap)
-    except GroupTooLarge as exc:  # --cap limits the input group
-        raise UsageError(str(exc)) from exc
-    raise UsageError('group file needs a "mult" table or "perm_gens" list')
+        with open(args.group, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read group file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError("group file must hold a JSON object")
+    name = data.get("name", "G")
+    if not isinstance(name, str):
+        raise InputError('"name" must be a string')
+    # element labels are the file's own, in cocycles, --triple and output
+    for key, build in (("mult", FiniteGroup),
+                       ("perm_gens", FiniteGroup.from_permutation_generators)):
+        if key in data:
+            if not _int_array(data[key], 2):
+                raise InputError(f'"{key}" must be a list of lists of integers')
+            return build(data[key], name=name, cap=args.cap)
+    raise InputError('group file needs a "mult" table or "perm_gens" list')
 
 
 def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
@@ -90,13 +67,13 @@ def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
             n_s, q_s = spec[len("cyclic:"):].split(",")
             n, q = int(n_s), int(q_s)
         except ValueError as exc:
-            raise UsageError("--cocycle cyclic:N,Q needs two integers") from exc
+            raise InputError("--cocycle cyclic:N,Q needs two integers") from exc
         if n < 1:
-            raise UsageError(f"--cocycle cyclic:N,Q needs N >= 1, got {n}")
+            raise InputError(f"--cocycle cyclic:N,Q needs N >= 1, got {n}")
         # compare orders first: builtin_cyclic(n, q) tabulates n^3 exponents
         om = builtin_cyclic(n, q) if n == G.order else None
         if om is None or om.group.mult != G.mult:
-            raise UsageError(
+            raise InputError(
                 f"cyclic:{n},{q} lives on Z/{n} with the standard table; "
                 "the selected group has a different table")
         return ThreeCocycle(G, om.modulus, om.dlog)
@@ -104,27 +81,24 @@ def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
         with open(spec, encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read cocycle file: {exc}") from exc
+        raise InputError(f"cannot read cocycle file: {exc}") from exc
     if not isinstance(data, dict) or "modulus" not in data or "dlog" not in data:
-        raise UsageError('cocycle file needs "modulus" and "dlog"')
+        raise InputError('cocycle file needs "modulus" and "dlog"')
     m = data["modulus"]
     raw = data["dlog"]
     if not _int_array(m, 0):
-        raise UsageError(f'"modulus" must be an integer, got {m!r}')
+        raise InputError(f'"modulus" must be an integer, got {m!r}')
     n = G.order
     if raw and _int_array(raw, 1):
         if len(raw) != n ** 3:
-            raise UsageError(f"flat dlog must have {n}^3 entries")
+            raise InputError(f"flat dlog must have {n}^3 entries")
         dlog = tuple(tuple(tuple(raw[(x * n + y) * n + z] for z in range(n))
                            for y in range(n)) for x in range(n))
     elif _int_array(raw, 3):
         dlog = tuple(tuple(tuple(row) for row in plane) for plane in raw)
     else:
-        raise UsageError('"dlog" must be a flat list or an n x n x n array of integers')
-    try:
-        omega = ThreeCocycle(G, m, dlog)
-    except ValueError as exc:
-        raise UsageError(f"bad cocycle file: {exc}") from exc
+        raise InputError('"dlog" must be a flat list or an n x n x n array of integers')
+    omega = ThreeCocycle(G, m, dlog)
     validate(omega)
     return omega
 
@@ -138,26 +112,21 @@ def _parse_members(text: str, order: int) -> tuple[int, ...]:
     try:
         vals = tuple(int(p) for p in text.split("-"))
     except ValueError as exc:
-        raise UsageError(f"bad element list {text!r}; use dash-joined indices") from exc
+        raise InputError(f"bad element list {text!r}; use dash-joined indices") from exc
     if any(not (0 <= v < order) for v in vals):
-        raise UsageError(f"element out of range in {text!r}")
+        raise InputError(f"element out of range in {text!r}")
     return vals
 
 
 def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
     parts = spec.split(",")
     if len(parts) != 3:
-        raise UsageError('--triple takes "K,H,Bfile" (members dash-joined)')
+        raise InputError('--triple takes "K,H,Bfile" (members dash-joined)')
     G = dd.group
-    try:
-        K = G.subgroup(_parse_members(parts[0], G.order))
-        H = G.subgroup(_parse_members(parts[1], G.order))
-    except ValueError as exc:
-        raise UsageError(f"not a subgroup: {exc}") from exc
-    try:  # rejects K, H that are not normal or do not commute elementwise
-        valid = sc.bicharacters(dd, K, H)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    K = G.subgroup(_parse_members(parts[0], G.order))
+    H = G.subgroup(_parse_members(parts[1], G.order))
+    # rejects K, H that are not normal or do not commute elementwise
+    valid = sc.bicharacters(dd, K, H)
     if parts[2] == "trivial":
         B = sc.trivial_pairing(K, H, dd.ctx.N)
     else:
@@ -165,18 +134,15 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
             with open(parts[2], encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read pairing file: {exc}") from exc
+            raise InputError(f"cannot read pairing file: {exc}") from exc
         if not isinstance(data, dict) or "dlog" not in data:
-            raise UsageError('pairing file needs a "dlog" table over K x H members')
+            raise InputError('pairing file needs a "dlog" table over K x H members')
         if not _int_array(data["dlog"], 2):
-            raise UsageError('"dlog" must be a list of lists of integers')
-        try:
-            B = sc.Pairing(K, H, dd.ctx.N,
-                           tuple(tuple(v % dd.ctx.N for v in row) for row in data["dlog"]))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise InputError('"dlog" must be a list of lists of integers')
+        B = sc.Pairing(K, H, dd.ctx.N,
+                       tuple(tuple(v % dd.ctx.N for v in row) for row in data["dlog"]))
     if B not in valid:
-        raise UsageError("the pairing is not a G-invariant bicharacter on K x H "
+        raise InputError("the pairing is not a G-invariant bicharacter on K x H "
                          "for this cocycle")
     return sc.Triple(K, H, B)
 
@@ -302,7 +268,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}") from exc
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -401,12 +367,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CapExceeded) as exc:  # --cap limits the central extensions too
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotAGroup, GroupTooLarge, NotACocycle, NotNormalized, IdentityViolation,
-            sc.NotASubcategory, sc.DimensionMismatch, sc.UnsupportedTriple,
-            AssertionError, ArithmeticError, ValueError) as exc:
+    except CheckFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

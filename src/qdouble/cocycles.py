@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Sequence
 
+from .errors import CheckFailure, InputError
 from .groups import FiniteGroup, cyclic_group
 
 
-class NotACocycle(ValueError):
+class NotACocycle(CheckFailure):
     """The 3-cochain fails the cocycle identity; carries a witness quadruple."""
 
     def __init__(self, witness: tuple[int, int, int, int]):
@@ -22,7 +23,7 @@ class NotACocycle(ValueError):
         self.witness = witness
 
 
-class NotNormalized(ValueError):
+class NotNormalized(CheckFailure):
     """The 3-cochain fails normalization; carries a witness pair."""
 
     def __init__(self, witness: tuple[int, int]):
@@ -30,7 +31,7 @@ class NotNormalized(ValueError):
         self.witness = witness
 
 
-class IdentityViolation(AssertionError):
+class IdentityViolation(CheckFailure):
     """A derived 2-cochain identity fails; carries the identity name and witness."""
 
     def __init__(self, name: str, witness: tuple):
@@ -49,14 +50,14 @@ class ThreeCocycle:
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
-            raise ValueError("modulus >= 1")
+            raise InputError("modulus >= 1")
         if self.dlog is not None:
             n = self.group.order
             if len(self.dlog) != n or any(len(p) != n for p in self.dlog) or \
                any(len(r) != n for p in self.dlog for r in p):
-                raise ValueError("dlog table is not n x n x n")
+                raise InputError("dlog table is not n x n x n")
             if any(not (0 <= v < self.modulus) for p in self.dlog for r in p for v in r):
-                raise ValueError("dlog entries must lie in 0..modulus-1")
+                raise InputError("dlog entries must lie in 0..modulus-1")
 
     @property
     def is_trivial(self) -> bool:
@@ -181,7 +182,7 @@ def coboundary(G: FiniteGroup, mu: Sequence[Sequence[int]], m: int) -> ThreeCocy
     """The 3-coboundary of a normalized 2-cochain mu (exponents mod m)."""
     n = G.order
     if any(mu[0][g] % m or mu[g][0] % m for g in range(n)):
-        raise ValueError("2-cochain must be normalized")
+        raise InputError("2-cochain must be normalized")
     mul = G.mult
     d = tuple(tuple(tuple((mu[y][z] - mu[mul[x][y]][z] + mu[x][mul[y][z]] - mu[x][y]) % m
                           for z in range(n)) for y in range(n)) for x in range(n))
@@ -191,7 +192,7 @@ def coboundary(G: FiniteGroup, mu: Sequence[Sequence[int]], m: int) -> ThreeCocy
 def product(w1: ThreeCocycle, w2: ThreeCocycle) -> ThreeCocycle:
     """Pointwise product of two cocycles on the same group."""
     if w1.group is not w2.group and w1.group.mult != w2.group.mult:
-        raise ValueError("cocycles live on different groups")
+        raise InputError("cocycles live on different groups")
     if w1.dlog is None:
         return w2
     if w2.dlog is None:
@@ -209,11 +210,11 @@ def pullback(omega: ThreeCocycle, hom: Sequence[int], G: FiniteGroup) -> ThreeCo
     H = omega.group
     n = G.order
     if len(hom) != n:
-        raise ValueError("homomorphism must be defined on all of G")
+        raise InputError("homomorphism must be defined on all of G")
     for a in range(n):
         for b in range(n):
             if hom[G.mul(a, b)] != H.mul(hom[a], hom[b]):
-                raise ValueError(f"not a homomorphism at ({a}, {b})")
+                raise InputError(f"not a homomorphism at ({a}, {b})")
     if omega.dlog is None:
         return ThreeCocycle(G, omega.modulus, None)
     d = tuple(tuple(tuple(omega.dlog[hom[x]][hom[y]][hom[z]] for z in range(n))
@@ -225,17 +226,16 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
     """Verify the standard relations between the derived 2-cochains.
 
     The beta, eta, gamma and nu exponents are tabulated once (n^3 entries
-    each), through the cochain methods. Every instance of every family is a
-    signed sum of entries of those four tables with no constant term (the
-    centralizer family compares entries), so when all four tables vanish,
-    as for the trivial cocycle, every instance holds and only the counts
-    are computed: n^4 for the three product families, sum_a |C(a)|^2 for
-    centralizer agreement, (#commuting ordered pairs) n for each commuting
-    nu relation, and #{(h, k, y) : hk = kh, (yky^-1)h = h(yky^-1)} for the
-    symmetric beta relation. Otherwise every instance is checked, one table
-    row at a time, in the order of the quantifiers below. Raises
-    IdentityViolation on the first failure; returns counts of checks
-    performed per identity family.
+    each), through the cochain methods. The number of instances per family
+    is a closed form: n^4 for the three product families, sum_a |C(a)|^2
+    for centralizer agreement, (#commuting ordered pairs) n for each
+    commuting nu relation, and #{(h, k, y) : hk = kh, (yky^-1)h = h(yky^-1)}
+    for the symmetric beta relation. Every instance is a signed sum of
+    entries of the four tables with no constant term (the centralizer family
+    compares entries), so when all four tables vanish, as for the trivial
+    cocycle, every instance holds. Otherwise every instance is checked, one
+    table row at a time, in the order of the quantifiers below. Raises
+    IdentityViolation on the first failure; returns the counts per family.
     """
     G = omega.group
     n = G.order
@@ -246,22 +246,17 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
     inv, mul = G.inv, G.mult
     conj = [[G.conj(g, x) for x in els] for g in els]      # g x g^-1
 
+    commuting = [(h, k) for h in els for k in els if mul[h][k] == mul[k][h]]
+    counts = {"beta_cocycle": n ** 4,
+              "centralizer_agreement": sum(len(G.centralizer_members(a)) ** 2 for a in els),
+              "gamma_product": n ** 4,
+              "nu_product": n ** 4,
+              "commuting_nu_swap": len(commuting) * n,
+              "commuting_nu_conj": len(commuting) * n,
+              "commuting_beta_sym": sum(mul[yk][h] == mul[h][yk] for h, k in commuting
+                                        for yk in (conj[y][k] for y in els))}
     if not any(any(row) for T in (B, E, Gm, V) for P in T for row in P):
-        commuting = [(h, k) for h in els for k in els if mul[h][k] == mul[k][h]]
-        return {"beta_cocycle": n ** 4,
-                "centralizer_agreement": sum(len(G.centralizer_members(a)) ** 2
-                                             for a in els),
-                "gamma_product": n ** 4,
-                "nu_product": n ** 4,
-                "commuting_nu_swap": len(commuting) * n,
-                "commuting_nu_conj": len(commuting) * n,
-                "commuting_beta_sym": sum(mul[yk][h] == mul[h][yk] for h, k in commuting
-                                          for yk in (conj[y][k] for y in els))}
-
-    counts = {name: 0 for name in
-              ("beta_cocycle", "centralizer_agreement", "gamma_product",
-               "nu_product", "commuting_nu_swap", "commuting_nu_conj",
-               "commuting_beta_sym")}
+        return counts
 
     def check_row(name: str, prefix: tuple, row: list, indices=els) -> None:
         """Raise at the first index whose entry of row is nonzero."""
@@ -280,7 +275,6 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
                 check_row("beta_cocycle", (a, x, y),
                           [(b1 + p - Bax[yz] - r) % m
                            for p, yz, r in zip(Ba[mul[x][y]], mul[y], B[axi][y])])
-                counts["beta_cocycle"] += n
 
     # on the centralizer of a, all four 2-cochains agree, row over y
     for a in els:
@@ -289,7 +283,6 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
             b, e, g, v = B[a][x], E[a][x], Gm[a][x], V[a][x]
             check_row("centralizer_agreement", (a, x),
                       [not (b[y] == e[y] == g[y] == v[y]) for y in cent], cent)
-            counts["centralizer_agreement"] += len(cent)
 
     # gamma_{ab}(x,y) / (gamma_b(a^{-1}xa, a^{-1}ya) gamma_a(x,y))
     #   = beta_x(a,b) beta_y(a,b) / beta_{xy}(a,b), row over y
@@ -303,7 +296,6 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
                 check_row("gamma_product", (a, b, x),
                           [(p - r2[cy] - q - btx - s + bt[xy]) % m
                            for p, cy, q, s, xy in zip(Gab[x], ca, Gm[a][x], bt, mul[x])])
-                counts["gamma_product"] += n
 
     # nu_{ab}(x,y) / (nu_a(bxb^{-1}, byb^{-1}) nu_b(x,y))
     #   = eta_x(a,b) eta_y(a,b) / eta_{xy}(a,b), row over y
@@ -317,41 +309,34 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
                 check_row("nu_product", (a, b, x),
                           [(p - r2[cy] - q - etx - s + et[xy]) % m
                            for p, cy, q, s, xy in zip(Vab[x], cb, Vb[x], et, mul[x])])
-                counts["nu_product"] += n
 
     # relations for commuting pairs hk = kh
-    for h in els:
-        for k in els:
-            if mul[h][k] != mul[k][h]:
+    for h, k in commuting:
+        for x in els:
+            xi = inv[x]
+            hx = conj[x][h]
+            lhs = V[x][h][k] - V[x][k][h]
+            rhs = B[hx][x][xi] - B[hx][x][k] - B[hx][mul[x][k]][xi]
+            if (lhs - rhs) % m:
+                raise IdentityViolation("commuting_nu_swap", (h, k, x))
+
+            hxi, kxi = conj[xi][h], conj[xi][k]
+            lhs = V[x][hxi][kxi] - V[x][kxi][hxi]
+            rhs = V[xi][k][h] - V[xi][h][k]
+            if (lhs - rhs) % m:
+                raise IdentityViolation("commuting_nu_conj", (h, k, x))
+
+        Bk, Bh, mh = B[k], B[h], mul[h]
+        for y in els:
+            # the symmetric beta relation also needs yky^{-1} to commute
+            # with h, as in its use on elementwise-commuting normal pairs
+            yk = conj[y][k]
+            if mul[yk][h] != mh[yk]:
                 continue
-            for x in els:
-                xi = inv[x]
-                hx = conj[x][h]
-                lhs = V[x][h][k] - V[x][k][h]
-                rhs = B[hx][x][xi] - B[hx][x][k] - B[hx][mul[x][k]][xi]
-                if (lhs - rhs) % m:
-                    raise IdentityViolation("commuting_nu_swap", (h, k, x))
-                counts["commuting_nu_swap"] += 1
-
-                hxi, kxi = conj[xi][h], conj[xi][k]
-                lhs = V[x][hxi][kxi] - V[x][kxi][hxi]
-                rhs = V[xi][k][h] - V[xi][h][k]
-                if (lhs - rhs) % m:
-                    raise IdentityViolation("commuting_nu_conj", (h, k, x))
-                counts["commuting_nu_conj"] += 1
-
-            Bk, Bh, mh = B[k], B[h], mul[h]
-            for y in els:
-                # the symmetric beta relation also needs yky^{-1} to commute
-                # with h, as in its use on elementwise-commuting normal pairs
-                yk = conj[y][k]
-                if mul[yk][h] != mh[yk]:
-                    continue
-                yi = inv[y]
-                lhs = Bk[yi][y] - Bk[yi][h] - Bk[mul[yi][h]][y]
-                rhs = Bh[y][yi] - Bh[y][k] - Bh[mul[y][k]][yi]
-                if (lhs - rhs) % m:
-                    raise IdentityViolation("commuting_beta_sym", (h, k, y))
-                counts["commuting_beta_sym"] += 1
+            yi = inv[y]
+            lhs = Bk[yi][y] - Bk[yi][h] - Bk[mul[yi][h]][y]
+            rhs = Bh[y][yi] - Bh[y][k] - Bh[mul[y][k]][yi]
+            if (lhs - rhs) % m:
+                raise IdentityViolation("commuting_beta_sym", (h, k, y))
 
     return counts

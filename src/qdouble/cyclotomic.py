@@ -14,12 +14,14 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
+from .errors import InputError
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first, monic."""
     if n < 1:
-        raise ValueError("n >= 1")
+        raise InputError("n >= 1")
     # divide x^n - 1 by the product of all proper-divisor cyclotomic polynomials
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
@@ -52,7 +54,7 @@ class CycloContext:
 
     def __init__(self, N: int):
         if N < 1:
-            raise ValueError("N >= 1")
+            raise InputError("N >= 1")
         self.N = N
         phi = cyclotomic_polynomial(N)
         self.degree = len(phi) - 1
@@ -235,13 +237,13 @@ class Cyclo:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
-            raise ValueError(f"not rational: {self}")
+            raise InputError(f"not rational: {self}")
         return Fraction(self.num[0], self.den)
 
     def as_int(self) -> int:
         q = self.as_fraction()
         if q.denominator != 1:
-            raise ValueError(f"not an integer: {self}")
+            raise InputError(f"not an integer: {self}")
         return q.numerator
 
     def to_complex(self) -> complex:
@@ -256,7 +258,7 @@ class Cyclo:
 
     def _check(self, other: "Cyclo") -> None:
         if self.ctx is not other.ctx:
-            raise ValueError("mixed cyclotomic contexts")
+            raise InputError("mixed cyclotomic contexts")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

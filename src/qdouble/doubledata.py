@@ -16,11 +16,12 @@ from operator import add, mul
 from .characters import CharacterTable, projective_table
 from .cocycles import ThreeCocycle, trivial_cocycle
 from .cyclotomic import Cyclo, CycloContext
+from .errors import CheckFailure, InputError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
 from .linmod import primitive_root, smallest_prime_one_mod
 
 
-class VerlindeNonInteger(ArithmeticError):
+class VerlindeNonInteger(CheckFailure):
     """A fusion coefficient failed to be a nonnegative integer."""
 
 
@@ -61,7 +62,7 @@ class TwistedDouble:
         if omega is None:
             omega = trivial_cocycle(G)
         if omega.group is not G and omega.group.mult != G.mult:
-            raise ValueError("cocycle is not defined on this group")
+            raise InputError("cocycle is not defined on this group")
         self.group = G
         self.omega = omega
         self.cap = cap                  # order cap for the central extensions
@@ -108,14 +109,14 @@ class TwistedDouble:
                     deg = cd.table.degrees[ci]
                     sp = cd.spectrum(ci, a)   # rho(a) is scalar iff its spectrum is
                     if sp[0] != sp[-1]:
-                        raise ArithmeticError(
+                        raise CheckFailure(
                             f"twist of ({a}, {ci}) is not a root of unity: "
                             f"eigenvalue exponents {sp}")
                     simples.append(SimpleObject(len(simples), a, ci, deg,
                                                 ksize * deg, self.ctx.root(sp[0])))
             total = sum(s.dim * s.dim for s in simples)
             if total != G.order ** 2:
-                raise ArithmeticError(
+                raise CheckFailure(
                     f"squared dimensions sum to {total}, expected {G.order ** 2}")
             self._gamma = tuple(simples)
         return self._gamma
@@ -176,7 +177,7 @@ class TwistedDouble:
             dims = [s.dim for s in gamma]
             for j in range(n):
                 if S[0][j] != self.ctx.from_int(dims[j]):
-                    raise ArithmeticError("first S-matrix row does not match dimensions")
+                    raise CheckFailure("first S-matrix row does not match dimensions")
             self._prove_unitary(S)
             self._smatrix = S
         return self._smatrix
@@ -214,7 +215,7 @@ class TwistedDouble:
             for j in range(i, len(S)):
                 for t, A, Abar in pairs:
                     if (sum(map(mul, A[i], Abar[j])) - (i == j) * emb.target) % emb.p:
-                        raise ArithmeticError(
+                        raise CheckFailure(
                             f"{self.group.name}: S-matrix rows {i}, {j} not orthogonal "
                             f"mod p = {emb.p} at t = {t}")
 
@@ -311,7 +312,7 @@ class TwistedDouble:
             for i in range(n):
                 ks = [k for k in range(n) if N[i][k][0] == 1]
                 if len(ks) != 1:
-                    raise ArithmeticError(f"dual of {i} is not unique: {ks}")
+                    raise CheckFailure(f"dual of {i} is not unique: {ks}")
                 duals.append(ks[0])
             self._duals = tuple(duals)
         return self._duals

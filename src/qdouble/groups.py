@@ -11,15 +11,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .errors import CheckFailure, InputError
+
 DEFAULT_ORDER_CAP = 512
 
 
-class NotAGroup(ValueError):
+class NotAGroup(CheckFailure):
     """The multiplication table violates a group axiom."""
 
 
-class GroupTooLarge(ValueError):
-    """A generated or validated group exceeds the order cap."""
+class GroupTooLarge(InputError):
+    """A group, or a central extension built from one, exceeds the order cap."""
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,9 @@ class Subgroup:
 
     def __post_init__(self) -> None:
         if tuple(sorted(set(self.members))) != self.members:
-            raise ValueError("members must be sorted and distinct")
+            raise InputError("members must be sorted and distinct")
         if not self.members or self.members[0] != 0:
-            raise ValueError("subgroup must contain the identity 0")
+            raise InputError("subgroup must contain the identity 0")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -86,7 +88,7 @@ class FiniteGroup:
                  cap: int = DEFAULT_ORDER_CAP):
         n = len(table)
         if n == 0:
-            raise NotAGroup("empty table")
+            raise InputError("empty multiplication table")
         if n > cap:
             raise GroupTooLarge(f"order {n} exceeds cap {cap}")
         self.order = n
@@ -103,13 +105,13 @@ class FiniteGroup:
                                     cap: int = DEFAULT_ORDER_CAP) -> "FiniteGroup":
         """Closure of permutation generators under composition, breadth first."""
         if not gens:
-            raise NotAGroup("no generators")
+            raise InputError("no permutation generators")
         deg = len(gens[0])
         gen_tuples = []
         for g in gens:
             t = tuple(g)
             if len(t) != deg or sorted(t) != list(range(deg)):
-                raise NotAGroup(f"not a permutation of 0..{deg - 1}: {g}")
+                raise InputError(f"not a permutation of 0..{deg - 1}: {g}")
             gen_tuples.append(t)
         gen_tuples.sort()
         ident = tuple(range(deg))
@@ -137,9 +139,10 @@ class FiniteGroup:
         mult = self.mult
         for a in range(n):
             if len(mult[a]) != n or any(not (0 <= x < n) for x in mult[a]):
-                raise NotAGroup("table is not n x n over 0..n-1")
+                raise InputError("table is not n x n over 0..n-1")
         if any(mult[0][j] != j for j in range(n)) or any(mult[j][0] != j for j in range(n)):
-            raise NotAGroup("index 0 is not a two-sided identity")
+            raise InputError("table must have its identity at index 0: "
+                             "row 0 and column 0 must read 0..n-1")
         all_elems = set(range(n))
         for a in range(n):
             if set(mult[a]) != all_elems:
@@ -245,13 +248,11 @@ class FiniteGroup:
         ms = tuple(sorted(set(members)))
         sub = Subgroup(self.order, ms, self)
         if check:
-            mset = sub.member_set
-            if 0 not in mset:
-                raise ValueError("subgroup must contain the identity")
+            mset = sub.member_set   # Subgroup has already required the identity 0
             for a in ms:
                 for b in ms:
                     if self.mult[a][b] not in mset:
-                        raise ValueError(f"not closed under multiplication: {a}*{b}")
+                        raise InputError(f"members are not closed under multiplication: {a}*{b}")
         return sub
 
     @cached_property
@@ -342,7 +343,7 @@ class FiniteGroup:
     def preimage_of_center_of_quotient(self, H: Subgroup) -> Subgroup:
         """{g : [g, x] in H for all x in G}, for H normal."""
         if not H.is_normal:
-            raise ValueError("quotient requires a normal subgroup")
+            raise InputError("quotient requires a normal subgroup")
         hset = H.member_set
         members = [g for g in range(self.order)
                    if all(self.commutator(g, x) in hset for x in range(self.order))]
@@ -406,7 +407,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str | None = None) -> F
 
 def symmetric_group(n: int) -> FiniteGroup:
     if n < 1:
-        raise ValueError("n >= 1")
+        raise InputError("n >= 1")
     if n == 1:
         return FiniteGroup([[0]], name="S1", validate=False)
     cycle = tuple(list(range(1, n)) + [0])
@@ -417,7 +418,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (symmetries of the n-gon), n >= 3."""
     if n < 3:
-        raise ValueError("n >= 3")
+        raise InputError("n >= 3")
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
     return FiniteGroup.from_permutation_generators([rot, ref], name=f"D{n}")
@@ -462,11 +463,10 @@ _BUILTIN_FACTORIES = {
 
 
 def builtin_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    try:
-        factory = _BUILTIN_FACTORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown builtin group {name!r}; known: {sorted(_BUILTIN_FACTORIES)}")
-    G = factory()
+    if name not in _BUILTIN_FACTORIES:
+        raise InputError(f"unknown builtin group {name!r}; "
+                         f"choose from {', '.join(BUILTIN_GROUP_NAMES)}")
+    G = _BUILTIN_FACTORIES[name]()
     if G.order > cap:
         raise GroupTooLarge(f"order {G.order} exceeds cap {cap}")
     return G

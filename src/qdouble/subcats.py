@@ -15,19 +15,20 @@ from typing import Iterable, Sequence
 from .cocycles import validate
 from .cyclotomic import Cyclo
 from .doubledata import TwistedDouble
+from .errors import CheckFailure, InputError
 from .groups import FiniteGroup, Subgroup
 from .linmod import solve_mod
 
 
-class DimensionMismatch(ArithmeticError):
+class DimensionMismatch(CheckFailure):
     """The members of a triple do not carry its predicted dimension."""
 
 
-class NotASubcategory(ValueError):
+class NotASubcategory(InputError):
     """A set of simple objects is not closed in the required sense."""
 
 
-class UnsupportedTriple(ValueError):
+class UnsupportedTriple(InputError):
     """The operation is only defined for trivial cocycle and pairing."""
 
 
@@ -43,7 +44,7 @@ class Pairing:
     def __post_init__(self) -> None:
         if len(self.dlog) != len(self.K.members) or \
            any(len(r) != len(self.H.members) for r in self.dlog):
-            raise ValueError("pairing table shape mismatch")
+            raise InputError("pairing table shape mismatch")
 
     @cached_property
     def _kpos(self) -> dict[int, int]:
@@ -89,7 +90,7 @@ class Triple:
 
     def __post_init__(self) -> None:
         if self.B.K.members != self.K.members or self.B.H.members != self.H.members:
-            raise ValueError("pairing domain does not match (K, H)")
+            raise InputError("pairing domain does not match (K, H)")
 
     def sort_key(self) -> tuple:
         return (len(self.K), self.K.bitmask, len(self.H), self.H.bitmask, self.B.dlog)
@@ -124,9 +125,9 @@ class TripleFlags:
 def _pair_is_centralizing(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> None:
     G = dd.group
     if not (K.is_normal and H.is_normal):
-        raise ValueError("K and H must be normal subgroups")
+        raise InputError("K and H must be normal subgroups")
     if not all(G.commute(k, h) for k in K.members for h in H.members):
-        raise ValueError("K and H must commute elementwise")
+        raise InputError("K and H must commute elementwise")
 
 
 def _cayley_tree(G: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -283,7 +284,7 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
         support.update(G.class_of(gamma[i].a))
     try:
         K = G.subgroup(support)
-    except ValueError as exc:
+    except InputError as exc:
         raise NotASubcategory(f"supports are not a subgroup: {exc}") from exc
 
     # intersection of kernels of the characters at a = e
@@ -325,7 +326,7 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
 
     try:
         _pair_is_centralizing(dd, K, H)
-    except ValueError as exc:
+    except InputError as exc:
         raise NotASubcategory(str(exc)) from exc
     if subcat_members(dd, t) != idx:
         raise NotASubcategory("the canonical triple rebuilds a different set")
@@ -347,7 +348,7 @@ def enumerate_all(dd: TwistedDouble) -> tuple[Triple, ...]:
             triples.append(Triple(K, H, B))
     triples.sort(key=Triple.sort_key)
     if len(set(triples)) != len(triples):
-        raise AssertionError("duplicate triples in enumeration")
+        raise CheckFailure("duplicate triples in enumeration")
     result = tuple(triples)
     dd.subcat_caches[key] = result
     return result
@@ -407,7 +408,7 @@ def meet(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
                      + t1.B.exp(a, h1) + t2.B.exp(a, h2)) % N
                 prev = row.setdefault(h, e)
                 if prev != e:
-                    raise AssertionError(
+                    raise CheckFailure(
                         f"pairing not well defined at ({a}, {h}): {prev} != {e}")
         rows.append(tuple(row[h] for h in H_meet.members))
     B = Pairing(K_meet, H_meet, N, tuple(rows))
@@ -484,7 +485,7 @@ def gauss_sum(dd: TwistedDouble, t: Triple) -> Cyclo:
     members = subcat_members(dd, t)
     tau_theta = ctx.sum(dd.gamma[i].twist * (dd.gamma[i].dim ** 2) for i in members)
     if tau != tau_theta:
-        raise ArithmeticError(
+        raise CheckFailure(
             f"Gauss sum mismatch: formula {tau}, twist sum {tau_theta}")
     return tau
 

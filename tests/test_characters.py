@@ -4,8 +4,8 @@ from functools import reduce
 
 import pytest
 
-from qdouble import (CapExceeded, CycloContext, builtin_cyclic, builtin_group,
-                     cyclic_group, ordinary_table, projective_table)
+from qdouble import (CheckFailure, CycloContext, GroupTooLarge, builtin_cyclic,
+                     builtin_group, cyclic_group, ordinary_table, projective_table)
 from qdouble.characters import (LiftFailure, _check_orthonormal, beta_regular_class_count,
                                 central_extension, validate_two_cocycle)
 from qdouble.groups import FiniteGroup, direct_product
@@ -178,7 +178,7 @@ def test_central_extension_cap():
     C = builtin_group("Z2xZ2")
     beta = [[0] * 4 for _ in range(4)]
     beta[1][2] = 1
-    with pytest.raises(CapExceeded):
+    with pytest.raises(GroupTooLarge):
         central_extension(C, beta, 2, cap=4)
 
 
@@ -192,7 +192,7 @@ def test_central_extension_rejects_a_non_cocycle_before_building(monkeypatch):
         raise AssertionError("extension table built from a non-cocycle")
 
     monkeypatch.setattr("qdouble.characters.FiniteGroup", no_table)
-    with pytest.raises(ValueError, match=r"2-cocycle identity fails at \(1, 1, 2\)"):
+    with pytest.raises(CheckFailure, match=r"2-cocycle identity fails at \(1, 1, 2\)"):
         central_extension(C, beta, 3)
 
 

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from qdouble import builtin_cyclic, oracle, subcats as sc
+import qdouble
+from qdouble import CheckFailure, InputError, builtin_cyclic, oracle, subcats as sc
 from qdouble.cli import _hasse_edges, lattice_text, main
 from qdouble.groups import builtin_group
 
@@ -265,6 +266,24 @@ def test_certify_failure_names_group_and_simple(monkeypatch, capsys):
     code, _, err = run(capsys, "verify", "all", "--builtin", "S3")
     assert code == 1 and err.startswith("verification failure: S3 (cocycle mod 1) at K = ")
     assert "differ first at simple 7" in err, err
+
+
+def test_unexpected_exception_escapes(monkeypatch):
+    # only InputError and CheckFailure are exit codes; a bug keeps its traceback
+    def boom(dd):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(sc, "enumerate_all", boom)
+    with pytest.raises(ValueError, match="boom"):
+        main(["subcats", "list", "--builtin", "Z2"])
+
+
+def test_every_exported_exception_has_one_root():
+    exported = [v for v in vars(qdouble).values()
+                if isinstance(v, type) and issubclass(v, BaseException)]
+    assert {InputError, CheckFailure} < set(exported)
+    for cls in exported:
+        assert issubclass(cls, InputError) != issubclass(cls, CheckFailure), cls
 
 
 def _pairwise_hasse_edges(dd, triples):

@@ -5,7 +5,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble import (FiniteGroup, GroupTooLarge, NotAGroup, builtin_group,
+from qdouble import (FiniteGroup, GroupTooLarge, InputError, NotAGroup, builtin_group,
                      cyclic_group, dihedral_group, direct_product,
                      quaternion_group, symmetric_group)
 from qdouble.groups import BUILTIN_GROUP_NAMES
@@ -78,7 +78,7 @@ def test_rejects_non_groups():
             [2, 4, 0, 1, 3],
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0]])
-    with pytest.raises(NotAGroup):
+    with pytest.raises(InputError):
         FiniteGroup.from_permutation_generators([[1, 0], [0, 0]])
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdouble import Cyclo, TwistedDouble, builtin_group, oracle, subcats as sc
+from qdouble import CheckFailure, Cyclo, TwistedDouble, builtin_group, oracle, subcats as sc
 from qdouble.groups import BUILTIN_GROUP_NAMES
 
 from conftest import (twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic,
@@ -79,7 +79,7 @@ def test_all_closed_sets_rejects_rows_that_disagree_with_braiding():
     rows = list(dd.braiding_rows)
     rows[3] &= ~1
     dd._braiding = tuple(rows)
-    with pytest.raises(AssertionError, match="centralizer row 3 read off S is not braiding row 3"):
+    with pytest.raises(CheckFailure, match="centralizer row 3 read off S is not braiding row 3"):
         oracle.all_closed_sets(dd)
 
 
@@ -87,7 +87,7 @@ def test_all_closed_sets_rejects_a_set_that_is_not_fusion_closed():
     dd = TwistedDouble(builtin_group("D4"))
     prod, _ = oracle._masks(dd)
     prod[0][0] |= 1 << 1   # the unit alone is an intersection of rows
-    with pytest.raises(AssertionError, match=r"rows \[0\] is not fusion-closed"):
+    with pytest.raises(CheckFailure, match=r"rows \[0\] is not fusion-closed"):
         oracle.all_closed_sets(dd)
 
 
@@ -133,8 +133,20 @@ def test_certify_twisted():
             assert rep["bijection"] is None
 
 
+def test_certify_twisted_rejects_a_missing_triple():
+    # a fresh double, so the cached one keeps its enumeration
+    dd = twisted_cyclic.__wrapped__(4, 1)
+    triples = sc.enumerate_all(dd)
+    drop = next(t for t in triples if sc.centralizer_triple(dd, t) != t)
+    dd.subcat_caches[("all",)] = tuple(t for t in triples if t != drop)
+    with pytest.raises(CheckFailure, match="enumeration mismatch: 1 closed sets missing, 0 "):
+        oracle.certify(dd)
+
+
 def test_certify_various():
-    for dd in (untwisted("Z2xZ2"), untwisted_cyclic(5), twisted_cyclic(4, 3)):
+    # every omega_q on Z/n, n <= 8: the member sets are the intersections of braiding rows
+    for dd in (untwisted("Z2xZ2"), untwisted_cyclic(5),
+               *(twisted_cyclic(n, q) for n in range(2, 9) for q in range(1, n))):
         oracle.certify(dd)
 
 
