@@ -3,6 +3,10 @@
 Values are rational polynomials in zeta_N reduced modulo the N-th cyclotomic
 polynomial: an integer coefficient vector plus a positive integer denominator,
 gcd-normalized. All equality tests are exact.
+
+The exact core only sums roots of unity (root_sum), scales by integers and
+fractions, and compares; twists and braiding phases stay exponents of zeta_N.
+Field products and conj are reference arithmetic for the field-level tests.
 """
 
 from __future__ import annotations
@@ -72,9 +76,6 @@ class CycloContext:
                     shifted[i] -= lead * phi[i]
             rows.append(tuple(shifted))
         self._pow_rows = tuple(rows)
-        self._root_exp: dict[tuple[int, ...], int] = {}
-        for k in range(N):
-            self._root_exp.setdefault(rows[k], k)
 
     # constants are built on demand: a Cyclo points to its context, so a
     # context holding Cyclo values would be a reference cycle
@@ -90,12 +91,6 @@ class CycloContext:
     def root(self, k: int) -> "Cyclo":
         """zeta_N^k."""
         return Cyclo(self, self._pow_rows[k % self.N], 1)
-
-    def root_exponent(self, z: "Cyclo") -> int | None:
-        """k with z = zeta_N^k, or None if z is not one of those roots."""
-        if z.den != 1:
-            return None
-        return self._root_exp.get(z.num)
 
     def from_int(self, c: int) -> "Cyclo":
         d = self.degree
@@ -174,9 +169,6 @@ class Cyclo:
     def __rsub__(self, other) -> "Cyclo":
         return self._coerce(other) - self
 
-    def __neg__(self) -> "Cyclo":
-        return Cyclo(self.ctx, tuple(-c for c in self.num), self.den)
-
     def __mul__(self, other):
         ctx = self.ctx
         if isinstance(other, int):
@@ -205,13 +197,6 @@ class Cyclo:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            return _make(self.ctx, list(self.num), self.den * other)
-        if isinstance(other, Fraction):
-            return self * Fraction(other.denominator, other.numerator)
-        return NotImplemented
-
     def conj(self) -> "Cyclo":
         """Complex conjugation zeta -> zeta^{-1}."""
         ctx = self.ctx
@@ -228,10 +213,6 @@ class Cyclo:
     # -- predicates and conversions --------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.num)
-
-    @property
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.num[1:])
 
@@ -239,12 +220,6 @@ class Cyclo:
         if not self.is_rational:
             raise InputError(f"not rational: {self}")
         return Fraction(self.num[0], self.den)
-
-    def as_int(self) -> int:
-        q = self.as_fraction()
-        if q.denominator != 1:
-            raise InputError(f"not an integer: {self}")
-        return q.numerator
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.ctx.N)

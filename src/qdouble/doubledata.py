@@ -34,7 +34,7 @@ class SimpleObject:
     char_index: int             # row in the centralizer's projective table
     degree: int
     dim: int
-    twist: Cyclo = field(compare=False)
+    twist: int = field(compare=False)   # k with theta = zeta_N^k
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,6 @@ class CentralizerData:
     local_of: dict                      # parent element -> local index
     group: FiniteGroup = field(compare=False)
     table: CharacterTable = field(compare=False)
-
-    def value(self, char_index: int, parent_element: int) -> Cyclo:
-        return self.table.value(char_index, self.local_of[parent_element])
 
     def spectrum(self, char_index: int, parent_element: int) -> tuple[int, ...]:
         return self.table.spectra[char_index][self.local_of[parent_element]]
@@ -113,7 +110,7 @@ class TwistedDouble:
                             f"twist of ({a}, {ci}) is not a root of unity: "
                             f"eigenvalue exponents {sp}")
                     simples.append(SimpleObject(len(simples), a, ci, deg,
-                                                ksize * deg, self.ctx.root(sp[0])))
+                                                ksize * deg, sp[0]))
             total = sum(s.dim * s.dim for s in simples)
             if total != G.order ** 2:
                 raise CheckFailure(
@@ -174,10 +171,8 @@ class TwistedDouble:
                     rows[i][j] = entry
                     rows[j][i] = entry
             S = tuple(tuple(row) for row in rows)
-            dims = [s.dim for s in gamma]
-            for j in range(n):
-                if S[0][j] != self.ctx.from_int(dims[j]):
-                    raise CheckFailure("first S-matrix row does not match dimensions")
+            if any(x != s.dim for x, s in zip(S[0], gamma)):
+                raise CheckFailure("first S-matrix row does not match dimensions")
             self._prove_unitary(S)
             self._smatrix = S
         return self._smatrix

@@ -263,21 +263,24 @@ class FiniteGroup:
     def whole_group(self) -> Subgroup:
         return self.subgroup(range(self.order), check=False)
 
+    def cayley_tree(self, gens: Sequence[int]) -> list[tuple[int, int, int]]:
+        """Edges (g, i, g * gens[i]) of a breadth-first tree of <gens> rooted at e.
+
+        Its vertices are all of <gens>, since finiteness gives inverses.
+        """
+        order, edges, seen = [0], [], {0}
+        for g in order:
+            row = self.mult[g]
+            for i, x in enumerate(gens):
+                if (c := row[x]) not in seen:
+                    seen.add(c)
+                    order.append(c)
+                    edges.append((g, i, c))
+        return edges
+
     def generated_subgroup(self, gens: Iterable[int]) -> Subgroup:
-        gens = sorted(set(gens) | {0})
-        members = {0}
-        elems = [0]
-        i = 0
-        # closure under right multiplication by generators; finiteness gives inverses
-        while i < len(elems):
-            x = elems[i]
-            for g in gens:
-                y = self.mult[x][g]
-                if y not in members:
-                    members.add(y)
-                    elems.append(y)
-            i += 1
-        return self.subgroup(members, check=False)
+        tree = self.cayley_tree(sorted(set(gens)))
+        return self.subgroup([0] + [c for _, _, c in tree], check=False)
 
     def normal_closure(self, gens: Iterable[int]) -> Subgroup:
         conj_gens = {self.conj(g, a) for a in gens for g in range(self.order)}

@@ -8,7 +8,7 @@ the bicharacter enumeration).
 from __future__ import annotations
 
 from math import gcd
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 
 # -- elementary number theory ---------------------------------------------------
@@ -249,23 +249,22 @@ class _Echelon:
             self.consistent = False
 
 
-def solve_mod(equations: Iterable[tuple[Mapping[int, int] | Sequence[int], int]],
+def solve_mod(equations: Iterable[tuple[Sequence[int], int]],
               n_unknowns: int, N: int) -> list[tuple[int, ...]]:
     """All solutions in (Z/N)^n of the given (coefficients, rhs) equations, sorted.
 
-    Coefficients are a dense sequence or a sparse {column: coefficient} dict.
-    Works for arbitrary composite N. The rows are eliminated sparsely, then
-    brought to Howell form: for the pivot row at column c with pivot p,
-    (N / gcd(p, N)) times the row vanishes at c and is inserted too, in
-    ascending order of c, so it lies in the span of the rows pivoted after c.
+    Coefficients are a dense sequence. Works for arbitrary composite N. The
+    rows are eliminated sparsely, then brought to Howell form: for the pivot
+    row at column c with pivot p, (N / gcd(p, N)) times the row vanishes at c
+    and is inserted too, in ascending order of c, so it lies in the span of
+    the rows pivoted after c.
     Hence every assignment to the columns after c that satisfies their rows
     extends to column c, and back substitution from the last column
     enumerates the solutions without dead ends.
     """
     ech = _Echelon(N)
     for row, rhs in equations:
-        items = row.items() if isinstance(row, Mapping) else enumerate(row)
-        ech.insert({j: c % N for j, c in items if c % N}, rhs % N)
+        ech.insert({j: c % N for j, c in enumerate(row) if c % N}, rhs % N)
         if not ech.consistent:
             return []
     n = n_unknowns

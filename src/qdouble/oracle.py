@@ -44,12 +44,10 @@ def _masks(dd: TwistedDouble) -> tuple[list[list[int]], list[int]]:
     return cached
 
 
-def _close(dd: TwistedDouble, closed: int, extra: int) -> int:
-    """Closure of closed | extra under duals and products, where closed is closed."""
+def _close(dd: TwistedDouble, extra: int) -> int:
+    """Closure of extra under duals and products."""
     prod, dual = _masks(dd)
-    members = bits(closed)
-    cur = closed
-    new = extra & ~closed
+    members, cur, new = [], 0, extra
     while new:
         fresh = bits(new)
         cur |= new
@@ -75,7 +73,7 @@ def _intersections(rows: Sequence[int]) -> set[int]:
 def fusion_closure(dd: TwistedDouble, seed: Iterable[int]) -> frozenset[int]:
     """Smallest set of simples containing the seed and the unit, closed under
     duals and tensor constituents."""
-    return frozenset(bits(_close(dd, 0, _mask(seed) | 1 << dd.unit_index)))
+    return frozenset(bits(_close(dd, _mask(seed) | 1 << dd.unit_index)))
 
 
 def all_closed_sets(dd: TwistedDouble) -> frozenset[frozenset[int]]:
@@ -92,8 +90,8 @@ def all_closed_sets(dd: TwistedDouble) -> frozenset[frozenset[int]]:
     set. The rows must equal braiding_rows, which cross-checks centralize,
     and every set must be closed under duals and the Verlinde products.
     """
-    S, gamma, from_int = dd.s_matrix, dd.gamma, dd.ctx.from_int
-    rows = [_mask(j for j, sj in enumerate(gamma) if S[i][j] == from_int(si.dim * sj.dim))
+    S, gamma = dd.s_matrix, dd.gamma
+    rows = [_mask(j for j, sj in enumerate(gamma) if S[i][j] == si.dim * sj.dim)
             for i, si in enumerate(gamma)]
     braided = dd.braiding_rows
     for i, row in enumerate(rows):
@@ -103,7 +101,7 @@ def all_closed_sets(dd: TwistedDouble) -> frozenset[frozenset[int]]:
                 f"they differ first at simple {bits(row ^ braided[i])[0]}")
     fam = _intersections(rows)
     for c in fam:
-        if _close(dd, 0, c) != c:
+        if _close(dd, c) != c:
             raise CheckFailure(f"{_where(dd)}: the intersection of centralizer rows "
                                f"{bits(c)} is not fusion-closed")
     return frozenset(frozenset(bits(c)) for c in fam)

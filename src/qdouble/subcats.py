@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cocycles import validate
 from .cyclotomic import Cyclo
 from .doubledata import TwistedDouble
 from .errors import CheckFailure, InputError
-from .groups import FiniteGroup, Subgroup
+from .groups import Subgroup
 from .linmod import solve_mod
 
 
@@ -130,18 +130,6 @@ def _pair_is_centralizing(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> None:
         raise InputError("K and H must commute elementwise")
 
 
-def _cayley_tree(G: FiniteGroup, gens: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Edges (g, i, g * gens[i]) of a breadth-first tree of <gens> rooted at e."""
-    order, edges, seen = [0], [], {0}
-    for g in order:
-        for i, x in enumerate(gens):
-            if (c := G.mul(g, x)) not in seen:
-                seen.add(c)
-                order.append(c)
-                edges.append((g, i, c))
-    return edges
-
-
 def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, ...]:
     """All G-invariant bicharacters on K x H for the ambient cocycle, sorted.
 
@@ -186,11 +174,11 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, 
     # form[k, h]: coefficients of B(k, h) in the unknowns, then its constant
     form = {(k, 0): [0] * (n + 1) for k in km} | {(0, s): [0] * (n + 1) for s in hgens}
     for j, s in enumerate(hgens):
-        for k1, i, k in _cayley_tree(G, kgens):
+        for k1, i, k in G.cayley_tree(kgens):
             form[k, s] = f = form[k1, s].copy()
             f[i * len(hgens) + j] += 1
             f[n] += scale * beta(s, k1, kgens[i])
-    for h1, j, h in _cayley_tree(G, hgens):
+    for h1, j, h in G.cayley_tree(hgens):
         for k in km:
             form[k, h] = f = [a + b for a, b in zip(form[k, h1], form[k, hgens[j]])]
             f[n] -= scale * beta(k, h1, hgens[j])
@@ -474,16 +462,18 @@ def is_prime(dd: TwistedDouble) -> bool:
 
 
 def gauss_sum(dd: TwistedDouble, t: Triple) -> Cyclo:
-    """Gauss sum, computed from the triple and re-derived from twists."""
-    G = dd.group
-    ctx = dd.ctx
-    KH = G.intersect(t.K, t.H)
-    reps = [a for a in G.class_reps if a in KH.member_set]
-    total = ctx.sum(ctx.root(t.B.exp(a, a)) * len(G.class_of(a)) for a in reps)
-    tau = total * (G.order // len(t.H))
+    """Gauss sum, computed from the triple and re-derived from twists.
 
-    members = subcat_members(dd, t)
-    tau_theta = ctx.sum(dd.gamma[i].twist * (dd.gamma[i].dim ** 2) for i in members)
+    Each side is one root_sum: [G:H] times B(a, a) once per element of the
+    class of each representative a in K n H, and the twist of each member
+    i counted d_i^2 times.
+    """
+    G, ctx, gamma = dd.group, dd.ctx, dd.gamma
+    KH = G.intersect(t.K, t.H)
+    tau = ctx.root_sum(t.B.exp(a, a) for a in G.class_reps if a in KH.member_set
+                       for _ in G.class_of(a)) * (G.order // len(t.H))
+    tau_theta = ctx.root_sum(gamma[i].twist for i in subcat_members(dd, t)
+                             for _ in range(gamma[i].dim ** 2))
     if tau != tau_theta:
         raise CheckFailure(
             f"Gauss sum mismatch: formula {tau}, twist sum {tau_theta}")

@@ -61,8 +61,8 @@ def test_s3_values():
     sign_row = [T.value(1, rep) for rep in G.class_reps]
     two_row = [T.value(2, rep) for rep in G.class_reps]
     # classes: identity, 3-cycles, transpositions
-    assert sorted(v.as_int() for v in sign_row) == [-1, 1, 1]
-    assert sorted(v.as_int() for v in two_row) == [-1, 0, 2]
+    assert sorted(v.as_fraction() for v in sign_row) == [-1, 1, 1]
+    assert sorted(v.as_fraction() for v in two_row) == [-1, 0, 2]
 
 
 def test_row_orthogonality():
@@ -128,8 +128,8 @@ def test_projective_semion():
     ctx = CycloContext(4)
     P = projective_table(ctx, C, beta, 2)
     assert P.degrees == (1, 1)
-    vals = sorted(ctx.root_exponent(P.value(i, 1)) for i in range(2))
-    assert vals == [1, 3]  # i and -i
+    vals = sorted(P.spectra[i][1] for i in range(2))
+    assert vals == [(1,), (3,)]  # i and -i
 
 
 def test_projective_klein_four():

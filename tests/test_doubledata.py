@@ -29,7 +29,7 @@ def test_simple_counts():
 def test_trivial_group_double():
     # the trivial group's only extension has order 1, with no element (e, 1)
     dd = untwisted_cyclic(1)
-    assert [(s.dim, s.twist) for s in dd.gamma] == [(1, 1)]
+    assert [(s.dim, s.twist) for s in dd.gamma] == [(1, 0)]
     assert dd.s_matrix == ((1,),) and dd.fusion == (((1,),),)
 
 
@@ -43,12 +43,11 @@ def test_s3_dims_and_twists():
     dd = untwisted("S3")
     assert [s.dim for s in dd.gamma] == [1, 1, 2, 3, 3, 2, 2, 2]
     ctx = dd.ctx
-    one = ctx.one
-    assert dd.gamma[0].twist == one
-    twists = [ctx.root_exponent(s.twist) for s in dd.gamma]
+    assert dd.gamma[0].twist == 0
+    twists = [s.twist for s in dd.gamma]
     # unit and Rep(S3) pieces are untwisted; a transposition pair has theta = -1
     assert twists[:4] == [0, 0, 0, 0]
-    assert ctx.root(twists[4]) == ctx.from_int(-1)
+    assert ctx.root(twists[4]) == -1
 
 
 def test_unit_object():
@@ -56,7 +55,7 @@ def test_unit_object():
         dd = untwisted(name)
         u = dd.gamma[dd.unit_index]
         assert u.a == 0 and u.dim == 1
-        assert u.twist == dd.ctx.one
+        assert u.twist == 0
 
 
 def test_d_z2_s_matrix():
@@ -115,7 +114,7 @@ def test_twisted_z2_semion():
     dd = twisted_cyclic(2, 1)
     assert [s.dim for s in dd.gamma] == [1, 1, 1, 1]
     ctx = dd.ctx
-    twists = [ctx.root_exponent(s.twist) for s in dd.gamma]
+    twists = [s.twist for s in dd.gamma]
     # two objects are semions with twist +-i
     assert sorted(t * 4 // ctx.N for t in twists) == [0, 0, 1, 3]
     with pytest.raises(NotImplementedError):
@@ -149,6 +148,11 @@ def test_centralize_matches_s_matrix():
                 assert dd.centralize(i, j) == equal
 
 
+def _chi(cd, char_index, x):
+    """chi(x) in Q(zeta_N) for x in the centralizer cd, x a parent element."""
+    return cd.table.value(char_index, cd.local_of[x])
+
+
 def _cyclo_centralize(dd, i, j):
     """The braiding predicate on field values: zeta_m^e chi_i(u) chi_j(v) = d_i d_j."""
     G, ctx = dd.group, dd.ctx
@@ -158,7 +162,7 @@ def _cyclo_centralize(dd, i, j):
     cdi, cdj = dd.centralizer_data(si.a), dd.centralizer_data(sj.a)
     degdeg = ctx.from_int(si.degree * sj.degree)
     for u, v, e in dd._pair_terms(si.a, sj.a):
-        lhs = cdi.value(si.char_index, u) * cdj.value(sj.char_index, v)
+        lhs = _chi(cdi, si.char_index, u) * _chi(cdj, sj.char_index, v)
         if lhs * ctx.root((e % dd.omega.modulus) * dd.scale) != degdeg:
             return False
     return True
@@ -179,7 +183,7 @@ def test_braiding_rows_match_cyclo_predicate():
                 if x not in cd.local_of:
                     assert r[x] is None
                     continue
-                chi = cd.value(s.char_index, x)
+                chi = _chi(cd, s.char_index, x)
                 assert (r[x] is not None) == (chi * chi.conj() == s.degree ** 2)
                 if r[x] is not None:
                     assert chi == dd.ctx.root(r[x]) * s.degree
@@ -189,7 +193,7 @@ def _pair_sum(dd, i, j):
     """X = sum over _pair_terms of zeta_m^e chi_i(u) chi_j(v), with Cyclo products."""
     si, sj = dd.gamma[i], dd.gamma[j]
     cdi, cdj = dd.centralizer_data(si.a), dd.centralizer_data(sj.a)
-    return dd.ctx.sum(cdi.value(si.char_index, u) * cdj.value(sj.char_index, v)
+    return dd.ctx.sum(_chi(cdi, si.char_index, u) * _chi(cdj, sj.char_index, v)
                       * dd.ctx.root(e * dd.scale)
                       for u, v, e in dd._pair_terms(si.a, sj.a))
 
@@ -231,7 +235,7 @@ def _cyclo_verlinde(dd):
     N = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            t = [S[i][s] * S[j][s] / dd.gamma[s].dim for s in range(n)]
+            t = [S[i][s] * S[j][s] * Fraction(1, dd.gamma[s].dim) for s in range(n)]
             for k in range(n):
                 val = dd.ctx.sum(t[s] * S[k][s].conj() for s in range(n))
                 q = val.as_fraction() / order2
@@ -493,6 +497,16 @@ def test_verlinde_associativity_s3(i, j, k):
 
 def test_twists_are_roots_of_unity():
     for dd in (untwisted("S4"), untwisted_cyclic(5), twisted_cyclic(4, 2)):
-        ctx = dd.ctx
         for s in dd.gamma:
-            assert ctx.root_exponent(s.twist) is not None
+            assert isinstance(s.twist, int) and 0 <= s.twist < dd.ctx.N
+
+
+def test_twist_is_the_scalar_at_a():
+    # theta_i = chi_i(a_i) / deg_i = zeta_N^twist, read in the field, and the
+    # twist is the scalar exponent of rho_i(a_i) that the braiding kernel uses
+    for dd in braiding_doubles():
+        for s in dd.gamma:
+            where = (dd.group.name, dd.omega.modulus, s.index)
+            chi = _chi(dd.centralizer_data(s.a), s.char_index, s.a)
+            assert chi == dd.ctx.root(s.twist) * s.degree, where
+            assert s.twist == dd.scalar_exps(s.index)[s.a], where

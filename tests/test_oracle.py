@@ -181,7 +181,8 @@ def test_projective_centralizer_is_adjoint_centralizer():
 
 
 def test_braiding_oracles_multiply_no_cyclo_pair(monkeypatch):
-    # certify and the projective centralizer decide on exponents, never on field products
+    # certify, the projective centralizer and the Gauss sum decide on exponents,
+    # never on field products; the Gauss sum adds no field elements either
     mul = Cyclo.__mul__
 
     def guarded(self, other):
@@ -189,7 +190,12 @@ def test_braiding_oracles_multiply_no_cyclo_pair(monkeypatch):
             raise RuntimeError("Cyclo x Cyclo product")
         return mul(self, other)
 
+    def no_add(self, other):
+        raise RuntimeError("Cyclo addition")
+
     monkeypatch.setattr(Cyclo, "__mul__", guarded)
+    monkeypatch.setattr(Cyclo, "__add__", no_add)
+    monkeypatch.setattr(Cyclo, "__radd__", no_add)
     # fresh doubles, so no cached table hides a product
     for dd in (TwistedDouble(builtin_group("D4")), twisted_quotient.__wrapped__("D4", 3)):
         oracle.certify(dd)
@@ -197,3 +203,4 @@ def test_braiding_oracles_multiply_no_cyclo_pair(monkeypatch):
             members = sc.subcat_members(dd, t)
             proj = oracle.projectively_centralizing_simples(dd, members)
             assert oracle.centralizing_simples(dd, members) <= proj
+            sc.gauss_sum(dd, t)

@@ -1,5 +1,6 @@
 """Triples (K, H, B): enumeration, lattice operations, invariants."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -33,7 +34,8 @@ def test_members_match_cyclo_membership():
                 if s.a not in t.K.member_set:
                     continue
                 cd = dd.centralizer_data(s.a)
-                if all(cd.value(s.char_index, h) == ctx.root(t.B.exp(s.a, h)) * s.degree
+                if all(cd.table.value(s.char_index, cd.local_of[h])
+                       == ctx.root(t.B.exp(s.a, h)) * s.degree
                        for h in t.H.members):
                     expect.add(s.index)
             assert sc.subcat_members(dd, t) == expect, (dd.group.name, t)
@@ -337,14 +339,37 @@ def test_gauss_sum_whole_and_trivial():
         assert abs(zeta - 1) < 1e-9
 
 
+def _cyclo_gauss_sums(dd, t):
+    """Both sides of the Gauss sum with field sums: the class formula in B, and
+    sum_i theta_i d_i^2 with theta_i = chi_i(a_i) / deg_i read off the character."""
+    G, ctx = dd.group, dd.ctx
+    KH = G.intersect(t.K, t.H)
+    reps = [a for a in G.class_reps if a in KH.member_set]
+    formula = ctx.sum(ctx.root(t.B.exp(a, a)) * len(G.class_of(a)) for a in reps)
+    thetas = []
+    for i in sc.subcat_members(dd, t):
+        s = dd.gamma[i]
+        cd = dd.centralizer_data(s.a)
+        theta = cd.table.value(s.char_index, cd.local_of[s.a]) * Fraction(1, s.degree)
+        thetas.append(theta * s.dim ** 2)
+    return formula * (G.order // len(t.H)), ctx.sum(thetas)
+
+
+def test_gauss_sum_matches_field_reference():
+    for dd in braiding_doubles() + [untwisted("S4")]:
+        for t in sc.enumerate_all(dd):
+            formula, twists = _cyclo_gauss_sums(dd, t)
+            assert sc.gauss_sum(dd, t) == formula == twists, (dd.group.name, t)
+
+
 def test_semion_invariants():
     dd = twisted_cyclic(2, 1)
     ctx = dd.ctx
     ts = [t for t in sc.enumerate_all(dd)
           if len(t.K) == 2 and len(t.H) == 2 and not t.B.is_trivial]
     assert len(ts) == 2
-    taus = sorted(ctx.root_exponent((sc.gauss_sum(dd, t) - 1)) for t in ts)
-    assert taus == [1, 3]  # 1 + i and 1 - i
+    taus = {sc.gauss_sum(dd, t) for t in ts}
+    assert taus == {ctx.root(1) + 1, ctx.root(3) + 1}  # 1 + i and 1 - i
     zetas = sorted(sc.central_charge(dd, t).imag for t in ts)
     assert abs(zetas[0] + 2 ** -0.5) < 1e-9 and abs(zetas[1] - 2 ** -0.5) < 1e-9
 
