@@ -1,14 +1,15 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (CheckFailure),
-2 on bad input (InputError). Any other exception is a bug and escapes with
-its traceback.
+2 on bad input (InputError), 141 (128 + SIGPIPE) when the reader of stdout
+stops early. Any other exception is a bug and escapes with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -278,7 +279,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     dd = _double(args)
     t = _parse_triple(dd, args.triple)
-    t = sc.build_subcat(dd, t.K, t.H, t.B)
     members = sorted(sc.subcat_members(dd, t))
     cent = sc.centralizer_triple(dd, t)
     center = sc.muger_center(dd, t)
@@ -366,13 +366,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the interpreter's final flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
-"""Small exact linear algebra kernels.
+"""Small exact linear algebra kernels, one elimination per ring.
 
-Two independent pieces: dense linear algebra over a prime field F_p (used by
-the character-table engine) and a solver for linear systems over Z/N (used for
-the bicharacter enumeration).
+Over a prime field F_p (the character-table engine): reduced row echelon
+form, which also gives nullspaces, and the characteristic polynomial by
+Faddeev-LeVerrier, which needs only matrix products and traces.
+
+Over Z/N for composite N (the bicharacter enumeration): solve_mod reduces
+augmented rows [coefficients, rhs] with one unimodular Bezout transform per
+step, brings them to Howell form and enumerates the solutions by back
+substitution.
 """
 
 from __future__ import annotations
@@ -133,55 +138,22 @@ def nullspace_mod(A: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def det_mod(A: Sequence[Sequence[int]], p: int) -> int:
-    M = [list(row) for row in A]
-    n = len(M)
-    det = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if M[i][c] % p), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            M[c], M[pivot_row] = M[pivot_row], M[c]
-            det = (-det) % p
-        det = (det * M[c][c]) % p
-        inv = pow(M[c][c], p - 2, p)
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = (M[i][c] * inv) % p
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[c])]
-    return det % p
-
-
 def charpoly_mod(A: Sequence[Sequence[int]], p: int) -> list[int]:
-    """Coefficients of det(x*I - A) over F_p, low degree first, by interpolation."""
+    """Coefficients of det(x*I - A) over F_p, low degree first, by Faddeev-LeVerrier.
+
+    With M_0 = 0 and c_n = 1, step k sets M_k = A M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(A M_k) / k; every k <= n is invertible because n < p.
+    """
     n = len(A)
-    if n + 1 > p:
-        raise ValueError("field too small for interpolation")
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        M = [[(x * (i == j) - A[i][j]) % p for j in range(n)] for i in range(n)]
-        ys.append(det_mod(M, p))
-    # Lagrange interpolation
-    coeffs = [0] * (n + 1)
-    for i, xi in enumerate(xs):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [1]
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [0] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] = (new[k] - c * xj) % p
-                new[k + 1] = (new[k + 1] + c) % p
-            basis = new
-            denom = (denom * (xi - xj)) % p
-        scale = (ys[i] * pow(denom, p - 2, p)) % p
-        for k, c in enumerate(basis):
-            coeffs[k] = (coeffs[k] + scale * c) % p
-    return coeffs
+    if n >= p:
+        raise ValueError(f"Faddeev-LeVerrier divides by {n}, which needs a prime above it")
+    c = [0] * n + [1]
+    AM = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[v + c[n - k + 1] * (i == j) for j, v in enumerate(row)] for i, row in enumerate(AM)]
+        AM = mat_mul_mod(A, M, p)
+        c[n - k] = -sum(AM[i][i] for i in range(n)) * pow(k, -1, p) % p
+    return c
 
 
 def poly_roots_mod(coeffs: Sequence[int], p: int) -> list[int]:
@@ -199,94 +171,69 @@ def poly_roots_mod(coeffs: Sequence[int], p: int) -> list[int]:
 # -- linear systems over Z/N --------------------------------------------------------
 
 
-class _Echelon:
-    """Incremental echelon form of sparse integer rows modulo N, with right-hand sides.
-
-    A row is a dict {column: coefficient}, nonzero coefficients only; each
-    pivot row is keyed by its least column.
-    """
-
-    def __init__(self, N: int):
-        self.N = N
-        self.pivot_rows: dict[int, tuple[dict[int, int], int]] = {}
-        self.consistent = True
-
-    def insert(self, row: dict[int, int], rhs: int) -> None:
-        N = self.N
-        while row:
-            col = min(row)
-            if col not in self.pivot_rows:
-                self.pivot_rows[col] = (row, rhs)
-                return
-            prow, prhs = self.pivot_rows[col]
-            pv, rv = prow[col], row[col]
-            if rv % pv == 0:
-                # subtract a multiple of the pivot row; the pivot row stays
-                f = rv // pv
-                for j, a in prow.items():
-                    v = (row.get(j, 0) - f * a) % N
-                    if v:
-                        row[j] = v
-                    else:
-                        row.pop(j, None)
-                rhs = (rhs - f * prhs) % N
-                continue
-            # unimodular 2x2 transform on the union of the supports: the new
-            # pivot has entry gcd(pv, rv), the new row has 0
-            g, x, y = ext_gcd(pv, rv)
-            fp, fr = pv // g, rv // g
-            new_p: dict[int, int] = {}
-            new_r: dict[int, int] = {}
-            for j in prow.keys() | row.keys():
-                a, b = prow.get(j, 0), row.get(j, 0)
-                if (u := (x * a + y * b) % N):
-                    new_p[j] = u
-                if (w := (fp * b - fr * a) % N):
-                    new_r[j] = w
-            self.pivot_rows[col] = (new_p, (x * prhs + y * rhs) % N)
-            row, rhs = new_r, (fp * rhs - fr * prhs) % N
-        if rhs:
-            self.consistent = False
-
-
 def solve_mod(equations: Iterable[tuple[Sequence[int], int]],
               n_unknowns: int, N: int) -> list[tuple[int, ...]]:
     """All solutions in (Z/N)^n of the given (coefficients, rhs) equations, sorted.
 
-    Coefficients are a dense sequence. Works for arbitrary composite N. The
-    rows are eliminated sparsely, then brought to Howell form: for the pivot
-    row at column c with pivot p, (N / gcd(p, N)) times the row vanishes at c
-    and is inserted too, in ascending order of c, so it lies in the span of
-    the rows pivoted after c.
+    Coefficients are a dense sequence. Works for arbitrary composite N. Each
+    equation becomes an augmented row [c_0, ..., c_{n-1}, rhs] mod N and is
+    reduced at its least nonzero column c: it becomes the pivot row of c, or
+    the pair (pivot row, row) is replaced by the unimodular transform that
+    puts the gcd of their entries at c in the pivot and 0 in the row. A row that
+    vanishes on the coefficients with a nonzero last entry is inconsistent.
+    The rows are then brought to Howell form: for the pivot row at column c
+    with pivot p, (N / gcd(p, N)) times the row vanishes at c and is inserted
+    too, in ascending order of c, so it lies in the span of the rows pivoted
+    after c.
     Hence every assignment to the columns after c that satisfies their rows
     extends to column c, and back substitution from the last column
     enumerates the solutions without dead ends.
     """
-    ech = _Echelon(N)
-    for row, rhs in equations:
-        ech.insert({j: c % N for j, c in enumerate(row) if c % N}, rhs % N)
-        if not ech.consistent:
-            return []
     n = n_unknowns
+    pivots: list[list[int] | None] = [None] * n
+
+    def insert(row: list[int]) -> bool:
+        """Reduce one augmented row into the pivots; False if it ends as 0 = t, t != 0."""
+        c = 0
+        while True:
+            for c in range(c, n):
+                if row[c]:
+                    break
+            else:
+                return not row[n]
+            prow = pivots[c]
+            if prow is None:
+                pivots[c] = row
+                return True
+            # pivot row -> x * pivot row + y * row, row -> (p * row - r * pivot row) / g;
+            # y = 0 exactly when p divides r (ext_gcd(6, 2) is (2, 0, 1)), and then
+            # x = 1, so the pivot row stays as it is
+            g, y, x = ext_gcd(row[c], prow[c])
+            fp, fr = prow[c] // g, row[c] // g
+            if y:
+                pivots[c] = [(x * a + y * b) % N for a, b in zip(prow, row)]
+            row = [(fp * b - fr * a) % N for a, b in zip(prow, row)]
+
+    for coeffs, rhs in equations:
+        if not insert([v % N for v in coeffs] + [rhs % N]):
+            return []
     # the inserted rows vanish at c, so they only touch pivots after c
     for c in range(n):
-        if c in ech.pivot_rows:
-            row, rhs = ech.pivot_rows[c]
+        if (row := pivots[c]) is not None:
             a = N // gcd(row[c], N)
-            ech.insert({j: a * v % N for j, v in row.items() if a * v % N}, a * rhs % N)
-            if not ech.consistent:
+            if not insert([a * v % N for v in row]):
                 return []
     # back substitution from the last column: column c solves p x_c = t (mod N),
     # which has gcd(p, N) solutions; a free column is p = 0, so it takes all N
     partial = [[0] * n]
     for c in reversed(range(n)):
-        row, rhs = ech.pivot_rows.get(c, ({}, 0))
-        g, u, _ = ext_gcd(row.get(c, 0), N)
+        row = pivots[c] or [0] * (n + 1)
+        g, u, _ = ext_gcd(row[c], N)
         step = N // g
-        rest = [(j, v) for j, v in row.items() if j != c]
+        rest = [(j, v) for j, v in enumerate(row[c + 1:n], c + 1) if v]
         extended = []
         for x in partial:
-            t = (rhs - sum(v * x[j] for j, v in rest)) % N
+            t = (row[n] - sum(v * x[j] for j, v in rest)) % N
             if t % g:
                 raise AssertionError(f"dead end at column {c}: rows not in Howell form")
             x[c] = u * (t // g) % step

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +280,26 @@ def test_unexpected_exception_escapes(monkeypatch):
     monkeypatch.setattr(sc, "enumerate_all", boom)
     with pytest.raises(ValueError, match="boom"):
         main(["subcats", "list", "--builtin", "Z2"])
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_broken_pipe_exits_141(unbuffered):
+    # the read end is closed before the process prints, so its first write or
+    # its flush fails with EPIPE, whether stdout is block-buffered or not
+    env = dict(os.environ, PYTHONPATH=str(Path(qdouble.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdouble.cli", "group", "info", "--builtin", "S3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == "", proc.stderr
 
 
 def test_every_exported_exception_has_one_root():

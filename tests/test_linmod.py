@@ -1,13 +1,13 @@
 """Integer linear algebra mod p and mod N."""
 
-from itertools import product
+from itertools import permutations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble.linmod import (charpoly_mod, det_mod, ext_gcd, factorize, is_prime,
-                            mat_mul_mod, nullspace_mod, poly_roots_mod,
-                            primitive_root, rref_mod, smallest_prime_one_mod,
-                            solve_mod)
+from qdouble.linmod import (charpoly_mod, ext_gcd, factorize, is_prime, mat_mul_mod,
+                            nullspace_mod, poly_roots_mod, primitive_root, rref_mod,
+                            smallest_prime_one_mod, solve_mod)
 
 
 def test_is_prime_and_factorize():
@@ -66,13 +66,46 @@ def test_rref_and_nullspace():
 def test_det_and_charpoly():
     p = 101
     A = [[2, 1], [1, 3]]
-    assert det_mod(A, p) == 5
     # charpoly x^2 - 5x + 5
     cp = charpoly_mod(A, p)
     assert cp == [5 % p, (-5) % p, 1]
     roots = poly_roots_mod(cp, p)
     for r in roots:
         assert (r * r - 5 * r + 5) % p == 0
+
+
+def _leibniz_det(M, p):
+    """det M over F_p as the signed sum over permutations."""
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total % p
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((5, 7, 101)), st.data())
+def test_charpoly_matches_leibniz_determinant(p, data):
+    n = data.draw(st.integers(0, min(4, p - 1)))
+    A = data.draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    cp = charpoly_mod(A, p)
+    assert len(cp) == n + 1 and cp[n] == 1 and all(0 <= v < p for v in cp)
+    # a polynomial of degree n is fixed by its values at n + 1 points
+    for x in range(n + 1):
+        xI_A = [[x * (i == j) - A[i][j] for j in range(n)] for i in range(n)]
+        assert sum(v * x ** k for k, v in enumerate(cp)) % p == _leibniz_det(xI_A, p)
+
+
+def test_charpoly_needs_n_below_p():
+    charpoly_mod([[1] * 4 for _ in range(4)], 5)
+    for n, p in ((5, 5), (6, 5), (2, 2)):
+        with pytest.raises(ValueError):
+            charpoly_mod([[1] * n for _ in range(n)], p)
 
 
 def _brute_solutions(equations, n, N):
@@ -103,6 +136,14 @@ def test_solve_mod_known_systems():
     assert solve_mod([], 1, 6) == [(k,) for k in range(6)]
     # over Z/1 every system has exactly the zero solution
     assert solve_mod([([1, 1], 1)], 2, 1) == [(0, 0)]
+    # pivot equal to the entry: ext_gcd(3, 3) is (3, 0, 1), so the pivot row stays
+    eqs = [([3, 1], 1), ([3, 2], 2)]
+    assert solve_mod(eqs, 2, 6) == _brute_solutions(eqs, 2, 6)
+    # coprime non-units: the transform reaches the unit gcd(2, 3)
+    assert solve_mod([([2], 0), ([3], 0)], 1, 6) == [(0,)]
+    # zero unknowns: 0 = 1 has no solution, the empty system the empty one
+    assert solve_mod([([], 1)], 0, 6) == []
+    assert solve_mod([], 0, 6) == [()]
 
 
 @settings(max_examples=150, deadline=None)
