@@ -66,10 +66,16 @@ def _canonical(ctx: CycloContext, C: FiniteGroup, degrees: Sequence[int],
 
 def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
     """The full irreducible character table of C over Q(zeta_N)."""
+    return _canonical(ctx, C, *_ordinary_rows(ctx, C))
+
+
+def _ordinary_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[tuple]]:
+    """Degrees and per-element spectra of C's irreducible characters, checked
+    but in no particular order."""
     if ctx.N % C.exponent:
         raise InputError(f"exponent {C.exponent} does not divide N = {ctx.N}")
     if C.is_abelian:
-        return _abelian_table(ctx, C)
+        return _abelian_rows(ctx, C)
     classes = C.conjugacy_classes
     r = len(classes)
     reps = C.class_reps
@@ -167,9 +173,8 @@ def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
 
     if sum(d * d for d in degrees) != n:
         raise LiftFailure("squared degrees do not sum to the group order")
-    T = _canonical(ctx, C, degrees, rows)
-    _check_orthonormal(ctx, T.spectra, n, "rows")
-    return T
+    _check_orthonormal(ctx, rows, n, "rows")
+    return degrees, rows
 
 
 def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str) -> None:
@@ -186,7 +191,7 @@ def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str) -> Non
                 raise LiftFailure(f"{what} {i}, {j} are not orthonormal")
 
 
-def _abelian_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
+def _abelian_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[tuple]]:
     """Characters of an abelian group: all homomorphisms into the N-th roots of unity.
 
     Built along the generators: if t is the least power with g^t in
@@ -233,11 +238,10 @@ def _abelian_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
     spectra = [tuple(map(single.__getitem__, row)) for row in rows]
     if len(set(spectra)) != n:
         raise LiftFailure("abelian characters are not distinct")
-    T = _canonical(ctx, C, (1,) * n, spectra)
     # distinct homomorphisms are orthogonal; verify exactly on small groups
     if n <= 16:
-        _check_orthonormal(ctx, T.spectra, n, "abelian rows")
-    return T
+        _check_orthonormal(ctx, spectra, n, "abelian rows")
+    return [1] * n, spectra
 
 
 # -- projective characters ------------------------------------------------------
@@ -314,19 +318,19 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
     if ctx.N % (mp * C.exponent):
         # exponent(E) divides m' * exponent(C)
         raise InputError(f"context N = {ctx.N} too small for extension")
-    T = ordinary_table(ctx, E)
+    degrees, spectra = _ordinary_rows(ctx, E)
     if E is C:
-        return T            # beta = 0 mod m: the beta-characters are the ordinary ones
+        # beta = 0 mod m: the beta-characters are the ordinary ones
+        return _canonical(ctx, C, degrees, spectra)
     # chi(z) = zeta_m' d iff every eigenvalue of rho(z) is zeta_m': |chi(z)| = d only for
     # scalars; z = (e, 1) is index 1, and (x, 0) is index x m'
-    keep = [i for i in range(T.n_chars) if all(e == ctx.N // mp for e in T.spectra[i][1])]
-    degrees = [T.degrees[i] for i in keep]
-    spectra = [T.spectra[i][::mp] for i in keep]
+    keep = [i for i, row in enumerate(spectra) if all(e == ctx.N // mp for e in row[1])]
+    degrees = [degrees[i] for i in keep]
+    spectra = [spectra[i][::mp] for i in keep]
 
     if sum(d * d for d in degrees) != C.order:
         raise LiftFailure("projective squared degrees do not sum to the group order")
     if len(degrees) != beta_regular_class_count(C, beta, m):
         raise LiftFailure("projective character count does not match regular classes")
-    P = _canonical(ctx, C, degrees, spectra)
-    _check_orthonormal(ctx, P.spectra, C.order, "projective rows")
-    return P
+    _check_orthonormal(ctx, spectra, C.order, "projective rows")
+    return _canonical(ctx, C, degrees, spectra)

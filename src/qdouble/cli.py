@@ -129,7 +129,7 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
     # rejects K, H that are not normal or do not commute elementwise
     valid = sc.bicharacters(dd, K, H)
     if parts[2] == "trivial":
-        B = sc.trivial_pairing(K, H, dd.ctx.N)
+        t = sc.Triple.with_trivial_pairing(K, H, dd.ctx.N)
     else:
         try:
             with open(parts[2], encoding="utf-8") as fh:
@@ -140,12 +140,12 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
             raise InputError('pairing file needs a "dlog" table over K x H members')
         if not _int_array(data["dlog"], 2):
             raise InputError('"dlog" must be a list of lists of integers')
-        B = sc.Pairing(K, H, dd.ctx.N,
-                       tuple(tuple(v % dd.ctx.N for v in row) for row in data["dlog"]))
-    if B not in valid:
+        t = sc.Triple(K, H, dd.ctx.N,
+                      tuple(tuple(v % dd.ctx.N for v in row) for row in data["dlog"]))
+    if t not in valid:
         raise InputError("the pairing is not a G-invariant bicharacter on K x H "
                          "for this cocycle")
-    return sc.Triple(K, H, B)
+    return t
 
 
 # -- serialization ------------------------------------------------------------------
@@ -164,7 +164,7 @@ def _flags_list(flags: sc.TripleFlags) -> list[str]:
 
 def _triple_json(dd: TwistedDouble, t: sc.Triple) -> dict:
     return {"K": list(t.K.members), "H": list(t.H.members),
-            "B": [list(r) for r in t.B.dlog], "N": t.B.N,
+            "B": [list(r) for r in t.B], "N": t.N,
             "dim": t.dim(dd.group.order),
             "flags": _flags_list(sc.classify(dd, t))}
 
@@ -197,11 +197,11 @@ def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
             hpos = [H1.members.index(h) for h in H2.members]
             keyed: dict[tuple, int] = {}
             for i in lows:
-                key = tuple(row[p] for row in triples[i].B.dlog for p in hpos)
+                key = tuple(row[p] for row in triples[i].B for p in hpos)
                 keyed[key] = keyed.get(key, 0) | 1 << i
             for j in highs:
-                dlog = triples[j].B.dlog
-                below[j] |= keyed.get(tuple(e for p in kpos for e in dlog[p]), 0)
+                B = triples[j].B
+                below[j] |= keyed.get(tuple(e for p in kpos for e in B[p]), 0)
     edges = []
     for j, mask in enumerate(below):
         under = 0
@@ -240,7 +240,7 @@ def _cmd_subcats(args: argparse.Namespace) -> int:
     triples = sc.enumerate_all(dd)
     print(f"{len(triples)} fusion subcategories")
     for i, t in enumerate(triples):
-        print(f"#{i} {_label(dd, t)} B={t.B.dlog}")
+        print(f"#{i} {_label(dd, t)} B={t.B}")
     return 0
 
 

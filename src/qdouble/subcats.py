@@ -1,14 +1,15 @@
 """Fusion subcategories of the double, as triples (K, H, B).
 
 A subcategory is determined by a pair of elementwise-commuting normal
-subgroups K, H and a G-invariant bicharacter B: K x H -> roots of unity,
-stored by discrete log mod N. The lattice operations (centralizer, meet,
-join, center) act on these triples directly.
+subgroups K, H and a G-invariant bicharacter B: K x H -> roots of unity.
+It is one frozen value, Triple(K, H, N, B), with B the table of discrete
+logs mod N over the sorted members. The lattice operations (centralizer,
+meet, join, center) act on these triples directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -33,18 +34,28 @@ class UnsupportedTriple(InputError):
 
 
 @dataclass(frozen=True)
-class Pairing:
-    """A pairing K x H -> mu_N by discrete log over sorted members."""
+class Triple:
+    """The fusion subcategory S(K, H, B).
 
-    K: Subgroup = field(compare=False)
-    H: Subgroup = field(compare=False)
+    B is the bicharacter K x H -> mu_N as a table of discrete logs base
+    zeta_N over the sorted members: B[i][j] is the exponent at
+    (K.members[i], H.members[j]).
+    """
+
+    K: Subgroup
+    H: Subgroup
     N: int
-    dlog: tuple[tuple[int, ...], ...]
+    B: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.dlog) != len(self.K.members) or \
-           any(len(r) != len(self.H.members) for r in self.dlog):
+        if len(self.B) != len(self.K.members) or \
+           any(len(r) != len(self.H.members) for r in self.B):
             raise InputError("pairing table shape mismatch")
+
+    @classmethod
+    def with_trivial_pairing(cls, K: Subgroup, H: Subgroup, N: int) -> "Triple":
+        """S(K, H, 1)."""
+        return cls(K, H, N, tuple((0,) * len(H.members) for _ in K.members))
 
     @cached_property
     def _kpos(self) -> dict[int, int]:
@@ -56,44 +67,10 @@ class Pairing:
 
     def exp(self, k: int, h: int) -> int:
         """Discrete log of B(k, h) base zeta_N."""
-        return self.dlog[self._kpos[k]][self._hpos[h]]
-
-    def op(self) -> "Pairing":
-        """B^op on H x K: (h, k) -> B(k, h)."""
-        rows = tuple(tuple(self.dlog[i][j] for i in range(len(self.K.members)))
-                     for j in range(len(self.H.members)))
-        return Pairing(self.H, self.K, self.N, rows)
-
-    def inverse(self) -> "Pairing":
-        rows = tuple(tuple((-e) % self.N for e in row) for row in self.dlog)
-        return Pairing(self.K, self.H, self.N, rows)
-
-    def op_inverse(self) -> "Pairing":
-        return self.op().inverse()
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for row in self.dlog for e in row)
-
-
-def trivial_pairing(K: Subgroup, H: Subgroup, N: int) -> Pairing:
-    return Pairing(K, H, N, tuple((0,) * len(H.members) for _ in K.members))
-
-
-@dataclass(frozen=True)
-class Triple:
-    """A fusion subcategory presented as (K, H, B)."""
-
-    K: Subgroup
-    H: Subgroup
-    B: Pairing
-
-    def __post_init__(self) -> None:
-        if self.B.K.members != self.K.members or self.B.H.members != self.H.members:
-            raise InputError("pairing domain does not match (K, H)")
+        return self.B[self._kpos[k]][self._hpos[h]]
 
     def sort_key(self) -> tuple:
-        return (len(self.K), self.K.bitmask, len(self.H), self.H.bitmask, self.B.dlog)
+        return (len(self.K), self.K.bitmask, len(self.H), self.H.bitmask, self.B)
 
     def dim(self, group_order: int) -> int:
         return len(self.K) * (group_order // len(self.H))
@@ -130,8 +107,9 @@ def _pair_is_centralizing(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> None:
         raise InputError("K and H must commute elementwise")
 
 
-def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, ...]:
-    """All G-invariant bicharacters on K x H for the ambient cocycle, sorted.
+def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, ...]:
+    """The triples (K, H, B), B over all G-invariant bicharacters on K x H for
+    the ambient cocycle, sorted by table.
 
     B(e, h) = B(k, e) = 1, and the equations are imposed on generators
     only, which is exact for a normalized 3-cocycle:
@@ -216,7 +194,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, 
         for x, col in zip(sol, table):
             flat = [a + x * b for a, b in zip(flat, col)] if x else flat
         dlogs.append(tuple(tuple(v % N for v in flat[i:i + nh]) for i in range(0, len(flat), nh)))
-    result = tuple(Pairing(K, H, N, d) for d in sorted(dlogs))
+    result = tuple(Triple(K, H, N, d) for d in sorted(dlogs))
     dd.subcat_caches[key] = result
     return result
 
@@ -226,7 +204,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Pairing, 
 
 def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
     """Simple objects of S(K, H, B), with the dimension identity enforced."""
-    key = ("members", t.K.members, t.H.members, t.B.dlog)
+    key = ("members", t.K.members, t.H.members, t.B)
     cached = dd.subcat_caches.get(key)
     if cached is not None:
         return cached
@@ -238,7 +216,7 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
         if s.a not in kset:
             continue
         r = dd.scalar_exps(s.index)
-        if all(r[h] == t.B.exp(s.a, h) % N for h in t.H.members):
+        if all(r[h] == t.exp(s.a, h) % N for h in t.H.members):
             members.append(s.index)
     dim = sum(dd.gamma[i].dim ** 2 for i in members)
     expected = t.dim(G.order)
@@ -250,10 +228,11 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
     return result
 
 
-def build_subcat(dd: TwistedDouble, K: Subgroup, H: Subgroup, B: Pairing) -> Triple:
+def build_subcat(dd: TwistedDouble, K: Subgroup, H: Subgroup,
+                 B: tuple[tuple[int, ...], ...]) -> Triple:
     """Validate and assemble a triple; raises if (K, H) is not a centralizing pair."""
     _pair_is_centralizing(dd, K, H)
-    t = Triple(K, H, B)
+    t = Triple(K, H, dd.ctx.N, B)
     subcat_members(dd, t)
     return t
 
@@ -263,6 +242,10 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
     G = dd.group
     gamma = dd.gamma
     idx = frozenset(simples)
+    outside = sorted(idx.difference(range(len(gamma))))
+    if outside:
+        raise NotASubcategory(f"{outside} are not indices of simple objects "
+                              f"(0 to {len(gamma) - 1})")
     if dd.unit_index not in idx:
         raise NotASubcategory("the unit object is missing")
 
@@ -308,9 +291,7 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
         for h in H.members:
             if (k, h) not in table:
                 raise NotASubcategory(f"no pairing value determined at ({k}, {h})")
-    rows = tuple(tuple(table[(k, h)] for h in H.members) for k in K.members)
-    B = Pairing(K, H, N, rows)
-    t = Triple(K, H, B)
+    t = Triple(K, H, N, tuple(tuple(table[(k, h)] for h in H.members) for k in K.members))
 
     try:
         _pair_is_centralizing(dd, K, H)
@@ -330,11 +311,8 @@ def enumerate_all(dd: TwistedDouble) -> tuple[Triple, ...]:
     cached = dd.subcat_caches.get(key)
     if cached is not None:
         return cached
-    triples = []
-    for K, H in dd.group.centralizing_pairs():
-        for B in bicharacters(dd, K, H):
-            triples.append(Triple(K, H, B))
-    triples.sort(key=Triple.sort_key)
+    triples = sorted((t for K, H in dd.group.centralizing_pairs()
+                      for t in bicharacters(dd, K, H)), key=Triple.sort_key)
     if len(set(triples)) != len(triples):
         raise CheckFailure("duplicate triples in enumeration")
     result = tuple(triples)
@@ -344,14 +322,12 @@ def enumerate_all(dd: TwistedDouble) -> tuple[Triple, ...]:
 
 def whole_triple(dd: TwistedDouble) -> Triple:
     G = dd.group
-    return Triple(G.whole_group, G.trivial_subgroup,
-                  trivial_pairing(G.whole_group, G.trivial_subgroup, dd.ctx.N))
+    return Triple.with_trivial_pairing(G.whole_group, G.trivial_subgroup, dd.ctx.N)
 
 
 def trivial_triple(dd: TwistedDouble) -> Triple:
     G = dd.group
-    return Triple(G.trivial_subgroup, G.whole_group,
-                  trivial_pairing(G.trivial_subgroup, G.whole_group, dd.ctx.N))
+    return Triple.with_trivial_pairing(G.trivial_subgroup, G.whole_group, dd.ctx.N)
 
 
 # -- lattice operations ------------------------------------------------------------
@@ -359,7 +335,7 @@ def trivial_triple(dd: TwistedDouble) -> Triple:
 
 def centralizer_triple(dd: TwistedDouble, t: Triple) -> Triple:
     """S(K, H, B)' = S(H, K, (B^op)^{-1})."""
-    return Triple(t.H, t.K, t.B.op_inverse())
+    return Triple(t.H, t.K, t.N, tuple(tuple(-e % t.N for e in col) for col in zip(*t.B)))
 
 
 def contains(dd: TwistedDouble, t1: Triple, t2: Triple) -> bool:
@@ -367,7 +343,7 @@ def contains(dd: TwistedDouble, t1: Triple, t2: Triple) -> bool:
     if not (t1.K.member_set <= t2.K.member_set and
             t2.H.member_set <= t1.H.member_set):
         return False
-    return all(t1.B.exp(k, h) == t2.B.exp(k, h)
+    return all(t1.exp(k, h) == t2.exp(k, h)
                for k in t1.K.members for h in t2.H.members)
 
 
@@ -381,7 +357,7 @@ def meet(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
     KK = G.intersect(t1.K, t2.K)
     HH = G.intersect(t1.H, t2.H)
     kernel = [a for a in KK.members
-              if all(t1.B.exp(a, h) == t2.B.exp(a, h) for h in HH.members)]
+              if all(t1.exp(a, h) == t2.exp(a, h) for h in HH.members)]
     K_meet = G.subgroup(kernel)  # closure check: kernel of a homomorphism
 
     # pairing on K_meet x H1H2: psi(a, h1 h2) = beta_a(h1, h2)^{-1} B1(a,h1) B2(a,h2),
@@ -393,14 +369,13 @@ def meet(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
             for h2 in t2.H.members:
                 h = G.mul(h1, h2)
                 e = (-scale * beta(a, h1, h2)
-                     + t1.B.exp(a, h1) + t2.B.exp(a, h2)) % N
+                     + t1.exp(a, h1) + t2.exp(a, h2)) % N
                 prev = row.setdefault(h, e)
                 if prev != e:
                     raise CheckFailure(
                         f"pairing not well defined at ({a}, {h}): {prev} != {e}")
         rows.append(tuple(row[h] for h in H_meet.members))
-    B = Pairing(K_meet, H_meet, N, tuple(rows))
-    return Triple(K_meet, H_meet, B)
+    return Triple(K_meet, H_meet, N, tuple(rows))
 
 
 def join(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
@@ -419,12 +394,12 @@ def muger_center(dd: TwistedDouble, t: Triple) -> Triple:
 
 def classify(dd: TwistedDouble, t: Triple) -> TripleFlags:
     N = dd.ctx.N
-    K, H, B = t.K, t.H, t.B
+    K, H, exp = t.K, t.H, t.exp
     k_in_h = K.member_set <= H.member_set
     symmetric = k_in_h and all(
-        (B.exp(k1, k2) + B.exp(k2, k1)) % N == 0
+        (exp(k1, k2) + exp(k2, k1)) % N == 0
         for k1 in K.members for k2 in K.members)
-    isotropic = k_in_h and all(B.exp(k, k) % N == 0 for k in K.members)
+    isotropic = k_in_h and all(exp(k, k) % N == 0 for k in K.members)
     lagrangian = isotropic and K.members == H.members
     G = dd.group
     pair = ("pair", K.members, H.members)
@@ -432,7 +407,7 @@ def classify(dd: TwistedDouble, t: Triple) -> TripleFlags:
         dd.subcat_caches[pair] = (G.intersect(K, H), len(G.product_subgroup(H, K)) == G.order)
     KH, hk_all = dd.subcat_caches[pair]
     radical = [a for a in KH.members
-               if all((B.exp(a, j) + B.exp(j, a)) % N == 0 for j in KH.members)]
+               if all((exp(a, j) + exp(j, a)) % N == 0 for j in KH.members)]
     nondegenerate = hk_all and len(radical) == 1
     return TripleFlags(symmetric, isotropic, lagrangian, nondegenerate)
 
@@ -470,7 +445,7 @@ def gauss_sum(dd: TwistedDouble, t: Triple) -> Cyclo:
     """
     G, ctx, gamma = dd.group, dd.ctx, dd.gamma
     KH = G.intersect(t.K, t.H)
-    tau = ctx.root_sum(t.B.exp(a, a) for a in G.class_reps if a in KH.member_set
+    tau = ctx.root_sum(t.exp(a, a) for a in G.class_reps if a in KH.member_set
                        for _ in G.class_of(a)) * (G.order // len(t.H))
     tau_theta = ctx.root_sum(gamma[i].twist for i in subcat_members(dd, t)
                              for _ in range(gamma[i].dim ** 2))
@@ -494,13 +469,13 @@ def adjoint_triple(dd: TwistedDouble, t: Triple) -> Triple:
     """S(K, H, 1)_ad = S([G, K], C_G(K) n preimage(Z(G/H)), 1)."""
     if not dd.omega.is_trivial:
         raise UnsupportedTriple("adjoint formula requires the trivial cocycle")
-    if not t.B.is_trivial:
+    if any(map(any, t.B)):
         raise UnsupportedTriple("adjoint formula requires the trivial pairing")
     G = dd.group
     K_ad = G.commutator_subgroup(t.K)
     H_ad = G.intersect(G.centralizer_of_subgroup(t.K),
                        G.preimage_of_center_of_quotient(t.H))
-    return Triple(K_ad, H_ad, trivial_pairing(K_ad, H_ad, dd.ctx.N))
+    return Triple.with_trivial_pairing(K_ad, H_ad, dd.ctx.N)
 
 
 def adjoint_series_term(dd: TwistedDouble, n: int) -> Triple:
@@ -513,7 +488,7 @@ def adjoint_series_term(dd: TwistedDouble, n: int) -> Triple:
     K = G.lower_central_term(n)
     H = G.intersect(G.centralizer_of_subgroup(G.lower_central_term(n - 1)),
                     G.upper_central_term(n))
-    return Triple(K, H, trivial_pairing(K, H, dd.ctx.N))
+    return Triple.with_trivial_pairing(K, H, dd.ctx.N)
 
 
 def central_series_term(dd: TwistedDouble, n: int) -> Triple:

@@ -179,6 +179,11 @@ def test_usage_errors(tmp_path, capsys):
         f.write_text(json.dumps(doc))
         msg = '"dlog" must be a list' if isinstance(doc, dict) else 'needs a "dlog" table'
         malformed.append(("Z2", "cyclic:2,1", f"0-1,0-1,{f}", msg))
+    # integer tables of the wrong shape for K x H = Z2 x Z2
+    for k, dlog in enumerate(([[0, 0], [0]], [[0, 0]], [], [[0, 0, 0], [0, 1, 0]])):
+        f = tmp_path / f"shape{k}.json"
+        f.write_text(json.dumps({"dlog": dlog}))
+        malformed.append(("Z2", "cyclic:2,1", f"0-1,0-1,{f}", "pairing table shape mismatch"))
     for builtin, cocycle, triple, msg in (
             ("S3", "trivial", "0-1,0-1,trivial", "must be normal"),
             ("S3", "trivial", "0-2-5,0-1-2-3-4-5,trivial", "must commute"),
