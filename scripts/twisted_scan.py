@@ -25,13 +25,14 @@ def scan_one(n: int, q: int, show_gauss: bool) -> dict:
     oracle.certify(dd)
     elapsed = time.monotonic() - t0
     flags = [sc.classify(dd, t) for t in triples]
+    proper_nondeg = sc.nondegenerate_count(dd)
     row = {
         "n": n, "q": q,
         "triples": len(triples),
         "lagrangian": sum(f.lagrangian for f in flags),
         "nondegenerate": sum(f.nondegenerate for f in flags),
-        "proper_nondeg": sc.nondegenerate_count(dd),
-        "prime": sc.is_prime(dd),
+        "proper_nondeg": proper_nondeg,
+        "prime": proper_nondeg == 0,
         "time_s": round(elapsed, 3),
     }
     if show_gauss:

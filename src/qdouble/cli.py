@@ -32,6 +32,14 @@ def _int_array(value: object, depth: int) -> bool:
     return isinstance(value, list) and all(_int_array(v, depth - 1) for v in value)
 
 
+def _read_json(path: str, what: str) -> object:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} file: {exc}") from exc
+
+
 def _load_group(args: argparse.Namespace) -> FiniteGroup:
     if args.cap < 1:
         raise InputError(f"--cap must be at least 1, got {args.cap}")
@@ -39,11 +47,7 @@ def _load_group(args: argparse.Namespace) -> FiniteGroup:
         return builtin_group(args.builtin, cap=args.cap)
     if args.group is None:
         raise InputError("one of --builtin or --group is required")
-    try:
-        with open(args.group, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read group file: {exc}") from exc
+    data = _read_json(args.group, "group")
     if not isinstance(data, dict):
         raise InputError("group file must hold a JSON object")
     name = data.get("name", "G")
@@ -78,11 +82,7 @@ def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
                 f"cyclic:{n},{q} lives on Z/{n} with the standard table; "
                 "the selected group has a different table")
         return ThreeCocycle(G, om.modulus, om.dlog)
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read cocycle file: {exc}") from exc
+    data = _read_json(spec, "cocycle")
     if not isinstance(data, dict) or "modulus" not in data or "dlog" not in data:
         raise InputError('cocycle file needs "modulus" and "dlog"')
     m = data["modulus"]
@@ -131,11 +131,7 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
     if parts[2] == "trivial":
         t = sc.Triple.with_trivial_pairing(K, H, dd.ctx.N)
     else:
-        try:
-            with open(parts[2], encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read pairing file: {exc}") from exc
+        data = _read_json(parts[2], "pairing")
         if not isinstance(data, dict) or "dlog" not in data:
             raise InputError('pairing file needs a "dlog" table over K x H members')
         if not _int_array(data["dlog"], 2):
@@ -157,16 +153,11 @@ def _cyclo_json(z: Cyclo) -> dict:
             "approx": {"re": approx.real, "im": approx.imag}}
 
 
-def _flags_list(flags: sc.TripleFlags) -> list[str]:
-    return [name for name in ("symmetric", "isotropic", "lagrangian", "nondegenerate")
-            if getattr(flags, name)]
-
-
 def _triple_json(dd: TwistedDouble, t: sc.Triple) -> dict:
     return {"K": list(t.K.members), "H": list(t.H.members),
             "B": [list(r) for r in t.B], "N": t.N,
             "dim": t.dim(dd.group.order),
-            "flags": _flags_list(sc.classify(dd, t))}
+            "flags": sc.classify(dd, t).names()}
 
 
 def _label(dd: TwistedDouble, t: sc.Triple) -> str:
@@ -193,8 +184,8 @@ def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
             K2, H2 = triples[highs[0]].K, triples[highs[0]].H
             if highs is lows or K1.bitmask & ~K2.bitmask or H2.bitmask & ~H1.bitmask:
                 continue
-            kpos = [K2.members.index(k) for k in K1.members]
-            hpos = [H1.members.index(h) for h in H2.members]
+            kpos = [K2.index_of[k] for k in K1.members]
+            hpos = [H1.index_of[h] for h in H2.members]
             keyed: dict[tuple, int] = {}
             for i in lows:
                 key = tuple(row[p] for row in triples[i].B for p in hpos)

@@ -284,31 +284,20 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
             check_row("centralizer_agreement", (a, x),
                       [not (b[y] == e[y] == g[y] == v[y]) for y in cent], cent)
 
-    # gamma_{ab}(x,y) / (gamma_b(a^{-1}xa, a^{-1}ya) gamma_a(x,y))
-    #   = beta_x(a,b) beta_y(a,b) / beta_{xy}(a,b), row over y
-    for a in els:
-        ca = conj[inv[a]]
-        for b in els:
-            Gab, Gb = Gm[mul[a][b]], Gm[b]
-            bt = [B[y][a][b] for y in els]          # beta_y(a,b) over y
-            for x in els:
-                r2, btx = Gb[ca[x]], bt[x]
-                check_row("gamma_product", (a, b, x),
-                          [(p - r2[cy] - q - btx - s + bt[xy]) % m
-                           for p, cy, q, s, xy in zip(Gab[x], ca, Gm[a][x], bt, mul[x])])
-
-    # nu_{ab}(x,y) / (nu_a(bxb^{-1}, byb^{-1}) nu_b(x,y))
-    #   = eta_x(a,b) eta_y(a,b) / eta_{xy}(a,b), row over y
-    for a in els:
-        for b in els:
-            cb = conj[b]
-            Vab, Va, Vb = V[mul[a][b]], V[a], V[b]
-            et = [E[y][a][b] for y in els]          # eta_y(a,b) over y
-            for x in els:
-                r2, etx = Va[cb[x]], et[x]
-                check_row("nu_product", (a, b, x),
-                          [(p - r2[cy] - q - etx - s + et[xy]) % m
-                           for p, cy, q, s, xy in zip(Vab[x], cb, Vb[x], et, mul[x])])
+    # T_{ab}(x,y) / (T_c(gxg^{-1}, gyg^{-1}) T_d(x,y)) = U_x(a,b) U_y(a,b) / U_{xy}(a,b),
+    # row over y: gamma by beta with g = a^{-1}, c = b, d = a; nu by eta with g = b, c = a, d = b
+    for name, T, U, pick in (("gamma_product", Gm, B, lambda a, b: (conj[inv[a]], b, a)),
+                             ("nu_product", V, E, lambda a, b: (conj[b], a, b))):
+        for a in els:
+            for b in els:
+                cg, c, d = pick(a, b)
+                Tab, Tc, Td = T[mul[a][b]], T[c], T[d]
+                u = [U[y][a][b] for y in els]           # U_y(a,b) over y
+                for x in els:
+                    r2, ux = Tc[cg[x]], u[x]
+                    check_row(name, (a, b, x),
+                              [(p - r2[cy] - q - ux - s + u[xy]) % m
+                               for p, cy, q, s, xy in zip(Tab[x], cg, Td[x], u, mul[x])])
 
     # relations for commuting pairs hk = kh
     for h, k in commuting:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CheckFailure, InputError
 
@@ -44,6 +44,11 @@ class Subgroup:
     @cached_property
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
+
+    @cached_property
+    def index_of(self) -> dict[int, int]:
+        """Position of each member in members."""
+        return {g: i for i, g in enumerate(self.members)}
 
     @cached_property
     def bitmask(self) -> int:
@@ -352,25 +357,21 @@ class FiniteGroup:
                    if all(self.commutator(g, x) in hset for x in range(self.order))]
         return self.subgroup(members, check=False)
 
-    def lower_central_series(self) -> tuple[Subgroup, ...]:
-        """G = C_0 >= C_1 = [G,G] >= ..., up to and excluding the first repeat."""
-        terms = [self.whole_group]
-        while True:
-            nxt = self.commutator_subgroup(terms[-1])
-            if nxt.member_set == terms[-1].member_set:
-                break
+    def _series(self, start: Subgroup,
+                step: Callable[[Subgroup], Subgroup]) -> tuple[Subgroup, ...]:
+        """start, step(start), ..., up to and excluding the first repeat."""
+        terms = [start]
+        while (nxt := step(terms[-1])).member_set != terms[-1].member_set:
             terms.append(nxt)
         return tuple(terms)
 
+    def lower_central_series(self) -> tuple[Subgroup, ...]:
+        """G = C_0 >= C_1 = [G,G] >= ..., up to and excluding the first repeat."""
+        return self._series(self.whole_group, self.commutator_subgroup)
+
     def upper_central_series(self) -> tuple[Subgroup, ...]:
         """{e} = C^0 <= C^1 = Z(G) <= ..., up to and excluding the first repeat."""
-        terms = [self.trivial_subgroup]
-        while True:
-            nxt = self.preimage_of_center_of_quotient(terms[-1])
-            if nxt.member_set == terms[-1].member_set:
-                break
-            terms.append(nxt)
-        return tuple(terms)
+        return self._series(self.trivial_subgroup, self.preimage_of_center_of_quotient)
 
     def lower_central_term(self, n: int) -> Subgroup:
         series = self.lower_central_series()

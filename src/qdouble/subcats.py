@@ -10,7 +10,6 @@ meet, join, center) act on these triples directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .cocycles import validate
@@ -38,8 +37,8 @@ class Triple:
     """The fusion subcategory S(K, H, B).
 
     B is the bicharacter K x H -> mu_N as a table of discrete logs base
-    zeta_N over the sorted members: B[i][j] is the exponent at
-    (K.members[i], H.members[j]).
+    zeta_N over the sorted members: B[i][j], in 0..N-1, is the exponent at
+    (K.members[i], H.members[j]). So each subcategory has one value.
     """
 
     K: Subgroup
@@ -51,29 +50,28 @@ class Triple:
         if len(self.B) != len(self.K.members) or \
            any(len(r) != len(self.H.members) for r in self.B):
             raise InputError("pairing table shape mismatch")
+        if any(min(r) < 0 or max(r) >= self.N for r in self.B):
+            raise InputError(f"pairing table entries must lie in 0..{self.N - 1}")
 
     @classmethod
     def with_trivial_pairing(cls, K: Subgroup, H: Subgroup, N: int) -> "Triple":
         """S(K, H, 1)."""
         return cls(K, H, N, tuple((0,) * len(H.members) for _ in K.members))
 
-    @cached_property
-    def _kpos(self) -> dict[int, int]:
-        return {g: i for i, g in enumerate(self.K.members)}
-
-    @cached_property
-    def _hpos(self) -> dict[int, int]:
-        return {g: i for i, g in enumerate(self.H.members)}
-
     def exp(self, k: int, h: int) -> int:
         """Discrete log of B(k, h) base zeta_N."""
-        return self.B[self._kpos[k]][self._hpos[h]]
+        return self.B[self.K.index_of[k]][self.H.index_of[h]]
 
     def sort_key(self) -> tuple:
         return (len(self.K), self.K.bitmask, len(self.H), self.H.bitmask, self.B)
 
     def dim(self, group_order: int) -> int:
         return len(self.K) * (group_order // len(self.H))
+
+
+# each flag's name, in field order, and its abbreviation in labels
+_FLAG_ABBREVIATIONS = {"symmetric": "sym", "isotropic": "iso",
+                       "lagrangian": "lag", "nondegenerate": "nondeg"}
 
 
 @dataclass(frozen=True)
@@ -83,17 +81,13 @@ class TripleFlags:
     lagrangian: bool
     nondegenerate: bool
 
+    def names(self) -> list[str]:
+        """The names of the flags that hold."""
+        return [name for name in _FLAG_ABBREVIATIONS if getattr(self, name)]
+
     def short(self) -> str:
-        parts = []
-        if self.symmetric:
-            parts.append("sym")
-        if self.isotropic:
-            parts.append("iso")
-        if self.lagrangian:
-            parts.append("lag")
-        if self.nondegenerate:
-            parts.append("nondeg")
-        return ",".join(parts) if parts else "-"
+        """The abbreviations of the flags that hold, comma-joined, or "-"."""
+        return ",".join(_FLAG_ABBREVIATIONS[name] for name in self.names()) or "-"
 
 
 # -- bicharacter enumeration ------------------------------------------------------
@@ -135,10 +129,6 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
     equations above, they fix the table from the unknowns one to one. The
     equations not vanishing identically on the forms go to solve_mod.
     """
-    key = ("bichars", K.members, H.members)
-    cached = dd.subcat_caches.get(key)
-    if cached is not None:
-        return cached
     _pair_is_centralizing(dd, K, H)
     validate(dd.omega)
     G = dd.group
@@ -194,9 +184,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
         for x, col in zip(sol, table):
             flat = [a + x * b for a, b in zip(flat, col)] if x else flat
         dlogs.append(tuple(tuple(v % N for v in flat[i:i + nh]) for i in range(0, len(flat), nh)))
-    result = tuple(Triple(K, H, N, d) for d in sorted(dlogs))
-    dd.subcat_caches[key] = result
-    return result
+    return tuple(Triple(K, H, N, d) for d in sorted(dlogs))
 
 
 # -- membership and canonical triples -------------------------------------------------
@@ -209,14 +197,13 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
     if cached is not None:
         return cached
     G = dd.group
-    N = dd.ctx.N
     members = []
     kset = t.K.member_set
     for s in dd.gamma:
         if s.a not in kset:
             continue
         r = dd.scalar_exps(s.index)
-        if all(r[h] == t.exp(s.a, h) % N for h in t.H.members):
+        if all(r[h] == t.exp(s.a, h) for h in t.H.members):
             members.append(s.index)
     dim = sum(dd.gamma[i].dim ** 2 for i in members)
     expected = t.dim(G.order)
@@ -399,16 +386,14 @@ def classify(dd: TwistedDouble, t: Triple) -> TripleFlags:
     symmetric = k_in_h and all(
         (exp(k1, k2) + exp(k2, k1)) % N == 0
         for k1 in K.members for k2 in K.members)
-    isotropic = k_in_h and all(exp(k, k) % N == 0 for k in K.members)
+    isotropic = k_in_h and all(exp(k, k) == 0 for k in K.members)
     lagrangian = isotropic and K.members == H.members
     G = dd.group
-    pair = ("pair", K.members, H.members)
-    if pair not in dd.subcat_caches:
-        dd.subcat_caches[pair] = (G.intersect(K, H), len(G.product_subgroup(H, K)) == G.order)
-    KH, hk_all = dd.subcat_caches[pair]
+    KH = G.intersect(K, H)
     radical = [a for a in KH.members
                if all((exp(a, j) + exp(j, a)) % N == 0 for j in KH.members)]
-    nondegenerate = hk_all and len(radical) == 1
+    # K and H are normal, so HK is a subgroup, of order |H||K| / |H n K|
+    nondegenerate = len(H) * len(K) == G.order * len(KH) and len(radical) == 1
     return TripleFlags(symmetric, isotropic, lagrangian, nondegenerate)
 
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble import subcats as sc
+from qdouble import InputError, subcats as sc
 from qdouble.linmod import solve_mod
 from qdouble.subcats import DimensionMismatch, NotASubcategory, UnsupportedTriple
 
@@ -91,6 +91,15 @@ def test_build_subcat_dimension_mismatch():
                 for k in range(4))
     with pytest.raises(DimensionMismatch):
         sc.build_subcat(dd, K, H, bad)
+    # entries lie in 0..N-1, so each subcategory has one value: on Z2,
+    # ((0, 0), (0, 3)) would have the members of the enumerated ((0, 0), (0, 1))
+    # and still compare unequal to it
+    dd = untwisted("Z2")
+    W = dd.group.whole_group
+    for B in (((0, 0), (0, 3)), ((0, 0), (0, -1))):
+        with pytest.raises(InputError, match=r"entries must lie in 0\.\.1"):
+            sc.build_subcat(dd, W, W, B)
+    assert sc.build_subcat(dd, W, W, ((0, 0), (0, 1))) in sc.enumerate_all(dd)
 
 
 def test_build_subcat_requires_centralizing_pair():
