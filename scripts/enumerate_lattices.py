@@ -32,6 +32,9 @@ def summarize(name: str, export: str | None, outdir: pathlib.Path | None) -> dic
     t_certify = time.monotonic() - t0
 
     flags = [sc.classify(dd, t) for t in triples]
+    # as in sc.nondegenerate_count: the whole and the trivial triple do not count
+    proper_nondeg = sum(f.nondegenerate for t, f in zip(triples, flags)
+                        if not (sc.is_whole(dd, t) or sc.is_trivial_triple(dd, t)))
     row = {
         "group": name,
         "order": G.order,
@@ -42,7 +45,7 @@ def summarize(name: str, export: str | None, outdir: pathlib.Path | None) -> dic
         "isotropic": sum(f.isotropic for f in flags),
         "lagrangian": sum(f.lagrangian for f in flags),
         "nondegenerate": sum(f.nondegenerate for f in flags),
-        "prime": sc.is_prime(dd),
+        "prime": proper_nondeg == 0,
         "enum_s": round(t_enum, 3),
         "certify_s": round(t_certify, 3),
     }

@@ -25,7 +25,9 @@ def scan_one(n: int, q: int, show_gauss: bool) -> dict:
     oracle.certify(dd)
     elapsed = time.monotonic() - t0
     flags = [sc.classify(dd, t) for t in triples]
-    proper_nondeg = sc.nondegenerate_count(dd)
+    # as in sc.nondegenerate_count: the whole and the trivial triple do not count
+    proper_nondeg = sum(f.nondegenerate for t, f in zip(triples, flags)
+                        if not (sc.is_whole(dd, t) or sc.is_trivial_triple(dd, t)))
     row = {
         "n": n, "q": q,
         "triples": len(triples),

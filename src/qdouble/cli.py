@@ -126,22 +126,16 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
     G = dd.group
     K = G.subgroup(_parse_members(parts[0], G.order))
     H = G.subgroup(_parse_members(parts[1], G.order))
-    # rejects K, H that are not normal or do not commute elementwise
-    valid = sc.bicharacters(dd, K, H)
     if parts[2] == "trivial":
-        t = sc.Triple.with_trivial_pairing(K, H, dd.ctx.N)
+        B = ((0,) * len(H),) * len(K)
     else:
         data = _read_json(parts[2], "pairing")
         if not isinstance(data, dict) or "dlog" not in data:
             raise InputError('pairing file needs a "dlog" table over K x H members')
         if not _int_array(data["dlog"], 2):
             raise InputError('"dlog" must be a list of lists of integers')
-        t = sc.Triple(K, H, dd.ctx.N,
-                      tuple(tuple(v % dd.ctx.N for v in row) for row in data["dlog"]))
-    if t not in valid:
-        raise InputError("the pairing is not a G-invariant bicharacter on K x H "
-                         "for this cocycle")
-    return t
+        B = tuple(tuple(v % dd.ctx.N for v in row) for row in data["dlog"])
+    return sc.build_subcat(dd, K, H, B)
 
 
 # -- serialization ------------------------------------------------------------------

@@ -150,7 +150,7 @@ class TwistedDouble:
     def s_matrix(self) -> tuple[tuple[Cyclo, ...], ...]:
         if self._smatrix is None:
             if not self.omega.is_trivial:
-                raise NotImplementedError("S-matrix requires the trivial cocycle")
+                raise InputError("S-matrix requires the trivial cocycle")
             G = self.group
             gamma = self.gamma
             n = len(gamma)

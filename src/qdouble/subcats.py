@@ -3,14 +3,17 @@
 A subcategory is determined by a pair of elementwise-commuting normal
 subgroups K, H and a G-invariant bicharacter B: K x H -> roots of unity.
 It is one frozen value, Triple(K, H, N, B), with B the table of discrete
-logs mod N over the sorted members. The lattice operations (centralizer,
-meet, join, center) act on these triples directly.
+logs mod N over the sorted members. build_subcat alone decides whether
+caller-supplied (K, H, B) is such a triple, by the equations bicharacters
+solves. The lattice operations (centralizer, meet, join, center) act on
+these triples directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .cocycles import validate
 from .cyclotomic import Cyclo
@@ -25,7 +28,7 @@ class DimensionMismatch(CheckFailure):
 
 
 class NotASubcategory(InputError):
-    """A set of simple objects is not closed in the required sense."""
+    """A set of simple objects, or a (K, H, B), is not a fusion subcategory."""
 
 
 class UnsupportedTriple(InputError):
@@ -93,20 +96,13 @@ class TripleFlags:
 # -- bicharacter enumeration ------------------------------------------------------
 
 
-def _pair_is_centralizing(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> None:
-    G = dd.group
-    if not (K.is_normal and H.is_normal):
-        raise InputError("K and H must be normal subgroups")
-    if not all(G.commute(k, h) for k in K.members for h in H.members):
-        raise InputError("K and H must commute elementwise")
+def _equations(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> Iterator[tuple]:
+    """The equations on B: K x H that, with B(e, h) = B(k, e) = 1, make B a
+    G-invariant bicharacter for the ambient cocycle.
 
-
-def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, ...]:
-    """The triples (K, H, B), B over all G-invariant bicharacters on K x H for
-    the ambient cocycle, sorted by table.
-
-    B(e, h) = B(k, e) = 1, and the equations are imposed on generators
-    only, which is exact for a normalized 3-cocycle:
+    Each is (plus, minus, minus2, rhs), read B(plus) - B(minus) - B(minus2)
+    = rhs in discrete logs mod N, with its terms keyed by (k, h). They are
+    imposed on generators only, which is exact for a normalized 3-cocycle:
 
     - second slot, B(k, h1 s) = B(k, h1) B(k, s) beta_k(h1, s)^-1 for every
       h1 in H and s in a generating set of H. H centralizes k, so beta_k is
@@ -121,16 +117,43 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
       conj_exp(k, x, y h y^-1) + conj_exp(x^-1 k x, y, h). Invariance under
       x and y therefore gives it under xy.
 
-    Both arguments rest on the cocycle identity and normalization of
-    omega, so omega is validated first (once per cocycle). The unknowns
-    are B(r, s) for generators r of K and s of H. The first-slot equations
-    along a Cayley tree of K make each B(k, s) an affine form in them, the
-    second-slot ones along a tree of H each B(k, h); being among the
-    equations above, they fix the table from the unknowns one to one. The
-    equations not vanishing identically on the forms go to solve_mod.
+    Both arguments rest on (K, H) being a centralizing pair and omega a
+    normalized 3-cocycle, so both are checked first (omega once).
     """
-    _pair_is_centralizing(dd, K, H)
+    G = dd.group
+    if not (K.is_normal and H.is_normal):
+        raise NotASubcategory("K and H must be normal subgroups")
+    if not all(G.commute(k, h) for k in K.members for h in H.members):
+        raise NotASubcategory("K and H must commute elementwise")
     validate(dd.omega)
+    scale = dd.scale
+    beta = dd.omega.beta
+    km, hm = K.members, H.members
+    # multiplicativity in the second slot, twisted by beta_k
+    second = (((k, G.mul(h1, s)), (k, h1), (k, s), -scale * beta(k, h1, s))
+              for k in km for h1 in hm for s in H.generators)
+    # multiplicativity in the first slot, twisted by beta_h
+    first = (((G.mul(k1, s), h), (k1, h), (s, h), scale * beta(h, k1, s))
+             for h in hm for k1 in km for s in K.generators)
+    # G-invariance, with B(e, e) = 1 as the second minus term
+    invariance = (((kx, h), (k, G.conj(x, h)), (0, 0), scale * dd.omega.conj_exp(k, x, h))
+                  for k in km for x in G.whole_group.generators
+                  for kx in (G.conj(G.inverse(x), k),) for h in hm)
+    return chain(second, first, invariance)
+
+
+def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, ...]:
+    """The triples (K, H, B), B over all G-invariant bicharacters on K x H for
+    the ambient cocycle, sorted by table: the solutions of _equations.
+
+    The unknowns are B(r, s) for generators r of K and s of H. The
+    first-slot equations along a Cayley tree of K make each B(k, s) an
+    affine form in them, the second-slot ones along a tree of H each
+    B(k, h); being among the equations, they fix the table from the
+    unknowns one to one. The equations not vanishing identically on the
+    forms go to solve_mod.
+    """
+    eqs = list(_equations(dd, K, H))
     G = dd.group
     N = dd.ctx.N
     scale = dd.scale
@@ -150,26 +173,6 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
         for k in km:
             form[k, h] = f = [a + b for a, b in zip(form[k, h1], form[k, hgens[j]])]
             f[n] -= scale * beta(k, h1, hgens[j])
-
-    # each equation B(plus) - B(minus) - B(minus2) = rhs, by the keys of its terms
-    eqs: list[tuple] = []
-    # multiplicativity in the second slot, twisted by beta_k
-    for k in km:
-        for h1 in hm:
-            for s in hgens:
-                eqs.append(((k, G.mul(h1, s)), (k, h1), (k, s), -scale * beta(k, h1, s)))
-    # multiplicativity in the first slot, twisted by beta_h
-    for h in hm:
-        for k1 in km:
-            for s in kgens:
-                eqs.append(((G.mul(k1, s), h), (k1, h), (s, h), scale * beta(h, k1, s)))
-    # G-invariance, with B(e, e) = 1 as the second minus term
-    for k in km:
-        for x in G.whole_group.generators:
-            kx = G.conj(G.inverse(x), k)
-            for h in hm:
-                eqs.append(((kx, h), (k, G.conj(x, h)), (0, 0),
-                            scale * dd.omega.conj_exp(k, x, h)))
 
     # evaluate column by column: each unknown's coefficients, then the constant
     cols = [{key: f[p] for key, f in form.items()} for p in range(n + 1)]
@@ -217,9 +220,18 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
 
 def build_subcat(dd: TwistedDouble, K: Subgroup, H: Subgroup,
                  B: tuple[tuple[int, ...], ...]) -> Triple:
-    """Validate and assemble a triple; raises if (K, H) is not a centralizing pair."""
-    _pair_is_centralizing(dd, K, H)
-    t = Triple(K, H, dd.ctx.N, B)
+    """The triple (K, H, B) if B is a table of bicharacters(dd, K, H), else
+    NotASubcategory: by the argument of _equations, exactly when B is
+    normalized and satisfies them."""
+    eqs = _equations(dd, K, H)
+    N = dd.ctx.N
+    t = Triple(K, H, N, B)
+    exp = t.exp
+    # e is the first member of K and of H
+    if any(B[0]) or any(row[0] for row in B) or \
+       any((exp(*a) - exp(*b) - exp(*d) - r) % N for a, b, d, r in eqs):
+        raise NotASubcategory("the pairing is not a G-invariant bicharacter on K x H "
+                              "for this cocycle")
     subcat_members(dd, t)
     return t
 
@@ -253,7 +265,7 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
             hset &= {g for g in range(G.order) if r[g] == 0}
     H = G.subgroup(hset)
 
-    # extract B on K x H from every member and every conjugator, consistently
+    # B on K x H as first read; every k in K is some x^-1 a x
     N = dd.ctx.N
     table: dict[tuple[int, int], int] = {}
     conj_exp = dd.omega.conj_exp
@@ -269,21 +281,9 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
                 if exp is None:
                     raise NotASubcategory(
                         f"pairing value at ({k}, {h}) is not a root of unity")
-                exp = (exp + scale * conj_exp(a, x, h)) % N
-                prev = table.setdefault((k, h), exp)
-                if prev != exp:
-                    raise NotASubcategory(
-                        f"inconsistent pairing value at ({k}, {h})")
-    for k in K.members:
-        for h in H.members:
-            if (k, h) not in table:
-                raise NotASubcategory(f"no pairing value determined at ({k}, {h})")
-    t = Triple(K, H, N, tuple(tuple(table[(k, h)] for h in H.members) for k in K.members))
-
-    try:
-        _pair_is_centralizing(dd, K, H)
-    except InputError as exc:
-        raise NotASubcategory(str(exc)) from exc
+                table.setdefault((k, h), (exp + scale * conj_exp(a, x, h)) % N)
+    t = build_subcat(dd, K, H, tuple(tuple(table[k, h] for h in H.members)
+                                     for k in K.members))
     if subcat_members(dd, t) != idx:
         raise NotASubcategory("the canonical triple rebuilds a different set")
     return t

@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble import CheckFailure, TwistedDouble, VerlindeNonInteger, builtin_group
+from qdouble import CheckFailure, InputError, TwistedDouble, VerlindeNonInteger, builtin_group
 from qdouble.oracle import certify
 
 from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, untwisted,
@@ -117,7 +117,7 @@ def test_twisted_z2_semion():
     twists = [s.twist for s in dd.gamma]
     # two objects are semions with twist +-i
     assert sorted(t * 4 // ctx.N for t in twists) == [0, 0, 1, 3]
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(InputError, match="requires the trivial cocycle"):
         dd.s_matrix
 
 

@@ -89,8 +89,10 @@ def test_build_subcat_dimension_mismatch():
     # a table that is not multiplicative fails the dimension count
     bad = tuple(tuple(1 if (k == 1 and h == 1) else 0 for h in range(4))
                 for k in range(4))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(NotASubcategory, match="not a G-invariant bicharacter"):
         sc.build_subcat(dd, K, H, bad)
+    with pytest.raises(DimensionMismatch):
+        sc.subcat_members(dd, sc.Triple(K, H, dd.ctx.N, bad))
     # entries lie in 0..N-1, so each subcategory has one value: on Z2,
     # ((0, 0), (0, 3)) would have the members of the enumerated ((0, 0), (0, 1))
     # and still compare unequal to it
@@ -100,6 +102,65 @@ def test_build_subcat_dimension_mismatch():
         with pytest.raises(InputError, match=r"entries must lie in 0\.\.1"):
             sc.build_subcat(dd, W, W, B)
     assert sc.build_subcat(dd, W, W, ((0, 0), (0, 1))) in sc.enumerate_all(dd)
+
+
+def _accepts(dd, K, H, B):
+    try:
+        sc.build_subcat(dd, K, H, B)
+    except NotASubcategory:
+        return False
+    return True
+
+
+def test_build_subcat_accepts_exactly_bicharacters():
+    """build_subcat checks the equations bicharacters solves, on one table."""
+    # B(e, 1) = -1 on untwisted Z2 is not normalized, yet its members {1, 2}
+    # carry the dimension 2 that the triple predicts
+    dd = untwisted("Z2")
+    W = dd.group.whole_group
+    assert not _accepts(dd, W, W, ((0, 1), (0, 0)))
+    for dd in braiding_doubles():
+        N = dd.ctx.N
+        for K, H in dd.group.centralizing_pairs():
+            valid = {t.B for t in sc.bicharacters(dd, K, H)}
+            nk, nh = len(K), len(H)
+            # every table of the small pairs; with K or H trivial, B is its
+            # row or column at e, which the single-entry changes below cover
+            if nk > 1 and nh > 1 and N ** (nk * nh) <= 4096:
+                for flat in product(range(N), repeat=nk * nh):
+                    B = tuple(flat[i:i + nh] for i in range(0, nk * nh, nh))
+                    assert _accepts(dd, K, H, B) == (B in valid), (dd.group.name, B)
+            # every single-entry change of one valid table (or the zero table)
+            base = min(valid, default=((0,) * nh,) * nk)
+            for i, j in product(range(nk), range(nh)):
+                row = list(base[i])
+                for v in range(N):
+                    row[j] = v
+                    B = base[:i] + (tuple(row),) + base[i + 1:]
+                    assert _accepts(dd, K, H, B) == (B in valid), (dd.group.name, B)
+
+
+def test_triple_of_exact_on_small_doubles():
+    """On every set of simples holding the unit, triple_of returns the
+    enumerated triple with exactly those members, or raises NotASubcategory."""
+    reasons = set()
+    for dd in (untwisted_cyclic(3), untwisted("S3"), twisted_cyclic(2, 1),
+               twisted_cyclic(3, 1)):
+        by_members = {sc.subcat_members(dd, t): t for t in sc.enumerate_all(dd)}
+        others = [i for i in range(len(dd.gamma)) if i != dd.unit_index]
+        for mask in range(1 << len(others)):
+            simples = frozenset([dd.unit_index] +
+                                [i for b, i in enumerate(others) if mask >> b & 1])
+            if simples in by_members:
+                assert sc.triple_of(dd, simples) == by_members[simples]
+                continue
+            with pytest.raises(NotASubcategory) as exc:
+                sc.triple_of(dd, simples)
+            reasons.add(next(r for r in ("not a subgroup", "not a root of unity",
+                                         "not a G-invariant bicharacter",
+                                         "rebuilds a different set")
+                             if r in str(exc.value)))
+    assert len(reasons) == 4
 
 
 def test_build_subcat_requires_centralizing_pair():
