@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 
@@ -84,7 +85,6 @@ class TwistedDouble:
             G = self.group
             members = G.centralizer_members(a)
             local_of = {g: i for i, g in enumerate(members)}
-            n = len(members)
             table = [[local_of[G.mul(x, y)] for y in members] for x in members]
             # a subgroup of an admitted group is admitted
             C = FiniteGroup(table, name=f"C({G.name},{a})", validate=False, cap=G.order)
@@ -200,12 +200,13 @@ class TwistedDouble:
         return self._emb
 
     def _prove_unitary(self, S) -> None:
-        """Raise unless S S^dagger = |G|^2 I, checked at every sigma_t of _Embeddings.
+        """Raise unless S S^dagger = |G|^2 I, checked at each sigma_t of _Embeddings.unitary_ts.
 
-        Since sigma_t(conj x) = sigma_-t(x): sum_k sigma_t(c_ik) sigma_-t(c_jk) = D^2 |G|^2 delta_ij.
+        Since sigma_t(conj x) = sigma_-t(x): sum_k sigma_t(c_ik) sigma_-t(c_jk) = D^2 |G|^2 delta_ij,
+        a sum over the column pairs k, equal for every t with the same multiset of pairs.
         """
         emb = self._embeddings(S)
-        pairs = [(t, A, emb.at[-t % self.ctx.N]) for t, A in emb.at.items()]
+        pairs = [(t, emb.at[t], emb.at[-t % self.ctx.N]) for t in emb.unitary_ts]
         for i in range(len(S)):
             for j in range(i, len(S)):
                 for t, A, Abar in pairs:
@@ -231,10 +232,9 @@ class TwistedDouble:
         """
         G = self.group
         n = len(self.gamma)
-        dims = [s.dim for s in self.gamma]
         name = G.name
         emb = self._embeddings(S)
-        p, D = emb.p, emb.D
+        p, D, dims = emb.p, emb.D, emb.dims
         S_p, conj_p = emb.at[1 % self.ctx.N], emb.at[-1 % self.ctx.N]
         row0 = S_p[0]
         if not (G.order % p and D % p and all(row0) and p > max(dims) ** 2):
@@ -271,32 +271,31 @@ class TwistedDouble:
     def _prove_fusion(self, S, N) -> None:
         """Raise unless sum_k N_ij^k S_ks = S_is S_js / d_s for all i <= j and s.
 
-        Times D^2 d_s at sigma_t: D d_s sum_k N_ij^k sigma_t(c_ks) = sigma_t(c_is c_js),
-        on flat vectors over (t, s). Rows with sum_k |N_ij^k| > n d_max^2, outside
-        the bound of _Embeddings, are no fusion rows (sum_k N_ij^k <= d_i d_j).
+        Times D^2 d_s at sigma_t: D d_s sum_k N_ij^k sigma_t(c_ks) = sigma_t(c_is c_js), a
+        function of d_s and column s of at[t] alone: flat vectors over _Embeddings.columns.
+        Rows with sum_k |N_ij^k| > n d_max^2, outside the bound of _Embeddings, are no
+        fusion rows (sum_k N_ij^k <= d_i d_j).
         """
         emb = self._embeddings(S)
-        p, name, n = emb.p, self.group.name, len(self.gamma)
-        ts = list(emb.at)
-        flat = [[x for t in ts for x in emb.at[t][k]] for k in range(n)]
-        weight = [emb.D * s.dim for s in self.gamma] * len(ts)
-        wflat = [list(map(mul, weight, row)) for row in flat]
+        p, name, n, cols = emb.p, self.group.name, len(self.gamma), emb.columns
+        flat = list(zip(*(col for _, _, _, col in cols)))
+        weight = [emb.D * d for _, _, d, _ in cols]
         for i in range(n):
             for j in range(i, n):
                 lhs, mass = [0] * len(weight), 0
                 for k, c in enumerate(N[i][j]):
                     if c:
-                        lhs = list(map(add, lhs, map(c.__mul__, wflat[k])))
+                        lhs = list(map(add, lhs, map(c.__mul__, flat[k])))
                         mass += abs(c)
                 if mass > emb.mass:
                     raise VerlindeNonInteger(f"{name}: fusion row N[{i}][{j}] has "
                                              f"sum_k |N_ij^k| = {mass} > n d_max^2")
-                res = [(u - x * y) % p for u, x, y in zip(lhs, flat[i], flat[j])]
+                res = [(w * u - x * y) % p for w, u, x, y in zip(weight, lhs, flat[i], flat[j])]
                 if any(res):
-                    pos = next(q for q, r in enumerate(res) if r)
+                    t, s, _, _ = cols[next(q for q, r in enumerate(res) if r)]
                     raise VerlindeNonInteger(
                         f"{name}: fusion row N[{i}][{j}] fails sum_k N_ij^k S_ks = "
-                        f"S_is S_js / d_s mod p = {p} at t = {ts[pos // n]}, at s = {pos % n}")
+                        f"S_is S_js / d_s mod p = {p} at t = {t}, at s = {s}")
 
     @property
     def duals(self) -> tuple[int, ...]:
@@ -325,20 +324,19 @@ class TwistedDouble:
                                          for sp in sps)
         return self._scalar_exps[i]
 
-    def common_phase(self, i: int, j: int) -> int | None:
+    def common_phase(self, i: int, j: int, expect: int | None = None) -> int | None:
         """The k with the double braiding of simples i and j equal to zeta_N^k, else None.
 
-        S_ij is pref times a sum, over the terms (u, v, e) of _pair_terms, of
-        the deg_i deg_j conjugated eigenvalues of zeta_m^e rho_i(u) (x) rho_j(v),
-        each an N-th root of unity (rho comes from a central extension whose
-        exponent divides N = m |G|). There are at most |G| terms and
-        pref |G| deg_i deg_j = d_i d_j, so |S_ij| <= d_i d_j, with equality in
-        the triangle inequality iff there are |G| terms (the classes of a_i
-        and a_j commute elementwise) and all these roots agree. Then rho_i(u)
-        and rho_j(v) are scalars, held by scalar_exps, and
-        r_i[u] + r_j[v] + e scale takes one value k mod N: the double braiding,
-        a module map, acts on every term by zeta_N^k. So i and j centralize iff
-        k = 0, and projectively centralize (|S_ij| = d_i d_j) iff k exists.
+        S_ij is pref times a sum, over the terms (u, v, e) of _pair_terms, of the deg_i deg_j
+        conjugated eigenvalues of zeta_m^e rho_i(u) (x) rho_j(v), each an N-th root of unity
+        (rho comes from a central extension whose exponent divides N = m |G|). There are at
+        most |G| terms and pref |G| deg_i deg_j = d_i d_j, so |S_ij| <= d_i d_j, with equality
+        in the triangle inequality iff there are |G| terms (the classes of a_i and a_j commute
+        elementwise) and all these roots agree. Then rho_i(u) and rho_j(v) are scalars, held by
+        scalar_exps, and r_i[u] + r_j[v] + e scale takes one value k mod N: the double braiding,
+        a module map, acts on every term by zeta_N^k. So i and j centralize iff k = 0, and
+        projectively centralize (|S_ij| = d_i d_j) iff k exists. A given expect stops the walk
+        at the first term whose phase is another (centralize passes 0).
         """
         si, sj = self.gamma[i], self.gamma[j]
         terms = self._pair_terms(si.a, sj.a)
@@ -346,7 +344,7 @@ class TwistedDouble:
             return None
         ri, rj = self.scalar_exps(i), self.scalar_exps(j)
         N, scale = self.ctx.N, self.scale
-        k = None
+        k = expect
         for u, v, e in terms:
             x, y = ri[u], rj[v]
             if x is None or y is None:
@@ -360,7 +358,7 @@ class TwistedDouble:
 
     def centralize(self, i: int, j: int) -> bool:
         """Whether simples i and j have trivial double braiding."""
-        return self.common_phase(i, j) == 0
+        return self.common_phase(i, j, 0) == 0
 
     @property
     def braiding_rows(self) -> tuple[int, ...]:
@@ -376,7 +374,7 @@ class TwistedDouble:
             self._braiding = tuple(rows)
         return self._braiding
 
-    # -- fusion-closure helpers (used by the oracle and adjoint computations) -----------
+    # -- fusion rows as sets -----------------------------------------------------------
 
     def tensor_components(self, i: int, j: int) -> tuple[int, ...]:
         N = self.fusion
@@ -397,12 +395,14 @@ class _Embeddings:
     has coordinates <= R_inf |x|_1 |y|_1), the residuals are at most
     - unitarity: n R_inf |c|_1 R_1 |c|_1 + D^2 |G|^2;
     - fusion: D d_max n d_max^2 |c|_inf + R_inf |c|_1^2, for sum_k |N_ij^k| <= n d_max^2.
-    p is the smallest such prime above twice the larger bound.
+    p is the smallest such prime above twice the larger bound. Each residual reads
+    at[t] only through integer vectors, so columns and unitary_ts keep one t per
+    distinct vector: the skip is exact for any S, right or wrong.
     """
 
     def __init__(self, ctx: CycloContext, S, order: int, dims: list[int]):
         n, N, rows = len(S), ctx.N, ctx._pow_rows
-        self.S = S
+        self.S, self.N, self.dims = S, N, dims
         self.D = D = lcm(*(x.den for row in S for x in row))
         c = [[[v * (D // x.den) for v in x.num] for x in row] for row in S]
         r_inf = max(abs(v) for r in rows for v in r)
@@ -420,3 +420,17 @@ class _Embeddings:
             if gcd(t, N) == 1:
                 powers = [pow(z, t * e, p) for e in range(ctx.degree)]
                 self.at[t] = [[sum(map(mul, x, powers)) % p for x in row] for row in c]
+
+    @cached_property
+    def columns(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
+        """(t, s, d_s, column s of at[t]) per distinct (d_s, column), at its least (t, s)."""
+        # walked backwards, so the least (t, s) of a key is written last
+        least = {key: (t, s) for t, A in reversed(self.at.items())
+                 for s, key in reversed(list(enumerate(zip(self.dims, zip(*A)))))}
+        return sorted((t, s, d, col) for (d, col), (t, s) in least.items())
+
+    @cached_property
+    def unitary_ts(self) -> list[int]:
+        """Least t per distinct multiset {(column k of at[t], of at[-t])}_k, ascending."""
+        return sorted({tuple(sorted(zip(zip(*A), zip(*self.at[-t % self.N])))): t
+                       for t, A in reversed(self.at.items())}.values())

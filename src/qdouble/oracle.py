@@ -9,6 +9,7 @@ the S-matrix, each checked to be fusion-closed.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .doubledata import TwistedDouble
@@ -38,8 +39,8 @@ def _masks(dd: TwistedDouble) -> tuple[list[list[int]], list[int]]:
     key = ("oracle_masks",)
     cached = dd.subcat_caches.get(key)
     if cached is None:
-        n = len(dd.gamma)
-        prod = [[_mask(dd.tensor_components(i, j)) for j in range(n)] for i in range(n)]
+        bit = [1 << k for k in range(len(dd.gamma))]
+        prod = [[sum(compress(bit, row)) for row in rows] for rows in dd.fusion]
         cached = dd.subcat_caches[key] = (prod, [1 << d for d in dd.duals])
     return cached
 

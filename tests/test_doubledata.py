@@ -483,6 +483,39 @@ def test_checks_reject_a_prime_multiple_perturbation():
     assert dd._embeddings(S).p == p
 
 
+def test_embedding_proofs_keep_one_column_per_distinct_pair():
+    # sigma_t permutes the columns of a modular S and keeps their dimensions, so
+    # sigma_1 already holds every distinct (d_s, column) and the one unitarity class
+    for dd in (*map(untwisted, BOUND_GROUPS), *map(untwisted_cyclic, range(2, 9))):
+        emb = dd._embeddings(dd.s_matrix)
+        assert len(emb.columns) == len(dd.gamma), dd.group.name
+        assert emb.unitary_ts == [1], dd.group.name
+
+
+@pytest.mark.parametrize("name, t0", [("D4", 5), ("S4", 19)])
+def test_a_column_seen_at_one_embedding_is_checked(name, t0):
+    # one entry of at[t0] moved by 1: the column matches none at another
+    # embedding, so both proofs check t0 on their own and fail there
+    dd = TwistedDouble(builtin_group(name))
+    S, N = dd.s_matrix, dd.fusion
+    S2 = tuple(map(tuple, S))          # a new S, so a new _Embeddings to edit
+    emb = dd._embeddings(S2)
+    p, n, s = emb.p, len(S), len(S) - 1
+    emb.at[t0] = [list(row) for row in emb.at[t0]]
+    emb.at[t0][0][s] = (emb.at[t0][0][s] + 1) % p
+    assert [(t, k) for t, k, _, _ in emb.columns] == [(1, k) for k in range(n)] + [(t0, s)]
+    t_unitary = min(t0, dd.ctx.N - t0)
+    assert emb.unitary_ts[0] == 1 and t_unitary in emb.unitary_ts
+    with pytest.raises(CheckFailure,
+                       match=rf"^{name}: S-matrix rows 0, 0 not orthogonal "
+                             rf"mod p = {p} at t = {t_unitary}$"):
+        dd._prove_unitary(S2)
+    with pytest.raises(VerlindeNonInteger,
+                       match=rf"^{name}: fusion row N\[0\]\[0\] fails .* mod p = {p} "
+                             rf"at t = {t0}, at s = {s}$"):
+        dd._prove_fusion(S2, N)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
 def test_verlinde_associativity_s3(i, j, k):

@@ -106,6 +106,12 @@ def test_certify_d4xz2():
     assert rep == {"triples": 1023, "closed_sets": 1023, "bijection": True}
 
 
+def test_certify_s3xs3():
+    # 64 simples over phi(36) = 12 embeddings, proved once per distinct column
+    rep = oracle.certify(untwisted_product("S3", "S3"))
+    assert rep == {"triples": 68, "closed_sets": 68, "bijection": True}
+
+
 def test_closed_sets_are_joins_of_singletons():
     dd = untwisted("S3")
     closed = oracle.all_closed_sets(dd)
