@@ -13,8 +13,8 @@ from .doubledata import SimpleObject, TwistedDouble, VerlindeNonInteger
 from .subcats import (DimensionMismatch, NotASubcategory, Triple, TripleFlags,
                       UnsupportedTriple, adjoint_series_term, adjoint_triple,
                       bicharacters, build_subcat, central_charge, central_series_term,
-                      centralizer_triple, classify, contains, enumerate_all, gauss_sum,
-                      is_prime, join, meet, muger_center, nondegenerate_count,
+                      centralizer_triple, classify, contains, enumerate_all, flag_counts,
+                      gauss_sum, is_prime, join, meet, muger_center, nondegenerate_count,
                       subcat_members, triple_of, trivial_triple, whole_triple)
 from .oracle import (adjoint_closure, all_closed_sets, centralizing_simples,
                      certify, fusion_closure, projectively_centralizing_simples)

@@ -292,6 +292,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print("closure oracle: skipped (nontrivial cocycle); "
               "double-centralizer and dimension laws ok")
+    counts = sc.flag_counts(dd)
+    flags = ", ".join(f"{counts[name]} {name}"
+                      for name in ("symmetric", "isotropic", "lagrangian", "nondegenerate"))
+    print(f"flags: {flags}; prime: {'yes' if sc.is_prime(dd) else 'no'}")
     print("verified")
     return 0
 

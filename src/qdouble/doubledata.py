@@ -19,7 +19,7 @@ from .cocycles import ThreeCocycle, trivial_cocycle
 from .cyclotomic import Cyclo, CycloContext
 from .errors import CheckFailure, InputError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
-from .linmod import primitive_root, smallest_prime_one_mod
+from .linmod import factorize, primitive_root, smallest_prime_one_mod
 
 
 class VerlindeNonInteger(CheckFailure):
@@ -64,7 +64,16 @@ class TwistedDouble:
         self.group = G
         self.omega = omega
         self.cap = cap                  # order cap for the central extensions
-        self.ctx = CycloContext(omega.modulus * G.order)
+        N = omega.modulus * G.order
+        # phi(N) >= sqrt(N / 2), so an N above 2 cap^2 is over the cap unfactored
+        small = N <= 2 * cap * cap
+        phi = N
+        for p in factorize(N) if small else ():
+            phi = phi // p * (p - 1)
+        if phi > cap:
+            degree = f"= {phi}" if small else f">= sqrt({N} / 2)"
+            raise InputError(f"field Q(zeta_{N}) has degree phi({N}) {degree}, above cap {cap}")
+        self.ctx = CycloContext(N)
         self.scale = self.ctx.N // omega.modulus
         self._centralizers: dict[int, CentralizerData] = {}
         self._gamma: tuple[SimpleObject, ...] | None = None

@@ -397,23 +397,32 @@ def classify(dd: TwistedDouble, t: Triple) -> TripleFlags:
     return TripleFlags(symmetric, isotropic, lagrangian, nondegenerate)
 
 
-def is_whole(dd: TwistedDouble, t: Triple) -> bool:
-    return t.K.is_whole and t.H.is_trivial
+def flag_counts(dd: TwistedDouble) -> dict[str, int]:
+    """How many triples carry each flag, classifying each triple once.
 
-
-def is_trivial_triple(dd: TwistedDouble, t: Triple) -> bool:
-    return t.K.is_trivial and t.H.is_whole
+    Keyed by the flag names in field order, then "proper nondegenerate":
+    the nondegenerate triples with 1 < dim < |G|^2, that is, other than
+    the trivial and the whole triple.
+    """
+    key = ("flags",)
+    cached = dd.subcat_caches.get(key)
+    if cached is not None:
+        return dict(cached)
+    order = dd.group.order
+    counts = dict.fromkeys([*_FLAG_ABBREVIATIONS, "proper nondegenerate"], 0)
+    for t in enumerate_all(dd):
+        names = classify(dd, t).names()
+        for name in names:
+            counts[name] += 1
+        if "nondegenerate" in names and 1 < t.dim(order) < order ** 2:
+            counts["proper nondegenerate"] += 1
+    dd.subcat_caches[key] = counts
+    return dict(counts)
 
 
 def nondegenerate_count(dd: TwistedDouble) -> int:
     """Number of proper nontrivial nondegenerate subcategories."""
-    count = 0
-    for t in enumerate_all(dd):
-        if is_whole(dd, t) or is_trivial_triple(dd, t):
-            continue
-        if classify(dd, t).nondegenerate:
-            count += 1
-    return count
+    return flag_counts(dd)["proper nondegenerate"]
 
 
 def is_prime(dd: TwistedDouble) -> bool:

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ import pytest
 import qdouble
 from qdouble import CheckFailure, InputError, builtin_cyclic, oracle, subcats as sc
 from qdouble.cli import _hasse_edges, lattice_text, main
-from qdouble.groups import builtin_group
+from qdouble.groups import BUILTIN_GROUP_NAMES, builtin_group
 
 from conftest import twisted_cyclic, untwisted, untwisted_product
 
@@ -112,13 +115,93 @@ def test_verify_twisted(capsys):
 def test_cap_reaches_derived_groups(capsys):
     # omega_1 on Z4 needs central extensions of order 16: --cap limits them too
     code, out, err = run(capsys, "verify", "all", "--builtin", "Z4",
-                         "--cocycle", "cyclic:4,1", "--cap", "4")
+                         "--cocycle", "cyclic:4,1", "--cap", "8")
     assert code == 2
-    assert "extension order 16 exceeds cap 4" in err
+    assert "extension order 16 exceeds cap 8" in err
     code, out, err = run(capsys, "verify", "all", "--builtin", "Z4",
                          "--cocycle", "cyclic:4,1", "--cap", "16")
     assert code == 0
     assert "triples: 11" in out and "verified" in out
+
+
+def test_cap_bounds_field_degree(tmp_path, capsys):
+    # N = m |G| = 200000 is refused before Q(zeta_N) is built, not after it fills memory
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"modulus": 100000, "dlog": [0] * 8}))
+    start = time.monotonic()
+    code, _, err = run(capsys, "group", "info", "--builtin", "Z2", "--cocycle", str(huge))
+    assert time.monotonic() - start < 1
+    assert code == 2 and "phi(200000) = 80000, above cap 512" in err, err
+    # phi(N) >= sqrt(N / 2), so a 31-digit N is refused without being factored
+    huge.write_text(json.dumps({"modulus": 10 ** 30 + 1, "dlog": [0] * 8}))
+    start = time.monotonic()
+    code, _, err = run(capsys, "group", "info", "--builtin", "Z2", "--cocycle", str(huge))
+    assert time.monotonic() - start < 1
+    assert code == 2 and "above cap 512" in err, err
+    # phi(512) = 256 is within the default cap
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"modulus": 256, "dlog": [0] * 8}))
+    code, out, err = run(capsys, "group", "info", "--builtin", "Z2", "--cocycle", str(edge))
+    assert code == 0 and "Q(zeta_512)" in out
+
+
+def test_verify_s3_counts(capsys):
+    # its 8 simples are checked by test_group_info
+    code, out, err = run(capsys, "verify", "all", "--builtin", "S3")
+    assert code == 0
+    assert "triples: 8" in out and "closure oracle: 8 closed sets, bijection ok" in out
+
+
+def test_verify_cyclic_triple_counts(capsys):
+    counts = []
+    for n in (2, 3):
+        for q in range(n):
+            code, out, err = run(capsys, "verify", "all", "--builtin", f"Z{n}",
+                                 "--cocycle", f"cyclic:{n},{q}")
+            assert code == 0
+            counts.append(int(out.split("triples: ")[1].split()[0]))
+    assert counts == [5, 5, 6, 3, 3]
+
+
+FLAG_NAMES = {"sym": "symmetric", "iso": "isotropic", "lag": "lagrangian",
+              "nondeg": "nondegenerate"}
+
+
+def test_verify_flags_match_subcats_list(capsys):
+    doubles = [(["--builtin", name], untwisted(name)) for name in BUILTIN_GROUP_NAMES]
+    doubles += [(["--builtin", f"Z{n}", "--cocycle", f"cyclic:{n},{q}"], twisted_cyclic(n, q))
+                for n in (2, 3, 4) for q in range(1, n)]
+    lines = {}
+    for where, dd in doubles:
+        code, listing, _ = run(capsys, "subcats", "list", *where)
+        assert code == 0
+        # the flags= labels of the listing, read independently of flag_counts
+        seen = Counter(FLAG_NAMES[abbr] for label in re.findall(r";flags=(\S+)", listing)
+                       for abbr in label.split(",") if abbr != "-")
+        counts = ", ".join(f"{seen[name]} {name}" for name in FLAG_NAMES.values())
+        prime = "yes" if sc.is_prime(dd) else "no"
+        code, out, _ = run(capsys, "verify", "all", *where)
+        assert code == 0
+        line, = (x for x in out.splitlines() if x.startswith("flags: "))
+        assert line == f"flags: {counts}; prime: {prime}", where
+        lines[" ".join(where)] = line
+    assert lines["--builtin S3"] == \
+        "flags: 4 symmetric, 4 isotropic, 2 lagrangian, 2 nondegenerate; prime: yes"
+    assert lines["--builtin D4"] == \
+        "flags: 28 symmetric, 22 isotropic, 7 lagrangian, 2 nondegenerate; prime: yes"
+    assert lines["--builtin Z3"] == \
+        "flags: 3 symmetric, 3 isotropic, 2 lagrangian, 4 nondegenerate; prime: no"
+    assert lines["--builtin Z2 --cocycle cyclic:2,1"] == \
+        "flags: 2 symmetric, 2 isotropic, 1 lagrangian, 4 nondegenerate; prime: no"
+
+
+def test_verify_classifies_each_triple_once(monkeypatch, capsys):
+    calls = []
+    real = sc.classify
+    monkeypatch.setattr(sc, "classify", lambda dd, t: calls.append(t) or real(dd, t))
+    code, out, err = run(capsys, "verify", "all", "--builtin", "D4")
+    assert code == 0 and "triples: 45" in out
+    assert len(calls) == 45
 
 
 def test_group_file_mult(tmp_path, capsys):
