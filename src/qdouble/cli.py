@@ -36,7 +36,7 @@ def _read_json(path: str, what: str) -> object:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {what} file: {exc}") from exc
 
 
@@ -150,14 +150,14 @@ def _cyclo_json(z: Cyclo) -> dict:
 def _triple_json(dd: TwistedDouble, t: sc.Triple) -> dict:
     return {"K": list(t.K.members), "H": list(t.H.members),
             "B": [list(r) for r in t.B], "N": t.N,
-            "dim": t.dim(dd.group.order),
+            "dim": t.dim,
             "flags": sc.classify(dd, t).names()}
 
 
 def _label(dd: TwistedDouble, t: sc.Triple) -> str:
     return "K=%s;H=%s;dim=%d;flags=%s" % (
         "-".join(map(str, t.K.members)), "-".join(map(str, t.H.members)),
-        t.dim(dd.group.order), sc.classify(dd, t).short())
+        t.dim, sc.classify(dd, t).short())
 
 
 def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
@@ -229,8 +229,9 @@ def _cmd_subcats(args: argparse.Namespace) -> int:
     return 0
 
 
-def lattice_text(dd: TwistedDouble, triples: Sequence[sc.Triple], fmt: str) -> str:
-    """The lattice of the given triples with its Hasse edges, as DOT or JSON text."""
+def lattice_text(dd: TwistedDouble, fmt: str) -> str:
+    """The lattice of all triples with its Hasse edges, as DOT or JSON text."""
+    triples = sc.enumerate_all(dd)
     edges = _hasse_edges(triples)
     if fmt == "dot":
         lines = ["digraph lattice {", "  rankdir=BT;"]
@@ -248,7 +249,7 @@ def lattice_text(dd: TwistedDouble, triples: Sequence[sc.Triple], fmt: str) -> s
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     dd = _double(args)
-    text = lattice_text(dd, sc.enumerate_all(dd), args.format)
+    text = lattice_text(dd, args.format)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -292,10 +293,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print("closure oracle: skipped (nontrivial cocycle); "
               "double-centralizer and dimension laws ok")
-    counts = sc.flag_counts(dd)
-    flags = ", ".join(f"{counts[name]} {name}"
-                      for name in ("symmetric", "isotropic", "lagrangian", "nondegenerate"))
-    print(f"flags: {flags}; prime: {'yes' if sc.is_prime(dd) else 'no'}")
+    *flags, _ = sc.flag_counts(dd).items()   # the flag names, then "proper nondegenerate"
+    print(f"flags: {', '.join(f'{n} {name}' for name, n in flags)}; "
+          f"prime: {'yes' if sc.is_prime(dd) else 'no'}")
     print("verified")
     return 0
 

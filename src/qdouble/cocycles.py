@@ -65,12 +65,6 @@ class ThreeCocycle:
             return True
         return all(v == 0 for p in self.dlog for r in p for v in r)
 
-    def value(self, x: int, y: int, z: int) -> int:
-        """Exponent of omega(x, y, z) relative to zeta_modulus."""
-        if self.dlog is None:
-            return 0
-        return self.dlog[x][y][z]
-
     # -- derived 2-cochains, as exponents mod modulus ---------------------------
 
     def beta(self, a: int, x: int, y: int) -> int:

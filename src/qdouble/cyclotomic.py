@@ -81,16 +81,8 @@ class CycloContext:
     # context holding Cyclo values would be a reference cycle
 
     @property
-    def zero(self) -> "Cyclo":
-        return Cyclo(self, (0,) * self.degree, 1)
-
-    @property
     def one(self) -> "Cyclo":
         return Cyclo(self, self._pow_rows[0], 1)
-
-    def root(self, k: int) -> "Cyclo":
-        """zeta_N^k."""
-        return Cyclo(self, self._pow_rows[k % self.N], 1)
 
     def from_int(self, c: int) -> "Cyclo":
         d = self.degree
@@ -99,12 +91,6 @@ class CycloContext:
     def from_fraction(self, q: Fraction) -> "Cyclo":
         d = self.degree
         return _make(self, [q.numerator] + [0] * (d - 1), q.denominator)
-
-    def sum(self, terms: Iterable["Cyclo"]) -> "Cyclo":
-        total = self.zero
-        for t in terms:
-            total = total + t
-        return total
 
     def root_sum(self, exps: Iterable[int]) -> "Cyclo":
         """sum of zeta_N^e over the exponents: counted mod N, reduced once."""

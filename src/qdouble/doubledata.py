@@ -42,7 +42,6 @@ class SimpleObject:
 class CentralizerData:
     """A centralizer C_G(a) materialized as a standalone group."""
 
-    rep: int
     members: tuple[int, ...]            # parent elements, sorted
     local_of: dict                      # parent element -> local index
     group: FiniteGroup = field(compare=False)
@@ -79,10 +78,8 @@ class TwistedDouble:
         self._gamma: tuple[SimpleObject, ...] | None = None
         self._smatrix: tuple[tuple[Cyclo, ...], ...] | None = None
         self._fusion: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-        self._duals: tuple[int, ...] | None = None
         self._conj_lists: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         self._scalar_exps: dict[int, tuple[int | None, ...]] = {}
-        self._braiding: tuple[int, ...] | None = None
         self._emb: _Embeddings | None = None
         self.subcat_caches: dict = {}
 
@@ -100,7 +97,7 @@ class TwistedDouble:
             m = self.omega.modulus
             beta = [[self.omega.beta(a, x, y) % m for y in members] for x in members]
             P = projective_table(self.ctx, C, beta, m, cap=self.cap)
-            self._centralizers[a] = CentralizerData(a, members, local_of, C, P)
+            self._centralizers[a] = CentralizerData(members, local_of, C, P)
         return self._centralizers[a]
 
     @property
@@ -306,19 +303,17 @@ class TwistedDouble:
                         f"{name}: fusion row N[{i}][{j}] fails sum_k N_ij^k S_ks = "
                         f"S_is S_js / d_s mod p = {p} at t = {t}, at s = {s}")
 
-    @property
+    @cached_property
     def duals(self) -> tuple[int, ...]:
-        if self._duals is None:
-            N = self.fusion
-            n = len(self.gamma)
-            duals = []
-            for i in range(n):
-                ks = [k for k in range(n) if N[i][k][0] == 1]
-                if len(ks) != 1:
-                    raise CheckFailure(f"dual of {i} is not unique: {ks}")
-                duals.append(ks[0])
-            self._duals = tuple(duals)
-        return self._duals
+        N = self.fusion
+        n = len(self.gamma)
+        duals = []
+        for i in range(n):
+            ks = [k for k in range(n) if N[i][k][0] == 1]
+            if len(ks) != 1:
+                raise CheckFailure(f"dual of {i} is not unique: {ks}")
+            duals.append(ks[0])
+        return tuple(duals)
 
     # -- exact braiding predicates -----------------------------------------------------
 
@@ -369,19 +364,17 @@ class TwistedDouble:
         """Whether simples i and j have trivial double braiding."""
         return self.common_phase(i, j, 0) == 0
 
-    @property
+    @cached_property
     def braiding_rows(self) -> tuple[int, ...]:
         """Bitmask rows: bit j of row i is set iff i and j centralize; each pair decided once."""
-        if self._braiding is None:
-            n = len(self.gamma)
-            rows = [0] * n
-            for i in range(n):
-                for j in range(i, n):
-                    if self.centralize(i, j):
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            self._braiding = tuple(rows)
-        return self._braiding
+        n = len(self.gamma)
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i, n):
+                if self.centralize(i, j):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        return tuple(rows)
 
     # -- fusion rows as sets -----------------------------------------------------------
 

@@ -330,9 +330,7 @@ class FiniteGroup:
 
     @cached_property
     def center(self) -> Subgroup:
-        members = [g for g in range(self.order)
-                   if all(self.commute(g, x) for x in range(self.order))]
-        return self.subgroup(members, check=False)
+        return self.centralizer_of_subgroup(self.whole_group)
 
     def centralizer_of_subgroup(self, K: Subgroup) -> Subgroup:
         members = [g for g in range(self.order)

@@ -19,19 +19,6 @@ from collections.abc import Iterable, Sequence
 # -- elementary number theory ---------------------------------------------------
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     f = 2
@@ -48,7 +35,7 @@ def factorize(n: int) -> dict[int, int]:
 def smallest_prime_one_mod(N: int, lower_bound: int) -> int:
     """Smallest prime p with p ≡ 1 (mod N) and p > lower_bound."""
     p = (lower_bound // N) * N + 1
-    while p <= lower_bound or not is_prime(p):
+    while p <= lower_bound or factorize(p) != {p: 1}:
         p += N
     return p
 

@@ -163,6 +163,12 @@ def certify(dd: TwistedDouble) -> dict:
     off the proven S-matrix through all_closed_sets, which also checks each
     set for fusion closure, and report the closed sets; twisted doubles
     (no S-matrix) fold braiding_rows directly and report None.
+
+    Hence the double-centralizer and dimension laws hold on every triple. With
+    C(X) = centralizing_simples(X), symmetric rows give X <= C(C(X)), so
+    C(C(C(X))) = C(X); each M is an intersection of rows, M = C(X), so
+    C(C(M)) = M. The centralizer triple S(H, K, .) has members C(M), and
+    subcat_members certifies dim M = |K|[G:H], dim C(M) = |H|[G:K]: product |G|^2.
     """
     triples = sc.enumerate_all(dd)
     members = {t: sc.subcat_members(dd, t) for t in triples}

@@ -68,8 +68,10 @@ class Triple:
     def sort_key(self) -> tuple:
         return (len(self.K), self.K.bitmask, len(self.H), self.H.bitmask, self.B)
 
-    def dim(self, group_order: int) -> int:
-        return len(self.K) * (group_order // len(self.H))
+    @property
+    def dim(self) -> int:
+        """|K| [G:H], the sum of d_i^2 over the members."""
+        return len(self.K) * (self.K.parent_order // len(self.H))
 
 
 # each flag's name, in field order, and its abbreviation in labels
@@ -199,7 +201,6 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
     cached = dd.subcat_caches.get(key)
     if cached is not None:
         return cached
-    G = dd.group
     members = []
     kset = t.K.member_set
     for s in dd.gamma:
@@ -209,10 +210,9 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
         if all(r[h] == t.exp(s.a, h) for h in t.H.members):
             members.append(s.index)
     dim = sum(dd.gamma[i].dim ** 2 for i in members)
-    expected = t.dim(G.order)
-    if dim != expected:
+    if dim != t.dim:
         raise DimensionMismatch(
-            f"members carry dimension {dim}, triple predicts {expected}")
+            f"members carry dimension {dim}, triple predicts {t.dim}")
     result = frozenset(members)
     dd.subcat_caches[key] = result
     return result
@@ -414,7 +414,7 @@ def flag_counts(dd: TwistedDouble) -> dict[str, int]:
         names = classify(dd, t).names()
         for name in names:
             counts[name] += 1
-        if "nondegenerate" in names and 1 < t.dim(order) < order ** 2:
+        if "nondegenerate" in names and 1 < t.dim < order ** 2:
             counts["proper nondegenerate"] += 1
     dd.subcat_caches[key] = counts
     return dict(counts)
@@ -452,8 +452,7 @@ def gauss_sum(dd: TwistedDouble, t: Triple) -> Cyclo:
 def central_charge(dd: TwistedDouble, t: Triple) -> complex:
     """tau / sqrt(dim), as a complex float."""
     tau = gauss_sum(dd, t)
-    dim = t.dim(dd.group.order)
-    return tau.to_complex() / (dim ** 0.5)
+    return tau.to_complex() / (t.dim ** 0.5)
 
 
 # -- adjoint and central series (trivial cocycle, trivial pairing) -------------------

@@ -72,8 +72,8 @@ def test_row_orthogonality():
         n = T.n_chars
         for i in range(n):
             for j in range(n):
-                total = T.ctx.sum(T.value(i, g) * T.value(j, g).conj()
-                                  for g in range(G.order))
+                total = sum([T.value(i, g) * T.value(j, g).conj()
+                             for g in range(G.order)], T.ctx.root_sum(()))
                 assert total == (G.order if i == j else 0)
 
 
@@ -84,8 +84,8 @@ def test_column_orthogonality():
     reps = G.class_reps
     for ci, c in enumerate(classes):
         for cj in range(len(classes)):
-            total = T.ctx.sum(T.value(i, reps[ci]) * T.value(i, reps[cj]).conj()
-                              for i in range(T.n_chars))
+            total = sum([T.value(i, reps[ci]) * T.value(i, reps[cj]).conj()
+                         for i in range(T.n_chars)], T.ctx.root_sum(()))
             expected = G.order // len(c) if ci == cj else 0
             assert total == expected
 
@@ -169,8 +169,8 @@ def test_projective_orthogonality():
     P = projective_table(ctx, C, beta, 4)
     for i in range(P.n_chars):
         for j in range(P.n_chars):
-            total = ctx.sum(P.value(i, x) * P.value(j, x).conj()
-                            for x in range(C.order))
+            total = sum([P.value(i, x) * P.value(j, x).conj()
+                         for x in range(C.order)], ctx.root_sum(()))
             assert total == (C.order if i == j else 0)
 
 
@@ -230,7 +230,7 @@ def _solve_mod_rows(ctx, C):
             equations.append((row, 0))
     exps = [(0,) + tuple(s) for s in solve_mod(equations, n - 1, ctx.N)]
     exps.sort(key=lambda es: (1 if any(es) else 0,
-                              tuple(ctx.root(e).sort_key() for e in es)))
+                              tuple(ctx.root_sum((e,)).sort_key() for e in es)))
     return exps
 
 

@@ -299,14 +299,23 @@ def test_usage_errors(tmp_path, capsys):
              ("cocycle", {"modulus": "2", "dlog": [0] * 8}),
              ("cocycle", {"modulus": 0, "dlog": [0] * 8}),
              ("cocycle", {"modulus": 2, "dlog": [[[0]]]}),
-             ("cocycle", {"modulus": 2, "dlog": [[[0, 0], [0, 0]], [[0, 0], [0, "1"]]]}))
+             ("cocycle", {"modulus": 2, "dlog": [[[0, 0], [0, 0]], [[0, 0], [0, "1"]]]}),
+             # bytes that are not UTF-8, and arrays nested past the recursion limit
+             *((kind, raw) for kind in ("group", "cocycle", "pairing")
+               for raw in (b"\xff\xfe{}", b"[" * 100_000)))
     for kind, doc in cases:
         f = tmp_path / f"{kind}.json"
-        f.write_text(json.dumps(doc))
-        where = (["--group", str(f)] if kind == "group"
-                 else ["--builtin", "Z2", "--cocycle", str(f)])
-        code, _, err = run(capsys, "group", "info", *where)
-        assert code == 2 and err.startswith("error:"), (doc, err)
+        if isinstance(doc, bytes):
+            f.write_bytes(doc)
+        else:
+            f.write_text(json.dumps(doc))
+        argv = {"group": ["group", "info", "--group", str(f)],
+                "cocycle": ["group", "info", "--builtin", "Z2", "--cocycle", str(f)],
+                "pairing": ["invariants", "--builtin", "Z2", "--triple", f"0-1,0-1,{f}"]}[kind]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1, (kind, err)
+        if isinstance(doc, bytes):
+            assert err.startswith(f"error: cannot read {kind} file: "), err
     code, _, err = run(capsys, "group", "info", "--builtin", "Z2",
                        "--cocycle", "cyclic:0,1")
     assert code == 2 and "N >= 1" in err
@@ -434,8 +443,7 @@ def test_hasse_edges_match_pairwise():
 def test_lattice_export_pinned(names):
     digest, n_triples, n_edges = LATTICES[names]
     dd = untwisted_product(*names)
-    triples = sc.enumerate_all(dd)
-    text = lattice_text(dd, triples, "json")
+    text = lattice_text(dd, "json")
     doc = json.loads(text)
     assert (len(doc["triples"]), len(doc["edges"])) == (n_triples, n_edges)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

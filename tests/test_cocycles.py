@@ -28,7 +28,7 @@ def test_builtin_cyclic_formula():
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                assert om.value(a, b, c) == (q * a * ((b + c) // n)) % n
+                assert om.dlog[a][b][c] == (q * a * ((b + c) // n)) % n
 
 
 def test_builtin_cyclic_families_validate():
@@ -42,8 +42,8 @@ def test_builtin_cyclic_families_validate():
 def test_semion_cocycle_values():
     om = builtin_cyclic(2, 1)
     # omega(1,1,1) = -1 and all slots touching the identity are 1
-    assert om.value(1, 1, 1) == 1 and om.modulus == 2
-    assert om.value(0, 1, 1) == 0 and om.value(1, 0, 1) == 0
+    assert om.dlog[1][1][1] == 1 and om.modulus == 2
+    assert om.dlog[0][1][1] == 0 and om.dlog[1][0][1] == 0
 
 
 def test_semion_not_a_coboundary():
@@ -96,9 +96,9 @@ def test_product_and_pullback():
     for x in range(4):
         for y in range(4):
             for z in range(4):
-                assert ab.value(x, y, z) == (
-                    a.value(x, y, z) * (m // a.modulus)
-                    + b.value(x, y, z) * (m // b.modulus)) % m
+                assert ab.dlog[x][y][z] == (
+                    a.dlog[x][y][z] * (m // a.modulus)
+                    + b.dlog[x][y][z] * (m // b.modulus)) % m
     # pull back the Z2 semion along Z4 ->> Z2
     G4 = cyclic_group(4)
     hom = [0, 1, 0, 1]

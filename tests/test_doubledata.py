@@ -47,7 +47,7 @@ def test_s3_dims_and_twists():
     twists = [s.twist for s in dd.gamma]
     # unit and Rep(S3) pieces are untwisted; a transposition pair has theta = -1
     assert twists[:4] == [0, 0, 0, 0]
-    assert ctx.root(twists[4]) == -1
+    assert ctx.root_sum((twists[4],)) == -1
 
 
 def test_unit_object():
@@ -163,7 +163,7 @@ def _cyclo_centralize(dd, i, j):
     degdeg = ctx.from_int(si.degree * sj.degree)
     for u, v, e in dd._pair_terms(si.a, sj.a):
         lhs = _chi(cdi, si.char_index, u) * _chi(cdj, sj.char_index, v)
-        if lhs * ctx.root((e % dd.omega.modulus) * dd.scale) != degdeg:
+        if lhs * ctx.root_sum(((e % dd.omega.modulus) * dd.scale,)) != degdeg:
             return False
     return True
 
@@ -186,16 +186,16 @@ def test_braiding_rows_match_cyclo_predicate():
                 chi = _chi(cd, s.char_index, x)
                 assert (r[x] is not None) == (chi * chi.conj() == s.degree ** 2)
                 if r[x] is not None:
-                    assert chi == dd.ctx.root(r[x]) * s.degree
+                    assert chi == dd.ctx.root_sum((r[x],)) * s.degree
 
 
 def _pair_sum(dd, i, j):
     """X = sum over _pair_terms of zeta_m^e chi_i(u) chi_j(v), with Cyclo products."""
     si, sj = dd.gamma[i], dd.gamma[j]
     cdi, cdj = dd.centralizer_data(si.a), dd.centralizer_data(sj.a)
-    return dd.ctx.sum(_chi(cdi, si.char_index, u) * _chi(cdj, sj.char_index, v)
-                      * dd.ctx.root(e * dd.scale)
-                      for u, v, e in dd._pair_terms(si.a, sj.a))
+    return sum([_chi(cdi, si.char_index, u) * _chi(cdj, sj.char_index, v)
+                * dd.ctx.root_sum((e * dd.scale,))
+                for u, v, e in dd._pair_terms(si.a, sj.a)], dd.ctx.root_sum(()))
 
 
 def test_common_phase_matches_cyclo_predicates():
@@ -211,7 +211,7 @@ def test_common_phase_matches_cyclo_predicates():
                 where = (dd.group.name, dd.omega.modulus, i, j)
                 assert (k is not None) == (X * X.conj() == top * top), where
                 if k is not None:
-                    assert X == dd.ctx.root(k) * top, where
+                    assert X == dd.ctx.root_sum((k,)) * top, where
                 if S is not None:
                     d = si.dim * sj.dim
                     assert (k is not None) == (S[i][j] * S[i][j].conj() == d * d), where
@@ -237,7 +237,7 @@ def _cyclo_verlinde(dd):
         for j in range(i, n):
             t = [S[i][s] * S[j][s] * Fraction(1, dd.gamma[s].dim) for s in range(n)]
             for k in range(n):
-                val = dd.ctx.sum(t[s] * S[k][s].conj() for s in range(n))
+                val = sum([t[s] * S[k][s].conj() for s in range(n)], dd.ctx.root_sum(()))
                 q = val.as_fraction() / order2
                 assert q.denominator == 1 and q >= 0
                 N[i][j][k] = N[j][i][k] = int(q)
@@ -257,7 +257,7 @@ def test_fusion_proof_rejects_rescaled_column():
     dd = TwistedDouble(builtin_group("D4"))
     S = [list(row) for row in dd.s_matrix]
     s = 5
-    zeta = dd.ctx.root(1)
+    zeta = dd.ctx.root_sum((1,))
     for row in S:
         row[s] = row[s] * zeta
     dd._smatrix = tuple(tuple(row) for row in S)
@@ -347,8 +347,8 @@ def _cyclo_unitary(dd, S):
     conj_rows = [[x.conj() for x in row] for row in S]
     for i in range(n):
         for j in range(i, n):
-            inner = ctx.sum(S[i][k] * conj_rows[j][k] for k in range(n))
-            if inner != (order2 if i == j else ctx.zero):
+            inner = sum([S[i][k] * conj_rows[j][k] for k in range(n)], ctx.root_sum(()))
+            if inner != (order2 if i == j else ctx.root_sum(())):
                 return False
     return True
 
@@ -387,11 +387,13 @@ def _residual_coordinates(dd, S, N):
     unitary, fusion = [], []
     for i in range(n):
         for j in range(i, n):
-            x = ctx.sum(c[i][k] * c[j][k].conj() for k in range(n)) - (target if i == j else 0)
+            x = (sum([c[i][k] * c[j][k].conj() for k in range(n)], ctx.root_sum(()))
+                 - (target if i == j else 0))
             assert x.den == 1
             unitary += x.num
             for s in range(n):
-                y = ctx.sum(c[k][s] * (D * dims[s] * m) for k, m in enumerate(N[i][j]) if m)
+                y = sum([c[k][s] * (D * dims[s] * m) for k, m in enumerate(N[i][j]) if m],
+                        ctx.root_sum(()))
                 y = y - c[i][s] * c[j][s]
                 assert y.den == 1
                 fusion += y.num
@@ -407,7 +409,7 @@ def _mutations(dd):
     N = dd.fusion
     bumped = [list(row) for row in S]
     bumped[n - 1][n - 2] = bumped[n - 1][n - 2] + 1
-    turned = [[x * dd.ctx.root(1) if s == n - 1 else x for s, x in enumerate(row)]
+    turned = [[x * dd.ctx.root_sum((1,)) if s == n - 1 else x for s, x in enumerate(row)]
               for row in S]
     wrong = [[list(r) for r in p] for p in N]
     wrong[1][1][0] += 1
@@ -462,9 +464,9 @@ def test_checks_reject_a_prime_multiple_perturbation():
     p, D = emb.p, emb.D
     a, b = 3, 5
     rows = [list(row) for row in S]
-    rows[a][b] = rows[a][b] + dd.ctx.root(1) * Fraction(p, D)
+    rows[a][b] = rows[a][b] + dd.ctx.root_sum((1,)) * Fraction(p, D)
     S2 = tuple(map(tuple, rows))
-    assert (rows[a][b] - S[a][b]) * D == dd.ctx.root(1) * p
+    assert (rows[a][b] - S[a][b]) * D == dd.ctx.root_sum((1,)) * p
     unitary, fusion = _residual_coordinates(dd, S2, N)
     for residual in (unitary, fusion):
         assert any(residual) and all(x % p == 0 for x in residual)
@@ -541,5 +543,5 @@ def test_twist_is_the_scalar_at_a():
         for s in dd.gamma:
             where = (dd.group.name, dd.omega.modulus, s.index)
             chi = _chi(dd.centralizer_data(s.a), s.char_index, s.a)
-            assert chi == dd.ctx.root(s.twist) * s.degree, where
+            assert chi == dd.ctx.root_sum((s.twist,)) * s.degree, where
             assert s.twist == dd.scalar_exps(s.index)[s.a], where

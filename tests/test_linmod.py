@@ -5,7 +5,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble.linmod import (charpoly_mod, ext_gcd, factorize, is_prime, mat_mul_mod,
+from qdouble.linmod import (charpoly_mod, ext_gcd, factorize, mat_mul_mod,
                             nullspace_mod, poly_roots_mod, primitive_root, rref_mod,
                             smallest_prime_one_mod, solve_mod)
 
@@ -13,8 +13,8 @@ from qdouble.linmod import (charpoly_mod, ext_gcd, factorize, is_prime, mat_mul_
 def test_is_prime_and_factorize():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97}
     for n in range(2, 100):
-        assert is_prime(n) == (n in primes or
-                               all(n % p for p in primes if p * p <= n) and n > 31)
+        assert (factorize(n) == {n: 1}) == (n in primes or
+                                            all(n % p for p in primes if p * p <= n) and n > 31)
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(97) == {97: 1}
 
@@ -26,7 +26,7 @@ def test_smallest_prime_one_mod():
     for N in (2, 3, 6, 8, 12):
         for lb in (1, 10, 50):
             p = smallest_prime_one_mod(N, lb)
-            assert p > lb and p % N == 1 and is_prime(p)
+            assert p > lb and p % N == 1 and factorize(p) == {p: 1}
 
 
 def test_primitive_root():

@@ -5,8 +5,8 @@ import pytest
 from qdouble import CheckFailure, Cyclo, TwistedDouble, builtin_group, oracle, subcats as sc
 from qdouble.groups import BUILTIN_GROUP_NAMES
 
-from conftest import (twisted_cyclic, twisted_quotient, untwisted, untwisted_cyclic,
-                      untwisted_product)
+from conftest import (twisted_cyclic, twisted_cyclic_coboundary, twisted_quotient, untwisted,
+                      untwisted_cyclic, untwisted_product)
 
 
 def test_fusion_closure_basics():
@@ -33,12 +33,6 @@ def test_closure_is_minimal():
     dd = untwisted("Z2")
     # the closure of a semion-free seed never invents new simples
     assert oracle.fusion_closure(dd, (2,)) == frozenset({0, 2})
-
-
-def test_all_closed_sets_counts():
-    for name, count in (("Z2", 5), ("Z4", 15), ("S3", 8)):
-        dd = untwisted(name)
-        assert len(oracle.all_closed_sets(dd)) == count
 
 
 def _reference_closed_sets(dd):
@@ -78,7 +72,7 @@ def test_all_closed_sets_rejects_rows_that_disagree_with_braiding():
     dd = TwistedDouble(builtin_group("D4"))
     rows = list(dd.braiding_rows)
     rows[3] &= ~1
-    dd._braiding = tuple(rows)
+    dd.braiding_rows = tuple(rows)
     with pytest.raises(CheckFailure, match="centralizer row 3 read off S is not braiding row 3"):
         oracle.all_closed_sets(dd)
 
@@ -120,12 +114,6 @@ def test_closed_sets_are_joins_of_singletons():
         assert rebuilt == s
 
 
-def test_certify_untwisted():
-    rep = oracle.certify(untwisted("S3"))
-    assert rep["bijection"] is True
-    assert rep["triples"] == rep["closed_sets"] == 8
-
-
 def test_certify_twisted():
     rep = oracle.certify(twisted_cyclic(2, 1))
     assert rep["triples"] == 5
@@ -137,6 +125,25 @@ def test_certify_twisted():
             rep = oracle.certify(twisted_quotient(name, cob_m))
             assert rep["triples"] == count
             assert rep["bijection"] is None
+
+
+def test_twisted_double_centralizer_and_dimension_laws():
+    # what verify all states for a twisted double, asserted on the member sets:
+    # C(C(M)) = M and dim M dim C(M) = |G|^2, with C = centralizing_simples
+    doubles = [*(twisted_cyclic(n, q) for n in range(2, 7) for q in range(1, n)),
+               *(twisted_quotient(name, m) for name in ("S3", "D4", "Q8") for m in (None, 3)),
+               twisted_cyclic_coboundary(4, 1, 3)]
+    n_triples = 0
+    for dd in doubles:
+        squares = [s.dim ** 2 for s in dd.gamma]
+        for t in sc.enumerate_all(dd):
+            members = sc.subcat_members(dd, t)
+            cent = oracle.centralizing_simples(dd, members)
+            assert oracle.centralizing_simples(dd, cent) == members, (dd.group.name, t)
+            dims = [sum(squares[i] for i in ms) for ms in (members, cent)]
+            assert dims[0] * dims[1] == dd.group.order ** 2, (dd.group.name, t)
+            n_triples += 1
+    assert (len(doubles), n_triples) == (22, 357)
 
 
 def test_certify_twisted_rejects_a_missing_triple():
