@@ -2,9 +2,13 @@
 
 Ordinary tables come from the class-algebra method: common eigenvectors of the
 class-sum structure matrices over a prime field F_p with p = 1 (mod N), lifted
-exactly to Q(zeta_N) via eigenvalue multiplicities. Projective characters for a
-2-cocycle beta are ordinary characters of a central extension with a fixed
-central character, restricted along the section x -> (x, 0).
+exactly to Q(zeta_N) via eigenvalue multiplicities; abelian tables from a walk
+along the generators. Projective characters for a 2-cocycle beta are ordinary
+characters of a central extension E = C x_beta Z/m' with central character
+zeta_m' at z = (e, 1), restricted along the section x -> (x, 0). Both engines
+start at that central character (the eigenspace of {z} at zeta_m', or the
+character of <z> the walk extends), so only the |E| / m' they need are built;
+that every row has chi(z) = d zeta_m' is then checked, not filtered.
 """
 
 from __future__ import annotations
@@ -69,13 +73,19 @@ def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
     return _canonical(ctx, C, *_ordinary_rows(ctx, C))
 
 
-def _ordinary_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[tuple]]:
+def _ordinary_rows(ctx: CycloContext, C: FiniteGroup,
+                   mp: int = 1) -> tuple[list[int], list[tuple]]:
     """Degrees and per-element spectra of C's irreducible characters, checked
-    but in no particular order."""
+    but in no particular order.
+
+    With mp > 1, index 1 is a central element z of order mp and only the
+    characters with chi(z) = d zeta_mp are built: both engines start from
+    that central character, so their squared degrees sum to |C| / mp.
+    """
     if ctx.N % C.exponent:
         raise InputError(f"exponent {C.exponent} does not divide N = {ctx.N}")
     if C.is_abelian:
-        return _abelian_rows(ctx, C)
+        return _abelian_rows(ctx, C, mp)
     classes = C.conjugacy_classes
     r = len(classes)
     reps = C.class_reps
@@ -86,9 +96,10 @@ def _ordinary_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[t
     p = smallest_prime_one_mod(N, isqrt(4 * n ** 3) + 1)
     z = pow(primitive_root(p), (p - 1) // N, p)
 
-    # class-sum structure matrices, transposed so eigen-rows carry the values
+    # class-sum structure matrices, transposed so eigen-rows carry the values;
+    # the identity class 0 has the identity matrix
     mats_t = []
-    for i in range(1, r):
+    for i in range(r):
         M = [[0] * r for _ in range(r)]
         for u in classes[i]:
             ui = C.inverse(u)
@@ -96,10 +107,20 @@ def _ordinary_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[t
                 M[C.class_index_of[C.mul(ui, reps[k])]][k] += 1
         mats_t.append([[M[j][k] for j in range(r)] for k in range(r)])
 
-    # refine common eigenspaces (row spaces, kept in reduced echelon form)
-    spaces: list[tuple[list[list[int]], list[int]]] = \
-        [rref_mod([[int(i == j) for j in range(r)] for i in range(r)], p)]
-    for A in mats_t:
+    def left_eigenspace(S, B, lam):
+        """The rows q S with q B = lam q, in reduced echelon form (None if there
+        are none), and their dimension: the coordinate rows of S's row space
+        transform by B on the right."""
+        Bl = [[(B[j][i] - lam * (i == j)) % p for j in range(len(S))] for i in range(len(S))]
+        Q = nullspace_mod(Bl, p)
+        return (rref_mod(mat_mul_mod(Q, S, p), p) if Q else None), len(Q)
+
+    # refine common eigenspaces (row spaces, kept in reduced echelon form), starting
+    # from the one where the class {z} acts by zeta_mp (z = e and all of F_p^r if mp = 1)
+    zc = C.class_index_of[1] if mp > 1 else 0
+    seed, _ = left_eigenspace(mats_t[0], mats_t[zc], pow(z, N // mp, p))
+    spaces: list[tuple[list[list[int]], list[int]]] = [seed] if seed else []
+    for A in (A for i, A in enumerate(mats_t) if i not in (0, zc)):
         refined = []
         for S, pivots in spaces:
             if len(S) == 1:
@@ -110,15 +131,10 @@ def _ordinary_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[t
             roots = poly_roots_mod(charpoly_mod(B, p), p)
             total = 0
             for lam in sorted(set(roots)):
-                # left eigenvectors of B: coordinate rows transform by B on the right
-                Bl = [[(B[j][i] - lam * (i == j)) % p for j in range(len(S))]
-                      for i in range(len(S))]
-                Q = nullspace_mod(Bl, p)
-                if not Q:
-                    continue
-                sub = mat_mul_mod(Q, S, p)
-                refined.append(rref_mod(sub, p))
-                total += len(Q)
+                sub, dim = left_eigenspace(S, B, lam)
+                if sub:
+                    refined.append(sub)
+                total += dim
             if total != len(S):
                 raise LiftFailure("class matrix not diagonalizable over F_p")
         spaces = refined
@@ -134,10 +150,7 @@ def _ordinary_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[t
             raise LiftFailure("eigenvector vanishes on the identity class")
         w0inv = pow(w[0], p - 2, p)
         w = [(x * w0inv) % p for x in w]
-        omega = [0] * r
-        omega[0] = 1
-        for i, A in enumerate(mats_t, start=1):
-            omega[i] = sum(A[k][0] * w[k] for k in range(r)) % p
+        omega = [sum(A[k][0] * w[k] for k in range(r)) % p for A in mats_t]
         s_inv = sum(omega[k] * omega[inv_class[k]] % p * inv_size[k] for k in range(r)) % p
         if s_inv == 0:
             raise LiftFailure("degree denominator vanished")
@@ -171,8 +184,9 @@ def _ordinary_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[t
         degrees.append(d)
         rows.append(tuple(map(per_class.__getitem__, C.class_index_of)))
 
-    if sum(d * d for d in degrees) != n:
-        raise LiftFailure("squared degrees do not sum to the group order")
+    if sum(d * d for d in degrees) != n // mp:
+        # Ind from <z> to C of zeta_mp has dimension |C| / mp
+        raise LiftFailure(f"squared degrees do not sum to |C| / {mp} = {n // mp}")
     _check_orthonormal(ctx, rows, n, "rows")
     return degrees, rows
 
@@ -191,18 +205,25 @@ def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str) -> Non
                 raise LiftFailure(f"{what} {i}, {j} are not orthonormal")
 
 
-def _abelian_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[tuple]]:
-    """Characters of an abelian group: all homomorphisms into the N-th roots of unity.
+def _abelian_rows(ctx: CycloContext, C: FiniteGroup,
+                  mp: int = 1) -> tuple[list[int], list[tuple]]:
+    """Characters of an abelian group: the homomorphisms into the N-th roots of
+    unity that send z = index 1 to zeta_mp (all of them when mp = 1).
 
-    Built along the generators: if t is the least power with g^t in
-    H = <earlier generators>, a character of H with exponent e at g^t extends
-    to <H, g> in exactly the t ways c = e/t + k N/t (0 <= k < t), sending
-    h g^s to its exponent at h plus s c. Every row is then checked against
-    the generator equations L(x g) = L(x) + L(g) mod N.
+    Built along the generators, starting from H = <z> with exponent k N/mp at
+    z^k: if t is the least power with g^t in H = <z, earlier generators>, a
+    character of H with exponent e at g^t extends to <H, g> in exactly the t
+    ways c = e/t + k N/t (0 <= k < t), sending h g^s to its exponent at h
+    plus s c. That gives |C| / mp rows, each then checked against the
+    generator equations L(x g) = L(x) + L(g) mod N.
     """
     n, N = C.order, ctx.N
     gens = C.whole_group.generators
-    elems, member, rows = [0], {0}, [[0] * n]
+    elems, row = [0], [0] * n
+    for k in range(1, mp):
+        elems.append(C.mul(elems[-1], 1))
+        row[elems[-1]] = k * (N // mp)
+    member, rows = set(elems), [row]
     for g in gens:
         t, gt = 1, g
         while gt not in member:
@@ -225,8 +246,8 @@ def _abelian_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[tu
         rows = extended
         elems += [x for _, _, x in coset]
         member.update(elems)
-    if len(rows) != n:
-        raise LiftFailure(f"abelian group has {len(rows)} characters, expected {n}")
+    if len(rows) != n // mp:
+        raise LiftFailure(f"abelian group has {len(rows)} characters, expected {n // mp}")
     for g in gens:
         times_g = [C.mul(x, g) for x in range(n)]
         for row in rows:
@@ -236,12 +257,12 @@ def _abelian_rows(ctx: CycloContext, C: FiniteGroup) -> tuple[list[int], list[tu
                                       f"L(x g) = L(x) + L(g) at x = {x}, g = {g}")
     single = [(e,) for e in range(N)]
     spectra = [tuple(map(single.__getitem__, row)) for row in rows]
-    if len(set(spectra)) != n:
+    if len(set(spectra)) != n // mp:
         raise LiftFailure("abelian characters are not distinct")
     # distinct homomorphisms are orthogonal; verify exactly on small groups
     if n <= 16:
         _check_orthonormal(ctx, spectra, n, "abelian rows")
-    return [1] * n, spectra
+    return [1] * len(spectra), spectra
 
 
 # -- projective characters ------------------------------------------------------
@@ -312,21 +333,29 @@ def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: i
 
 def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int]],
                      m: int, cap: int = DEFAULT_ORDER_CAP) -> CharacterTable:
-    """All irreducible beta-characters of C, exactly."""
+    """All irreducible beta-characters of C, exactly.
+
+    They are the characters chi of the central extension E with
+    chi(z) = d zeta_m' at z = (e, 1), restricted along x -> (x, 0).
+    _ordinary_rows builds only those, starting both engines at zeta_m', so
+    no row is filtered out; each is checked instead: every eigenvalue of
+    rho(z) must be zeta_m'.
+    """
     E = central_extension(C, beta, m, cap=cap)
     mp = E.order // C.order
     if ctx.N % (mp * C.exponent):
         # exponent(E) divides m' * exponent(C)
         raise InputError(f"context N = {ctx.N} too small for extension")
-    degrees, spectra = _ordinary_rows(ctx, E)
+    degrees, spectra = _ordinary_rows(ctx, E, mp)
     if E is C:
         # beta = 0 mod m: the beta-characters are the ordinary ones
         return _canonical(ctx, C, degrees, spectra)
-    # chi(z) = zeta_m' d iff every eigenvalue of rho(z) is zeta_m': |chi(z)| = d only for
-    # scalars; z = (e, 1) is index 1, and (x, 0) is index x m'
-    keep = [i for i, row in enumerate(spectra) if all(e == ctx.N // mp for e in row[1])]
-    degrees = [degrees[i] for i in keep]
-    spectra = [spectra[i][::mp] for i in keep]
+    # z = (e, 1) is index 1, and (x, 0) is index x m'
+    for i, row in enumerate(spectra):
+        if any(e != ctx.N // mp for e in row[1]):
+            raise LiftFailure(f"row {i} has spectrum {row[1]} at z, "
+                              f"expected every exponent {ctx.N // mp}")
+    spectra = [row[::mp] for row in spectra]
 
     if sum(d * d for d in degrees) != C.order:
         raise LiftFailure("projective squared degrees do not sum to the group order")

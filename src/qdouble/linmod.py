@@ -33,9 +33,13 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def smallest_prime_one_mod(N: int, lower_bound: int) -> int:
-    """Smallest prime p with p ≡ 1 (mod N) and p > lower_bound."""
+    """Smallest prime p with p ≡ 1 (mod N) and p > lower_bound.
+
+    An odd p with 2^(p-1) != 1 (mod p) is composite by Fermat, so it is
+    skipped without factorizing; factorize decides every other candidate.
+    """
     p = (lower_bound // N) * N + 1
-    while p <= lower_bound or factorize(p) != {p: 1}:
+    while p <= lower_bound or (p % 2 and pow(2, p - 1, p) != 1) or factorize(p) != {p: 1}:
         p += N
     return p
 

@@ -6,8 +6,9 @@ import pytest
 
 from qdouble import (CheckFailure, CycloContext, GroupTooLarge, builtin_cyclic,
                      builtin_group, cyclic_group, ordinary_table, projective_table)
-from qdouble.characters import (LiftFailure, _check_orthonormal, beta_regular_class_count,
-                                central_extension, validate_two_cocycle)
+from qdouble.characters import (LiftFailure, _canonical, _check_orthonormal, _ordinary_rows,
+                                beta_regular_class_count, central_extension,
+                                validate_two_cocycle)
 from qdouble.groups import FiniteGroup, direct_product
 from qdouble.linmod import solve_mod
 
@@ -238,13 +239,17 @@ def _exponent_rows(T):
     return [tuple(sp[0] for sp in row) for row in T.spectra]
 
 
-def _centralizer_extensions(dd):
-    """The central extensions projective_table builds for every centralizer of dd."""
+def _centralizer_cocycles(dd):
+    """(C, beta, m) for the centralizer C of every class representative of dd."""
     m = dd.omega.modulus
     for a in dd.group.class_reps:
         cd = dd.centralizer_data(a)
-        beta = [[dd.omega.beta(a, x, y) % m for y in cd.members] for x in cd.members]
-        yield central_extension(cd.group, beta, m)
+        yield cd.group, [[dd.omega.beta(a, x, y) % m for y in cd.members] for x in cd.members], m
+
+
+def _centralizer_extensions(dd):
+    """The central extensions projective_table builds for every centralizer of dd."""
+    return [central_extension(C, beta, m) for C, beta, m in _centralizer_cocycles(dd)]
 
 
 def test_abelian_table_matches_solve_mod():
@@ -317,3 +322,51 @@ def test_orthonormality_kernel_rejects_shifted_exponent():
     _check_orthonormal(P.ctx, P.spectra, 4, "projective rows")
     with pytest.raises(LiftFailure, match="projective rows 0, 1 are not orthonormal"):
         _check_orthonormal(P.ctx, _shifted(P.spectra, 1, 3), 4, "projective rows")
+
+
+# -- projective tables start both engines at the central character ---------------
+
+
+def _filtered_table(ctx, C, beta, m):
+    """Every character of the central extension E, kept where chi(z) = d zeta_m' at
+    z = index 1 and restricted along x -> (x, 0); the construction the seeded
+    engines replaced."""
+    E = central_extension(C, beta, m)
+    mp = E.order // C.order
+    degrees, spectra = _ordinary_rows(ctx, E)
+    keep = [i for i, row in enumerate(spectra)
+            if mp == 1 or all(e == ctx.N // mp for e in row[1])]
+    return _canonical(ctx, C, [degrees[i] for i in keep], [spectra[i][::mp] for i in keep])
+
+
+def _projective_cases():
+    doubles = braiding_doubles() + [twisted_cyclic(n, q) for n in range(2, 8) for q in range(1, n)]
+    doubles += [twisted_cyclic_coboundary(n, q, 3) for n, q in ((4, 1), (6, 1), (6, 3))]
+    return [(dd.ctx, C, beta, m) for dd in doubles for C, beta, m in _centralizer_cocycles(dd)]
+
+
+def test_projective_table_matches_filtered_full_table():
+    extensions = set()
+    for ctx, C, beta, m in _projective_cases():
+        P, ref = projective_table(ctx, C, beta, m), _filtered_table(ctx, C, beta, m)
+        assert (P.degrees, P.spectra) == (ref.degrees, ref.spectra), C.name
+        E = central_extension(C, beta, m)
+        mp = E.order // C.order
+        assert len(_ordinary_rows(ctx, E, mp)[0]) == beta_regular_class_count(C, beta, m)
+        extensions.add((E.is_abelian, mp > 1, E.order))
+    # the abelian walk up to Z/7 by Z/7, and Dixon on seeded non-abelian extensions
+    assert (True, True, 49) in extensions
+    assert any(not abelian and seeded for abelian, seeded, _ in extensions)
+
+
+def test_unseeded_rows_fail_the_central_character_check(monkeypatch):
+    cases = [(ctx, C, beta, m) for ctx, C, beta, m in _projective_cases()
+             if central_extension(C, beta, m) is not C]
+    abelian = next(c for c in cases if central_extension(*c[1:]).is_abelian)
+    dixon = next(c for c in cases if not central_extension(*c[1:]).is_abelian)
+    monkeypatch.setattr("qdouble.characters._ordinary_rows",
+                        lambda ctx, E, mp: _ordinary_rows(ctx, E))
+    for ctx, C, beta, m in (abelian, dixon):
+        with pytest.raises(LiftFailure, match=r"row \d+ has spectrum \(.*\) at z, "
+                                              r"expected every exponent \d+"):
+            projective_table(ctx, C, beta, m)

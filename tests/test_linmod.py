@@ -29,6 +29,27 @@ def test_smallest_prime_one_mod():
             assert p > lb and p % N == 1 and factorize(p) == {p: 1}
 
 
+def _plain_prime_search(N, lower_bound):
+    """smallest_prime_one_mod deciding every candidate by factorize alone."""
+    p = (lower_bound // N) * N + 1
+    while p <= lower_bound or factorize(p) != {p: 1}:
+        p += N
+    return p
+
+
+def test_smallest_prime_one_mod_matches_plain_search():
+    # the base-2 Fermat test only skips composites: the same prime on a grid of
+    # moduli and bounds, and on base-2 pseudoprimes, which factorize must reject
+    for N in range(1, 201):
+        for lb in (0, 1, 2, 3, 100, 2 ** 12 + 1, 2 ** 24):
+            assert smallest_prime_one_mod(N, lb) == _plain_prime_search(N, lb), (N, lb)
+    for psp in (341, 561, 645, 1105, 1387, 1729, 1905, 2047, 2465, 2701):
+        assert pow(2, psp - 1, psp) == 1 and factorize(psp) != {psp: 1}
+        for N in (N for N in range(1, 201) if (psp - 1) % N == 0):
+            p = smallest_prime_one_mod(N, psp - 1)
+            assert p == _plain_prime_search(N, psp - 1) and p != psp, (N, psp)
+
+
 def test_primitive_root():
     for p in (3, 5, 7, 11, 13, 97):
         g = primitive_root(p)
