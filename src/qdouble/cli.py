@@ -8,6 +8,7 @@ stops early. Any other exception is a bug and escapes with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -314,6 +315,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="largest group order accepted")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qdouble",
@@ -323,39 +325,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="group and simple object summary")
     p.add_argument("action", choices=("info",))
     _add_common(p)
-    p.set_defaults(func=_cmd_group)
 
     p = sub.add_parser("subcats", help="enumerate fusion subcategories")
     p.add_argument("action", choices=("list",))
     _add_common(p)
-    p.set_defaults(func=_cmd_subcats)
 
     p = sub.add_parser("lattice", help="export the subcategory lattice")
     p.add_argument("action", choices=("export",))
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("--out", metavar="FILE")
     _add_common(p)
-    p.set_defaults(func=_cmd_lattice)
 
     p = sub.add_parser("invariants", help="invariants of one subcategory")
     p.add_argument("--triple", required=True, metavar="K,H,BFILE",
                    help='e.g. "0-1,0,trivial"; members dash-joined, pairing from file')
     _add_common(p)
-    p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("action", choices=("all",))
     _add_common(p)
-    p.set_defaults(func=_cmd_verify)
 
     return ap
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a handler patched on the module is the one that runs
+    handlers = {"group": _cmd_group, "subcats": _cmd_subcats, "lattice": _cmd_lattice,
+                "invariants": _cmd_invariants, "verify": _cmd_verify}
     try:
-        code = args.func(args)
+        code = handlers[args.command](args)
         sys.stdout.flush()
         return code
     except InputError as exc:

@@ -77,6 +77,15 @@ class ThreeCocycle:
                 + self.dlog[x][y][G.conj(G.inverse(xy), a)]
                 - self.dlog[x][G.conj(G.inverse(x), a)][y]) % self.modulus
 
+    def beta_table(self, a: int) -> tuple[tuple[int, ...], ...]:
+        """The n x n table of beta(a, x, y), built through beta once per a."""
+        cache = self.__dict__.setdefault("_beta_tables", {})
+        if a not in cache:
+            els = range(self.group.order)
+            beta = self.beta
+            cache[a] = tuple(tuple(beta(a, x, y) for y in els) for x in els)
+        return cache[a]
+
     def conj_exp(self, a: int, x: int, h: int) -> int:
         """Exponent of beta_a(x,h) beta_a(xh,x^-1) / beta_a(x,x^-1).
 
@@ -85,9 +94,9 @@ class ThreeCocycle:
         """
         if self.dlog is None:
             return 0
+        Ba = self.beta_table(a)
         xi = self.group.inverse(x)
-        return (self.beta(a, x, h) + self.beta(a, self.group.mul(x, h), xi)
-                - self.beta(a, x, xi)) % self.modulus
+        return (Ba[x][h] + Ba[self.group.mul(x, h)][xi] - Ba[x][xi]) % self.modulus
 
     def eta(self, a: int, x: int, y: int) -> int:
         """Conjugation 2-cochain on the last slot."""
@@ -220,7 +229,8 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
     """Verify the standard relations between the derived 2-cochains.
 
     The beta, eta, gamma and nu exponents are tabulated once (n^3 entries
-    each), through the cochain methods. The number of instances per family
+    each), through the cochain methods; beta through beta_table, which
+    keeps its tables on omega. The number of instances per family
     is a closed form: n^4 for the three product families, sum_a |C(a)|^2
     for centralizer agreement, (#commuting ordered pairs) n for each
     commuting nu relation, and #{(h, k, y) : hk = kh, (yky^-1)h = h(yky^-1)}
@@ -235,8 +245,9 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
     n = G.order
     m = omega.modulus
     els = range(n)
-    B, E, Gm, V = ([[[f(a, x, y) for y in els] for x in els] for a in els]
-                   for f in (omega.beta, omega.eta, omega.gamma, omega.nu))
+    B = [omega.beta_table(a) for a in els]
+    E, Gm, V = ([[[f(a, x, y) for y in els] for x in els] for a in els]
+                for f in (omega.eta, omega.gamma, omega.nu))
     inv, mul = G.inv, G.mult
     conj = [[G.conj(g, x) for x in els] for g in els]      # g x g^-1
 

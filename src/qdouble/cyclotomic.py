@@ -12,7 +12,6 @@ Field products and conj are reference arithmetic for the field-level tests.
 from __future__ import annotations
 
 import cmath
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -76,6 +75,8 @@ class CycloContext:
                     shifted[i] -= lead * phi[i]
             rows.append(tuple(shifted))
         self._pow_rows = tuple(rows)
+        # x^d = -sum p_j x^j over the nonzero lower coefficients p_j of Phi_N
+        self._phi_low = tuple((j, p) for j, p in enumerate(phi[:d]) if p)
 
     # constants are built on demand: a Cyclo points to its context, so a
     # context holding Cyclo values would be a reference cycle
@@ -93,11 +94,24 @@ class CycloContext:
         return _make(self, [q.numerator] + [0] * (d - 1), q.denominator)
 
     def root_sum(self, exps: Iterable[int]) -> "Cyclo":
-        """sum of zeta_N^e over the exponents: counted mod N, reduced once."""
-        res = [0] * self.degree
-        for e, c in Counter(e % self.N for e in exps).items():
-            res = [r + c * x for r, x in zip(res, self._pow_rows[e])]
-        return Cyclo(self, tuple(res), 1)
+        """sum of zeta_N^e over the exponents: counted mod N, reduced once.
+
+        The counts are a polynomial of degree < N (x^N = 1 mod Phi_N); its
+        remainder mod Phi_N is taken by folding the top coefficient down,
+        from x^(N-1) to x^d, through x^d = -sum p_j x^j.
+        """
+        N, d = self.N, self.degree
+        acc = [0] * N
+        for e in exps:
+            acc[e % N] += 1
+        low = self._phi_low
+        for k in range(N - 1, d - 1, -1):
+            c = acc[k]
+            if c:
+                base = k - d
+                for j, p in low:
+                    acc[base + j] -= c * p
+        return Cyclo(self, tuple(acc[:d]), 1)
 
     def __repr__(self) -> str:
         return f"CycloContext(N={self.N})"

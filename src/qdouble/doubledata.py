@@ -94,9 +94,9 @@ class TwistedDouble:
             table = [[local_of[G.mul(x, y)] for y in members] for x in members]
             # a subgroup of an admitted group is admitted
             C = FiniteGroup(table, name=f"C({G.name},{a})", validate=False, cap=G.order)
-            m = self.omega.modulus
-            beta = [[self.omega.beta(a, x, y) % m for y in members] for x in members]
-            P = projective_table(self.ctx, C, beta, m, cap=self.cap)
+            Ba = self.omega.beta_table(a)
+            beta = [[Ba[x][y] for y in members] for x in members]
+            P = projective_table(self.ctx, C, beta, self.omega.modulus, cap=self.cap)
             self._centralizers[a] = CentralizerData(members, local_of, C, P)
         return self._centralizers[a]
 

@@ -129,14 +129,14 @@ def _equations(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> Iterator[tuple]:
         raise NotASubcategory("K and H must commute elementwise")
     validate(dd.omega)
     scale = dd.scale
-    beta = dd.omega.beta
+    beta = dd.omega.beta_table
     km, hm = K.members, H.members
     # multiplicativity in the second slot, twisted by beta_k
-    second = (((k, G.mul(h1, s)), (k, h1), (k, s), -scale * beta(k, h1, s))
-              for k in km for h1 in hm for s in H.generators)
+    second = (((k, G.mul(h1, s)), (k, h1), (k, s), -scale * Bk[h1][s])
+              for k in km for Bk in (beta(k),) for h1 in hm for s in H.generators)
     # multiplicativity in the first slot, twisted by beta_h
-    first = (((G.mul(k1, s), h), (k1, h), (s, h), scale * beta(h, k1, s))
-             for h in hm for k1 in km for s in K.generators)
+    first = (((G.mul(k1, s), h), (k1, h), (s, h), scale * Bh[k1][s])
+             for h in hm for Bh in (beta(h),) for k1 in km for s in K.generators)
     # G-invariance, with B(e, e) = 1 as the second minus term
     invariance = (((kx, h), (k, G.conj(x, h)), (0, 0), scale * dd.omega.conj_exp(k, x, h))
                   for k in km for x in G.whole_group.generators
@@ -159,7 +159,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
     G = dd.group
     N = dd.ctx.N
     scale = dd.scale
-    beta = dd.omega.beta
+    beta = dd.omega.beta_table
     km, hm = K.members, H.members
     kgens, hgens = K.generators, H.generators
     n, nh = len(kgens) * len(hgens), len(hm)
@@ -167,14 +167,15 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
     # form[k, h]: coefficients of B(k, h) in the unknowns, then its constant
     form = {(k, 0): [0] * (n + 1) for k in km} | {(0, s): [0] * (n + 1) for s in hgens}
     for j, s in enumerate(hgens):
+        Bs = beta(s)
         for k1, i, k in G.cayley_tree(kgens):
             form[k, s] = f = form[k1, s].copy()
             f[i * len(hgens) + j] += 1
-            f[n] += scale * beta(s, k1, kgens[i])
+            f[n] += scale * Bs[k1][kgens[i]]
     for h1, j, h in G.cayley_tree(hgens):
         for k in km:
             form[k, h] = f = [a + b for a, b in zip(form[k, h1], form[k, hgens[j]])]
-            f[n] -= scale * beta(k, h1, hgens[j])
+            f[n] -= scale * beta(k)[h1][hgens[j]]
 
     # evaluate column by column: each unknown's coefficients, then the constant
     cols = [{key: f[p] for key, f in form.items()} for p in range(n + 1)]
@@ -339,7 +340,6 @@ def meet(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
     G = dd.group
     N = dd.ctx.N
     scale = dd.scale
-    beta = dd.omega.beta
     H_meet = G.product_subgroup(t1.H, t2.H)
     KK = G.intersect(t1.K, t2.K)
     HH = G.intersect(t1.H, t2.H)
@@ -352,10 +352,11 @@ def meet(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
     rows = []
     for a in K_meet.members:
         row = {}
+        Ba = dd.omega.beta_table(a)
         for h1 in t1.H.members:
             for h2 in t2.H.members:
                 h = G.mul(h1, h2)
-                e = (-scale * beta(a, h1, h2)
+                e = (-scale * Ba[h1][h2]
                      + t1.exp(a, h1) + t2.exp(a, h2)) % N
                 prev = row.setdefault(h, e)
                 if prev != e:

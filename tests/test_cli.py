@@ -14,6 +14,7 @@ import pytest
 
 import qdouble
 from qdouble import CheckFailure, InputError, builtin_cyclic, oracle, subcats as sc
+from qdouble import cli
 from qdouble.cli import _hasse_edges, lattice_text, main
 from qdouble.groups import BUILTIN_GROUP_NAMES, builtin_group
 
@@ -150,6 +151,40 @@ def test_verify_s3_counts(capsys):
     code, out, err = run(capsys, "verify", "all", "--builtin", "S3")
     assert code == 0
     assert "triples: 8" in out and "closure oracle: 8 closed sets, bijection ok" in out
+
+
+
+@pytest.mark.parametrize("builtin", ("S3", "Z3"))
+def test_verify_does_not_depend_on_the_field(tmp_path, capsys, builtin):
+    # a zero cocycle of modulus 35 moves the untwisted double into Q(zeta_{35 |G|}):
+    # Q(zeta_210) for S3 and Q(zeta_105) for Z3, whose Phi_N has coefficients +-2
+    n = builtin_group(builtin).order
+    zero = tmp_path / "zero35.json"
+    zero.write_text(json.dumps({"modulus": 35, "dlog": [0] * n ** 3}))
+    code, out, err = run(capsys, "verify", "all", "--builtin", builtin, "--cocycle", str(zero))
+    assert (code, err) == (0, "")
+    assert (0, out, "") == run(capsys, "verify", "all", "--builtin", builtin)
+    _, info, _ = run(capsys, "group", "info", "--builtin", builtin, "--cocycle", str(zero))
+    assert f"field Q(zeta_{35 * n})" in info
+
+
+def test_consecutive_calls_share_no_state(monkeypatch, capsys):
+    default = run(capsys, "group", "info", "--builtin", "Z2")
+    assert default[0] == 0 and "cocycle modulus 1 (trivial)" in default[1]
+    code, out, _ = run(capsys, "group", "info", "--builtin", "Z2", "--cocycle", "cyclic:2,1")
+    assert code == 0 and "cocycle modulus 2;" in out
+    assert run(capsys, "group", "info", "--builtin", "Z2") == default
+    code, _, err = run(capsys, "group", "info", "--builtin", "Z2", "--cap", "1")
+    assert code == 2 and "exceeds cap 1" in err
+    assert run(capsys, "group", "info", "--builtin", "Z2") == default
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "info", "--builtin", "Z2", "--format", "dot"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert run(capsys, "group", "info", "--builtin", "Z2") == default
+    # the handler is looked up per call, not kept by the parser built once
+    monkeypatch.setattr(cli, "_cmd_verify", lambda args: print("patched") or 0)
+    assert run(capsys, "verify", "all", "--builtin", "Z2") == (0, "patched\n", "")
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_cyclic_triple_counts(capsys):

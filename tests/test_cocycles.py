@@ -11,6 +11,8 @@ from qdouble import (IdentityViolation, NotACocycle, NotNormalized, ThreeCocycle
                      cyclic_group, pullback, trivial_cocycle, validate)
 from qdouble.cocycles import product
 
+from conftest import twisted_cyclic_coboundary, twisted_quotient
+
 
 def test_trivial_validates():
     for name in ("Z2", "S3", "D4"):
@@ -273,3 +275,21 @@ def test_identity_suite_witness_per_family(cochain):
         got = _table_identities(omega)
         assert got == _reference_identities(omega)
         assert isinstance(got[0], str)
+
+
+def test_beta_table_matches_beta():
+    cocycles = [builtin_cyclic(n, q) for n in range(1, 7) for q in range(n)]
+    cocycles += [twisted_cyclic_coboundary(4, 1, 3).omega, trivial_cocycle(builtin_group("S3"))]
+    cocycles += [twisted_quotient(name, m).omega for name in ("S3", "D4", "Q8") for m in (None, 3)]
+    for omega in cocycles:
+        G = omega.group
+        els = range(G.order)
+        for a in els:
+            table = omega.beta_table(a)
+            assert table is omega.beta_table(a)
+            assert all(table[x][y] == omega.beta(a, x, y) for x in els for y in els)
+            # the transport phase reads the same table
+            xi = [G.inverse(x) for x in els]
+            assert all(omega.conj_exp(a, x, h) == (omega.beta(a, x, h) - omega.beta(a, x, xi[x])
+                                                   + omega.beta(a, G.mul(x, h), xi[x])) % omega.modulus
+                       for x in els for h in els)

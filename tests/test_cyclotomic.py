@@ -116,3 +116,28 @@ def test_field_laws(N, ca, cb, cc, den):
 def test_root_sum_matches_field_sum(N, exps):
     ctx = CycloContext(N)
     assert ctx.root_sum(exps) == sum([ctx.root_sum((e,)) for e in exps], ctx.root_sum(()))
+
+
+def _oracle_sum(ctx, exps):
+    """Coordinate sum of the shift-reduce rows x^(e mod N) mod Phi_N."""
+    total = [0] * ctx.degree
+    for e in exps:
+        total = [t + r for t, r in zip(total, ctx._pow_rows[e % ctx.N])]
+    return tuple(total)
+
+
+def test_fold_reaches_coefficient_two():
+    # Phi_105 and Phi_210 are the first with a coefficient outside {0, 1, -1}
+    for N in (105, 210):
+        assert max(abs(p) for _, p in CycloContext(N)._phi_low) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, 120), st.sampled_from((1, 2, 105, 210))),
+       st.lists(st.integers(-500, 500), max_size=60))
+def test_root_sum_fold_matches_pow_rows(N, exps):
+    ctx = CycloContext(N)
+    z = ctx.root_sum(exps)
+    assert z.num == _oracle_sum(ctx, exps) and z.den == 1
+    exact = sum(cmath.exp(2j * cmath.pi * e / N) for e in exps)
+    assert abs(z.to_complex() - exact) <= 1e-9 * max(len(exps), 1)
