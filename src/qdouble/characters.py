@@ -357,8 +357,6 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
                               f"expected every exponent {ctx.N // mp}")
     spectra = [row[::mp] for row in spectra]
 
-    if sum(d * d for d in degrees) != C.order:
-        raise LiftFailure("projective squared degrees do not sum to the group order")
     if len(degrees) != beta_regular_class_count(C, beta, m):
         raise LiftFailure("projective character count does not match regular classes")
     _check_orthonormal(ctx, spectra, C.order, "projective rows")

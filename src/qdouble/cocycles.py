@@ -236,8 +236,9 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
     commuting nu relation, and #{(h, k, y) : hk = kh, (yky^-1)h = h(yky^-1)}
     for the symmetric beta relation. Every instance is a signed sum of
     entries of the four tables with no constant term (the centralizer family
-    compares entries), so when all four tables vanish, as for the trivial
-    cocycle, every instance holds. Otherwise every instance is checked, one
+    compares entries), so when all four tables vanish every instance holds;
+    the trivial cocycle (ThreeCocycle's own methods on dlog None) returns
+    before they are built. Otherwise every instance is checked, one
     table row at a time, in the order of the quantifiers below. Raises
     IdentityViolation on the first failure; returns the counts per family.
     """
@@ -245,9 +246,6 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
     n = G.order
     m = omega.modulus
     els = range(n)
-    B = [omega.beta_table(a) for a in els]
-    E, Gm, V = ([[[f(a, x, y) for y in els] for x in els] for a in els]
-                for f in (omega.eta, omega.gamma, omega.nu))
     inv, mul = G.inv, G.mult
     conj = [[G.conj(g, x) for x in els] for g in els]      # g x g^-1
 
@@ -260,6 +258,11 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
               "commuting_nu_conj": len(commuting) * n,
               "commuting_beta_sym": sum(mul[yk][h] == mul[h][yk] for h, k in commuting
                                         for yk in (conj[y][k] for y in els))}
+    if type(omega) is ThreeCocycle and omega.dlog is None:
+        return counts
+    B = [omega.beta_table(a) for a in els]
+    E, Gm, V = ([[[f(a, x, y) for y in els] for x in els] for a in els]
+                for f in (omega.eta, omega.gamma, omega.nu))
     if not any(any(row) for T in (B, E, Gm, V) for P in T for row in P):
         return counts
 

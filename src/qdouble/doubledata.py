@@ -134,8 +134,8 @@ class TwistedDouble:
         """Triples (u, v, e) over g with a and u = g b g^-1 commuting.
 
         Here v = g^-1 a g and e = conj_exp(b, g^-1, a). The classes of a and b
-        commute elementwise iff every g gives a term. The untwisted S-matrix
-        sums the conjugates of chi_i(u) chi_j(v).
+        commute elementwise iff every g gives a term. The S-matrix sums the
+        conjugates of zeta_m^e chi_i(u) chi_j(v).
         """
         key = (a, b)
         if key not in self._conj_lists:
@@ -150,14 +150,15 @@ class TwistedDouble:
             self._conj_lists[key] = terms
         return self._conj_lists[key]
 
-    # -- S-matrix and fusion (defined for trivial cocycle) ------------------------------
+    # -- S-matrix and fusion -----------------------------------------------------------
 
     @property
     def s_matrix(self) -> tuple[tuple[Cyclo, ...], ...]:
+        """|G| / (|C(a_i)| |C(a_j)|) times the sum over the _pair_terms (u, v, e) of
+        conj(zeta_m^e chi_i(u) chi_j(v)), for every omega (Dijkgraaf-Pasquier-Roche)."""
         if self._smatrix is None:
-            if not self.omega.is_trivial:
-                raise InputError("S-matrix requires the trivial cocycle")
             G = self.group
+            scale = self.scale
             gamma = self.gamma
             n = len(gamma)
             rows: list[list[Cyclo]] = [[None] * n for _ in range(n)]
@@ -170,7 +171,7 @@ class TwistedDouble:
                     pref = Fraction(G.order,
                                     len(cdi.members) * len(cdj.members))
                     total = self.ctx.root_sum(
-                        -(x + y) for u, v, _ in self._pair_terms(si.a, sj.a)
+                        -(x + y) - e * scale for u, v, e in self._pair_terms(si.a, sj.a)
                         for x in cdi.spectrum(si.char_index, u)
                         for y in cdj.spectrum(sj.char_index, v))
                     entry = total * pref

@@ -61,10 +61,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return len(self.members) == 1
 
-    @property
-    def is_whole(self) -> bool:
-        return len(self.members) == self.parent_order
-
     @cached_property
     def is_normal(self) -> bool:
         G = self.group
@@ -341,10 +337,6 @@ class FiniteGroup:
         """[G, K], generated by commutators g k g^{-1} k^{-1}."""
         gens = {self.commutator(g, k) for g in range(self.order) for k in K.members}
         return self.generated_subgroup(gens)
-
-    @cached_property
-    def derived_subgroup(self) -> Subgroup:
-        return self.commutator_subgroup(self.whole_group)
 
     def preimage_of_center_of_quotient(self, H: Subgroup) -> Subgroup:
         """{g : [g, x] in H for all x in G}, for H normal."""

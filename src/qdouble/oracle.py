@@ -161,8 +161,9 @@ def certify(dd: TwistedDouble) -> dict:
     theorem every fusion subcategory is such an intersection and every such
     intersection is a fusion subcategory. Untwisted doubles read the rows
     off the proven S-matrix through all_closed_sets, which also checks each
-    set for fusion closure, and report the closed sets; twisted doubles
-    (no S-matrix) fold braiding_rows directly and report None.
+    set for fusion closure, and report the closed sets. Twisted doubles
+    fold braiding_rows directly and report None: all_closed_sets is exact
+    for them too, but this keeps their pinned verify all output.
 
     Hence the double-centralizer and dimension laws hold on every triple. With
     C(X) = centralizing_simples(X), symmetric rows give X <= C(C(X)), so

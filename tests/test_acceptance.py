@@ -88,9 +88,8 @@ def test_criterion_05_dimension_duality_roundtrip():
     """Exact dimension counts, centralizer duality, canonical round-trips."""
     n_triples = 0
     for dd in _all_untwisted() + _all_twisted():
-        if dd.omega.is_trivial:
-            duals = dd.duals
-            assert all(duals[duals[i]] == i for i in range(len(duals)))
+        duals = dd.duals
+        assert all(duals[duals[i]] == i for i in range(len(duals)))
         for t in sc.enumerate_all(dd):
             members = sc.subcat_members(dd, t)
             assert sum(dd.gamma[i].dim ** 2 for i in members) == t.dim

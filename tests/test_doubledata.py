@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble import CheckFailure, InputError, TwistedDouble, VerlindeNonInteger, builtin_group
+from qdouble import CheckFailure, TwistedDouble, VerlindeNonInteger, builtin_group
 from qdouble.oracle import certify
 
 from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, untwisted,
@@ -117,8 +117,28 @@ def test_twisted_z2_semion():
     twists = [s.twist for s in dd.gamma]
     # two objects are semions with twist +-i
     assert sorted(t * 4 // ctx.N for t in twists) == [0, 0, 1, 3]
-    with pytest.raises(InputError, match="requires the trivial cocycle"):
-        dd.s_matrix
+    # semion x anti-semion: S is the S-matrix of D(Z2) with its last two columns swapped
+    expected = [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1]]
+    assert [list(row) for row in dd.s_matrix] == expected
+    # every simple is invertible and self-dual: the fusion ring of Z2 x Z2
+    assert dd.duals == (0, 1, 2, 3)
+    assert [[dd.tensor_components(i, j) for j in range(4)] for i in range(4)] == \
+        [[(i ^ j,) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("name, error, match", [
+    ("S3", VerlindeNonInteger, r"N\[5\]\[5\]\[0\]"),
+    ("D4", CheckFailure, "not orthogonal"),
+    ("Q8", CheckFailure, "not orthogonal")])
+def test_omega_phase_sign_is_pinned(monkeypatch, name, error, match):
+    # the coboundary-twisted semion quotients pin the sign of the omega phase:
+    # with the conjugate phase zeta_m^-e per term the checks of S and fusion fail
+    dd = twisted_quotient.__wrapped__(name, 3)
+    pair_terms = dd._pair_terms
+    monkeypatch.setattr(dd, "_pair_terms",
+                        lambda a, b: [(u, v, -e) for u, v, e in pair_terms(a, b)])
+    with pytest.raises(error, match=match):
+        dd.fusion
 
 
 def test_twisted_centralize_table():
@@ -202,7 +222,7 @@ def test_common_phase_matches_cyclo_predicates():
     # |S_ij| = d_i d_j iff |X| = |G| deg_i deg_j, and then X = |G| deg_i deg_j zeta_N^k
     for dd in braiding_doubles():
         order = dd.group.order
-        S = dd.s_matrix if dd.omega.is_trivial else None
+        S = dd.s_matrix
         for i, si in enumerate(dd.gamma):
             for j, sj in enumerate(dd.gamma):
                 k = dd.common_phase(i, j)
@@ -212,10 +232,24 @@ def test_common_phase_matches_cyclo_predicates():
                 assert (k is not None) == (X * X.conj() == top * top), where
                 if k is not None:
                     assert X == dd.ctx.root_sum((k,)) * top, where
-                if S is not None:
-                    d = si.dim * sj.dim
-                    assert (k is not None) == (S[i][j] * S[i][j].conj() == d * d), where
+                d = si.dim * sj.dim
+                assert (k is not None) == (S[i][j] * S[i][j].conj() == d * d), where
                 assert (k == 0) == _cyclo_centralize(dd, i, j), where
+
+
+def test_balancing():
+    # S_ij = theta_i^-1 theta_j^-1 sum_k N_{i* j}^k d_k theta_k, the right side one
+    # root_sum with exponent t_k - t_i - t_j repeated N_{i* j}^k d_k times
+    for dd in braiding_doubles():
+        S, N, duals = dd.s_matrix, dd.fusion, dd.duals
+        t = [s.twist for s in dd.gamma]
+        dims = [s.dim for s in dd.gamma]
+        for i in range(len(t)):
+            for j in range(i, len(t)):
+                rhs = dd.ctx.root_sum(t[k] - t[i] - t[j]
+                                      for k, c in enumerate(N[duals[i]][j])
+                                      for _ in range(c * dims[k]))
+                assert S[i][j] == rhs, (dd.group.name, dd.omega.modulus, i, j)
 
 
 def test_tensor_components():
@@ -296,7 +330,7 @@ def _ungraded_verlinde(dd, S):
 
 
 def test_graded_candidates_match_ungraded_loop():
-    doubles = [dd for dd in braiding_doubles() if dd.omega.is_trivial] + [untwisted_cyclic(8)]
+    doubles = braiding_doubles() + [untwisted_cyclic(8)]
     for dd in doubles:
         S = dd.s_matrix
         assert dd._verlinde_mod_p(S) == _ungraded_verlinde(dd, S), dd.group.name

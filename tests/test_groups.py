@@ -137,9 +137,9 @@ def test_centralizing_pairs_s4():
 def test_center_and_commutator():
     D4 = builtin_group("D4")
     assert len(D4.center) == 2
-    assert D4.derived_subgroup.members == D4.center.members
+    assert D4.commutator_subgroup(D4.whole_group).members == D4.center.members
     S4 = builtin_group("S4")
-    assert len(S4.derived_subgroup) == 12
+    assert len(S4.commutator_subgroup(S4.whole_group)) == 12
     assert len(S4.center) == 1
 
 
@@ -158,7 +158,7 @@ def test_series_term_clamping():
     S3 = builtin_group("S3")
     assert S3.lower_central_term(10).members == S3.lower_central_term(1).members
     assert len(S3.upper_central_term(10)) == 1
-    assert S3.lower_central_term(0).is_whole
+    assert len(S3.lower_central_term(0)) == S3.order
     assert S3.upper_central_term(0).is_trivial
 
 
@@ -167,7 +167,7 @@ def test_preimage_of_center_of_quotient():
     Z = G.center
     pre = G.preimage_of_center_of_quotient(Z)
     # D4/Z2 is abelian, so the preimage is everything
-    assert pre.is_whole
+    assert len(pre) == G.order
     triv = G.preimage_of_center_of_quotient(G.trivial_subgroup)
     assert triv.members == Z.members
 

@@ -127,22 +127,31 @@ def test_certify_twisted():
             assert rep["bijection"] is None
 
 
+def _twisted_doubles():
+    """omega_q on Z/n for n <= 6, the six semion quotients, and Z4's coboundary."""
+    return [*(twisted_cyclic(n, q) for n in range(2, 7) for q in range(1, n)),
+            *(twisted_quotient(name, m) for name in ("S3", "D4", "Q8") for m in (None, 3)),
+            twisted_cyclic_coboundary(4, 1, 3)]
+
+
 def test_twisted_double_centralizer_and_dimension_laws():
     # what verify all states for a twisted double, asserted on the member sets:
-    # C(C(M)) = M and dim M dim C(M) = |G|^2, with C = centralizing_simples
-    doubles = [*(twisted_cyclic(n, q) for n in range(2, 7) for q in range(1, n)),
-               *(twisted_quotient(name, m) for name in ("S3", "D4", "Q8") for m in (None, 3)),
-               twisted_cyclic_coboundary(4, 1, 3)]
+    # C(C(M)) = M and dim M dim C(M) = |G|^2, with C = centralizing_simples;
+    # and the member sets are the closed sets read off the twisted S-matrix
+    doubles = _twisted_doubles()
     n_triples = 0
     for dd in doubles:
         squares = [s.dim ** 2 for s in dd.gamma]
+        member_sets = set()
         for t in sc.enumerate_all(dd):
             members = sc.subcat_members(dd, t)
             cent = oracle.centralizing_simples(dd, members)
             assert oracle.centralizing_simples(dd, cent) == members, (dd.group.name, t)
             dims = [sum(squares[i] for i in ms) for ms in (members, cent)]
             assert dims[0] * dims[1] == dd.group.order ** 2, (dd.group.name, t)
+            member_sets.add(members)
             n_triples += 1
+        assert oracle.all_closed_sets(dd) == member_sets, (dd.group.name, dd.omega.modulus)
     assert (len(doubles), n_triples) == (22, 357)
 
 
@@ -157,10 +166,13 @@ def test_certify_twisted_rejects_a_missing_triple():
 
 
 def test_certify_various():
-    # every omega_q on Z/n, n <= 8: the member sets are the intersections of braiding rows
+    # every omega_q on Z/n, n <= 8: the member sets are the intersections of braiding rows,
+    # and the closed sets read off the S-matrix, twisted or not
     for dd in (untwisted("Z2xZ2"), untwisted_cyclic(5),
                *(twisted_cyclic(n, q) for n in range(2, 9) for q in range(1, n))):
         oracle.certify(dd)
+        members = {sc.subcat_members(dd, t) for t in sc.enumerate_all(dd)}
+        assert oracle.all_closed_sets(dd) == members, (dd.group.name, dd.omega.modulus)
 
 
 def test_adjoint_closure_of_whole():
@@ -181,16 +193,13 @@ def test_centralizing_simples_match_triples():
 
 
 def test_projective_centralizer_is_adjoint_centralizer():
-    # magnitude-centralizing a set equals exactly centralizing its adjoint
-    for name in ("S3", "D4", "Q8"):
-        dd = untwisted(name)
+    # magnitude-centralizing a set equals exactly centralizing its adjoint, on every triple
+    for dd in (*map(untwisted, ("S3", "D4", "Q8")), *_twisted_doubles()):
         for t in sc.enumerate_all(dd):
-            if any(map(any, t.B)):
-                continue
             members = sc.subcat_members(dd, t)
             proj = oracle.projectively_centralizing_simples(dd, members)
             ad = oracle.adjoint_closure(dd, members)
-            assert proj == oracle.centralizing_simples(dd, ad)
+            assert proj == oracle.centralizing_simples(dd, ad), (dd.group.name, t)
 
 
 def test_braiding_oracles_multiply_no_cyclo_pair(monkeypatch):

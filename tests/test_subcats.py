@@ -436,7 +436,7 @@ def test_adjoint_of_whole():
         dd = untwisted(name)
         G = dd.group
         ad = sc.adjoint_triple(dd, sc.whole_triple(dd))
-        assert ad.K.members == G.derived_subgroup.members
+        assert ad.K.members == G.commutator_subgroup(G.whole_group).members
         assert ad.H.members == G.center.members
 
 
