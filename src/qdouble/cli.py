@@ -37,7 +37,8 @@ def _read_json(path: str, what: str) -> object:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and int()'s digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {what} file: {exc}") from exc
 
 

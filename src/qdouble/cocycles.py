@@ -8,6 +8,7 @@ returned as exponents too; conversion to field values happens downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -42,48 +43,45 @@ class IdentityViolation(CheckFailure):
 
 @dataclass(frozen=True)
 class ThreeCocycle:
-    """A normalized 3-cocycle with values zeta_m^dlog[x][y][z]; dlog None means 1."""
+    """A normalized 3-cocycle with values zeta_m^dlog[x][y][z]."""
 
     group: FiniteGroup = field(compare=False)
     modulus: int
-    dlog: tuple[tuple[tuple[int, ...], ...], ...] | None
+    dlog: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise InputError("modulus >= 1")
-        if self.dlog is not None:
-            n = self.group.order
-            if len(self.dlog) != n or any(len(p) != n for p in self.dlog) or \
-               any(len(r) != n for p in self.dlog for r in p):
-                raise InputError("dlog table is not n x n x n")
-            if any(not (0 <= v < self.modulus) for p in self.dlog for r in p for v in r):
-                raise InputError("dlog entries must lie in 0..modulus-1")
+        n = self.group.order
+        if len(self.dlog) != n or any(len(p) != n for p in self.dlog) or \
+           any(len(r) != n for p in self.dlog for r in p):
+            raise InputError("dlog table is not n x n x n")
+        if any(min(r) < 0 or max(r) >= self.modulus for p in self.dlog for r in p):
+            raise InputError("dlog entries must lie in 0..modulus-1")
 
-    @property
+    @cached_property
     def is_trivial(self) -> bool:
-        if self.dlog is None:
-            return True
-        return all(v == 0 for p in self.dlog for r in p for v in r)
+        return not any(any(r) for p in self.dlog for r in p)
 
     # -- derived 2-cochains, as exponents mod modulus ---------------------------
 
     def beta(self, a: int, x: int, y: int) -> int:
         """Conjugation 2-cochain on the first slot."""
-        if self.dlog is None:
-            return 0
-        G = self.group
-        xy = G.mul(x, y)
-        return (self.dlog[a][x][y]
-                + self.dlog[x][y][G.conj(G.inverse(xy), a)]
-                - self.dlog[x][G.conj(G.inverse(x), a)][y]) % self.modulus
+        return self.beta_table(a)[x][y]
 
     def beta_table(self, a: int) -> tuple[tuple[int, ...], ...]:
-        """The n x n table of beta(a, x, y), built through beta once per a."""
+        """The n x n table of beta_a(x, y), cached per a on the cocycle.
+
+        beta_a(x, y) = dlog[a][x][y] + dlog[x][y][(xy)^-1 a xy] - dlog[x][x^-1 a x][y].
+        """
         cache = self.__dict__.setdefault("_beta_tables", {})
         if a not in cache:
-            els = range(self.group.order)
-            beta = self.beta
-            cache[a] = tuple(tuple(beta(a, x, y) for y in els) for x in els)
+            G, d, m = self.group, self.dlog, self.modulus
+            da = d[a]
+            ca = [G.conj(G.inv[z], a) for z in range(G.order)]      # z^-1 a z
+            cache[a] = tuple(tuple((dax[y] + dx[y][ca[xy]] - dx[ca[x]][y]) % m
+                                   for y, xy in enumerate(G.mult[x]))
+                             for x, (dax, dx) in enumerate(zip(da, d)))
         return cache[a]
 
     def conj_exp(self, a: int, x: int, h: int) -> int:
@@ -92,16 +90,12 @@ class ThreeCocycle:
         The phase a beta_a-projective character picks up when it is moved
         along x from the centralizer of a to that of x^-1 a x.
         """
-        if self.dlog is None:
-            return 0
         Ba = self.beta_table(a)
-        xi = self.group.inverse(x)
-        return (Ba[x][h] + Ba[self.group.mul(x, h)][xi] - Ba[x][xi]) % self.modulus
+        xi = self.group.inv[x]
+        return (Ba[x][h] + Ba[self.group.mult[x][h]][xi] - Ba[x][xi]) % self.modulus
 
     def eta(self, a: int, x: int, y: int) -> int:
         """Conjugation 2-cochain on the last slot."""
-        if self.dlog is None:
-            return 0
         G = self.group
         xy = G.mul(x, y)
         return (self.dlog[x][y][a]
@@ -110,8 +104,6 @@ class ThreeCocycle:
 
     def gamma(self, a: int, x: int, y: int) -> int:
         """Right-translation 2-cochain."""
-        if self.dlog is None:
-            return 0
         G = self.group
         ai = G.inverse(a)
         xa = G.conj(ai, x)
@@ -122,8 +114,6 @@ class ThreeCocycle:
 
     def nu(self, a: int, x: int, y: int) -> int:
         """Left-translation 2-cochain."""
-        if self.dlog is None:
-            return 0
         G = self.group
         xa = G.conj(a, x)
         ya = G.conj(a, y)
@@ -137,7 +127,7 @@ def validate(omega: ThreeCocycle) -> None:
 
     A pass is remembered on omega; a failure is recomputed and raised again.
     """
-    if omega.dlog is None or omega.__dict__.get("_valid"):
+    if omega.is_trivial or omega.__dict__.get("_valid"):
         return
     G = omega.group
     n = G.order
@@ -167,7 +157,9 @@ def validate(omega: ThreeCocycle) -> None:
 
 
 def trivial_cocycle(G: FiniteGroup) -> ThreeCocycle:
-    return ThreeCocycle(G, 1, None)
+    """omega = 1: modulus 1, every row of dlog one shared zero row, so O(n) memory."""
+    row = (0,) * G.order
+    return ThreeCocycle(G, 1, ((row,) * G.order,) * G.order)
 
 
 def builtin_cyclic(n: int, q: int) -> ThreeCocycle:
@@ -196,10 +188,6 @@ def product(w1: ThreeCocycle, w2: ThreeCocycle) -> ThreeCocycle:
     """Pointwise product of two cocycles on the same group."""
     if w1.group is not w2.group and w1.group.mult != w2.group.mult:
         raise InputError("cocycles live on different groups")
-    if w1.dlog is None:
-        return w2
-    if w2.dlog is None:
-        return w1
     n = w1.group.order
     M = lcm(w1.modulus, w2.modulus)
     f1, f2 = M // w1.modulus, M // w2.modulus
@@ -218,8 +206,6 @@ def pullback(omega: ThreeCocycle, hom: Sequence[int], G: FiniteGroup) -> ThreeCo
         for b in range(n):
             if hom[G.mul(a, b)] != H.mul(hom[a], hom[b]):
                 raise InputError(f"not a homomorphism at ({a}, {b})")
-    if omega.dlog is None:
-        return ThreeCocycle(G, omega.modulus, None)
     d = tuple(tuple(tuple(omega.dlog[hom[x]][hom[y]][hom[z]] for z in range(n))
                     for y in range(n)) for x in range(n))
     return ThreeCocycle(G, omega.modulus, d)
@@ -228,19 +214,19 @@ def pullback(omega: ThreeCocycle, hom: Sequence[int], G: FiniteGroup) -> ThreeCo
 def check_identities(omega: ThreeCocycle) -> dict[str, int]:
     """Verify the standard relations between the derived 2-cochains.
 
-    The beta, eta, gamma and nu exponents are tabulated once (n^3 entries
-    each), through the cochain methods; beta through beta_table, which
-    keeps its tables on omega. The number of instances per family
-    is a closed form: n^4 for the three product families, sum_a |C(a)|^2
-    for centralizer agreement, (#commuting ordered pairs) n for each
-    commuting nu relation, and #{(h, k, y) : hk = kh, (yky^-1)h = h(yky^-1)}
-    for the symmetric beta relation. Every instance is a signed sum of
-    entries of the four tables with no constant term (the centralizer family
-    compares entries), so when all four tables vanish every instance holds;
-    the trivial cocycle (ThreeCocycle's own methods on dlog None) returns
-    before they are built. Otherwise every instance is checked, one
-    table row at a time, in the order of the quantifiers below. Raises
-    IdentityViolation on the first failure; returns the counts per family.
+    The number of instances per family is a closed form: n^4 for the three
+    product families, sum_a |C(a)|^2 for centralizer agreement, (#commuting
+    ordered pairs) n for each commuting nu relation, and
+    #{(h, k, y) : hk = kh, (yky^-1)h = h(yky^-1)} for the symmetric beta
+    relation. Every instance is a signed sum of the four 2-cochains with no
+    constant term (the centralizer family compares them), and ThreeCocycle's
+    own cochains vanish on a zero dlog, so a plain ThreeCocycle that
+    is_trivial returns the counts there. Otherwise beta, eta, gamma and nu
+    are tabulated once (n^3 entries each) through the cochain methods, so a
+    subclass that overrides one still reaches the loops, and every instance
+    is checked, one table row at a time, in the order of the quantifiers
+    below. Raises IdentityViolation on the first failure; returns the counts
+    per family.
     """
     G = omega.group
     n = G.order
@@ -258,13 +244,10 @@ def check_identities(omega: ThreeCocycle) -> dict[str, int]:
               "commuting_nu_conj": len(commuting) * n,
               "commuting_beta_sym": sum(mul[yk][h] == mul[h][yk] for h, k in commuting
                                         for yk in (conj[y][k] for y in els))}
-    if type(omega) is ThreeCocycle and omega.dlog is None:
+    if type(omega) is ThreeCocycle and omega.is_trivial:
         return counts
-    B = [omega.beta_table(a) for a in els]
-    E, Gm, V = ([[[f(a, x, y) for y in els] for x in els] for a in els]
-                for f in (omega.eta, omega.gamma, omega.nu))
-    if not any(any(row) for T in (B, E, Gm, V) for P in T for row in P):
-        return counts
+    B, E, Gm, V = ([[[f(a, x, y) for y in els] for x in els] for a in els]
+                   for f in (omega.beta, omega.eta, omega.gamma, omega.nu))
 
     def check_row(name: str, prefix: tuple, row: list, indices=els) -> None:
         """Raise at the first index whose entry of row is nonzero."""

@@ -57,10 +57,6 @@ class Subgroup:
             mask |= 1 << g
         return mask
 
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.members) == 1
-
     @cached_property
     def is_normal(self) -> bool:
         G = self.group

@@ -5,7 +5,7 @@ import random
 from functools import reduce
 
 from qdouble import (TwistedDouble, builtin_cyclic, builtin_group, coboundary,
-                     cyclic_group, pullback)
+                     cyclic_group, pullback, validate)
 from qdouble.cocycles import ThreeCocycle, product
 from qdouble.groups import FiniteGroup, direct_product
 
@@ -30,6 +30,17 @@ def twisted_cyclic(n: int, q: int) -> TwistedDouble:
 def untwisted_product(*names: str) -> TwistedDouble:
     """Untwisted double of the direct product of builtin groups, e.g. ("Z2", "Z4")."""
     return TwistedDouble(reduce(direct_product, map(builtin_group, names)))
+
+
+@functools.lru_cache(maxsize=None)
+def twisted_z2_cubed() -> TwistedDouble:
+    """Z2^3 with omega(a, b, c) = (-1)^(a1 b2 c3), where g = 4 g1 + 2 g2 + g3."""
+    G = reduce(direct_product, [builtin_group("Z2")] * 3)
+    n = G.order
+    omega = ThreeCocycle(G, 2, tuple(tuple(tuple((a >> 2) & (b >> 1) & c & 1 for c in range(n))
+                                           for b in range(n)) for a in range(n)))
+    validate(omega)
+    return TwistedDouble(G, omega)
 
 
 def times_coboundary(omega: ThreeCocycle, m: int) -> ThreeCocycle:

@@ -338,7 +338,13 @@ def test_usage_errors(tmp_path, capsys):
              # bytes that are not UTF-8, and arrays nested past the recursion limit
              *((kind, raw) for kind in ("group", "cocycle", "pairing")
                for raw in (b"\xff\xfe{}", b"[" * 100_000)))
-    for kind, doc in cases:
+    # integers past int()'s default limit of 4,300 digits
+    digits = b"1" * 5000
+    oversized = (("group", b'{"mult": [[0, 1], [1, ' + digits + b"]]}"),
+                 ("cocycle", b'{"modulus": ' + digits + b', "dlog": [0, 0, 0, 0, 0, 0, 0, 0]}'),
+                 ("pairing", b'{"dlog": [[0, ' + digits + b"], [0, 0]]}"))
+
+    def rejected(kind, doc):
         f = tmp_path / f"{kind}.json"
         if isinstance(doc, bytes):
             f.write_bytes(doc)
@@ -349,8 +355,20 @@ def test_usage_errors(tmp_path, capsys):
                 "pairing": ["invariants", "--builtin", "Z2", "--triple", f"0-1,0-1,{f}"]}[kind]
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1, (kind, err)
+        return err
+
+    for kind, doc in cases + oversized:
+        err = rejected(kind, doc)
         if isinstance(doc, bytes):
             assert err.startswith(f"error: cannot read {kind} file: "), err
+    # with the limit off the same files parse, and the loaders reject their values
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for kind, doc in oversized:
+            assert not rejected(kind, doc).startswith("error: cannot read"), kind
+    finally:
+        sys.set_int_max_str_digits(limit)
     code, _, err = run(capsys, "group", "info", "--builtin", "Z2",
                        "--cocycle", "cyclic:0,1")
     assert code == 2 and "N >= 1" in err

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from qdouble import CheckFailure, TwistedDouble, VerlindeNonInteger, builtin_group
 from qdouble.oracle import certify
 
-from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, untwisted,
-                      untwisted_cyclic)
+from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, twisted_z2_cubed,
+                      untwisted, untwisted_cyclic)
 
 
 EXPECTED_SIMPLES = {"Z2": 4, "Z3": 9, "Z4": 16, "Z2xZ2": 16, "S3": 8,
@@ -139,6 +139,22 @@ def test_omega_phase_sign_is_pinned(monkeypatch, name, error, match):
                         lambda a, b: [(u, v, -e) for u, v, e in pair_terms(a, b)])
     with pytest.raises(error, match=match):
         dd.fusion
+
+
+def test_abelian_omega_phase_leaves_s_unchanged(monkeypatch):
+    # on D^omega(Z2^3) the phase e is nonzero on 168 of the 512 _pair_terms
+    # terms, yet S does not move without it: on an abelian G, e != 0 only
+    # where a projective character vanishes, so only nonabelian G pin the phase
+    dd = twisted_z2_cubed()
+    els = range(dd.group.order)
+    terms = [e for a in els for b in els for _, _, e in dd._pair_terms(a, b)]
+    assert (len(terms), sum(e != 0 for e in terms)) == (512, 168)
+    fresh = twisted_z2_cubed.__wrapped__()
+    pair_terms = fresh._pair_terms
+    monkeypatch.setattr(fresh, "_pair_terms",
+                        lambda a, b: [(u, v, 0) for u, v, _ in pair_terms(a, b)])
+    assert ([[z.sort_key() for z in row] for row in fresh.s_matrix]
+            == [[z.sort_key() for z in row] for row in dd.s_matrix])
 
 
 def test_twisted_centralize_table():

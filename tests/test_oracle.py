@@ -1,12 +1,15 @@
 """Set-level oracles: fusion closure, closed-set enumeration, certification."""
 
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from qdouble import CheckFailure, Cyclo, TwistedDouble, builtin_group, oracle, subcats as sc
 from qdouble.groups import BUILTIN_GROUP_NAMES
 
-from conftest import (twisted_cyclic, twisted_cyclic_coboundary, twisted_quotient, untwisted,
-                      untwisted_cyclic, untwisted_product)
+from conftest import (twisted_cyclic, twisted_cyclic_coboundary, twisted_quotient,
+                      twisted_z2_cubed, untwisted, untwisted_cyclic, untwisted_product)
 
 
 def test_fusion_closure_basics():
@@ -153,6 +156,21 @@ def test_twisted_double_centralizer_and_dimension_laws():
             n_triples += 1
         assert oracle.all_closed_sets(dd) == member_sets, (dd.group.name, dd.omega.modulus)
     assert (len(doubles), n_triples) == (22, 357)
+
+
+def test_twisted_z2_cubed_matches_untwisted_d4():
+    # the first twisted double on a non-cyclic group: D^omega(Z2^3) with
+    # omega = (-1)^(a1 b2 c3) has the modular data of D(D4) (Goff-Mason-Ng)
+    dd = twisted_z2_cubed()
+    triples = sc.enumerate_all(dd)
+    assert (len(dd.gamma), len(triples)) == (22, 45)
+    member_sets = {sc.subcat_members(dd, t) for t in triples}
+    assert len(member_sets) == 45
+    assert oracle.all_closed_sets(dd) == member_sets
+
+    def spectrum(dd):
+        return Counter((s.dim, Fraction(s.twist, dd.ctx.N)) for s in dd.gamma)
+    assert spectrum(dd) == spectrum(untwisted("D4"))
 
 
 def test_certify_twisted_rejects_a_missing_triple():
