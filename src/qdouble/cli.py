@@ -12,6 +12,8 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .cocycles import ThreeCocycle, builtin_cyclic, check_identities, trivial_cocycle, validate
@@ -143,6 +145,30 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
 # -- serialization ------------------------------------------------------------------
 
 
+def _dumps(x: object, pad: str = "\n") -> str:
+    """json.dumps(x, indent=2) byte for byte, for str keys; pad precedes x's closing
+    bracket. Ints, int lists and lists of non-empty int lists are joined in C."""
+    if type(x) is int:      # not bool: bools, floats and None take json.dumps
+        return int.__repr__(x)
+    if type(x) is str:
+        return _quote(x)
+    if not x or not isinstance(x, (list, tuple, dict)):
+        return json.dumps(x)
+    sep = "," + (inner := pad + "  ")
+    if isinstance(x, dict):
+        body = sep.join([_quote(k) + ": " + _dumps(v, inner) for k, v in x.items()])
+        return "{" + inner + body + pad + "}"
+    types = {*map(type, x)}
+    if types == {int}:
+        body = sep.join(map(int.__repr__, x))
+    elif types == {list} and all(x) and {*map(type, chain.from_iterable(x))} == {int}:
+        row = sep + "  "    # row[1:] is the newline and indent of a row's entries
+        body = sep.join(["[" + row[1:] + row.join(map(int.__repr__, r)) + inner + "]" for r in x])
+    else:
+        body = sep.join([_dumps(v, inner) for v in x])
+    return "[" + inner + body + pad + "]"
+
+
 def _cyclo_json(z: Cyclo) -> dict:
     approx = z.to_complex()
     return {"N": z.ctx.N, "coeffs": list(z.num), "den": z.den,
@@ -168,7 +194,8 @@ def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
     S(K1, H1, B1) lies in S(K2, H2, B2) iff K1 <= K2, H2 <= H1 and B1 = B2
     on K1 x H2 (subcats.contains). The triples are grouped by (K, H); for
     each pair of groups with nested subgroups both sides are keyed by B on
-    K1 x H2 and matched in a dict, giving below[j] as a bitmask.
+    K1 x H2 and matched in a dict (the low side's, one per low group and H2),
+    giving below[j] as a bitmask.
     """
     by_pair: dict[tuple, list[int]] = {}
     for i, t in enumerate(triples):
@@ -176,16 +203,18 @@ def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
     below = [0] * len(triples)
     for lows in by_pair.values():
         K1, H1 = triples[lows[0]].K, triples[lows[0]].H
+        tables: dict[tuple, dict[tuple, int]] = {}   # lows keyed on K1 x H2, per H2
         for highs in by_pair.values():
             K2, H2 = triples[highs[0]].K, triples[highs[0]].H
             if highs is lows or K1.bitmask & ~K2.bitmask or H2.bitmask & ~H1.bitmask:
                 continue
             kpos = [K2.index_of[k] for k in K1.members]
-            hpos = [H1.index_of[h] for h in H2.members]
-            keyed: dict[tuple, int] = {}
-            for i in lows:
-                key = tuple(row[p] for row in triples[i].B for p in hpos)
-                keyed[key] = keyed.get(key, 0) | 1 << i
+            keyed = tables.setdefault(H2.members, {})
+            if not keyed:
+                hpos = [H1.index_of[h] for h in H2.members]
+                for i in lows:
+                    key = tuple(row[p] for row in triples[i].B for p in hpos)
+                    keyed[key] = keyed.get(key, 0) | 1 << i
             for j in highs:
                 B = triples[j].B
                 below[j] |= keyed.get(tuple(e for p in kpos for e in B[p]), 0)
@@ -246,7 +275,7 @@ def lattice_text(dd: TwistedDouble, fmt: str) -> str:
            "triples": [dict(_triple_json(dd, t), index=i)
                        for i, t in enumerate(triples)],
            "edges": [list(e) for e in edges]}
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
@@ -278,7 +307,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                central_charge={"re": zeta.real, "im": zeta.imag},
                centralizer=_triple_json(dd, cent),
                muger_center=_triple_json(dd, center))
-    print(json.dumps(doc, indent=2))
+    print(_dumps(doc))
     return 0
 
 

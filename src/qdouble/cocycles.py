@@ -53,15 +53,21 @@ class ThreeCocycle:
         if self.modulus < 1:
             raise InputError("modulus >= 1")
         n = self.group.order
+        # each shared row once: trivial_cocycle has one plane and one row
+        rows = {id(r): r for p in {id(p): p for p in self.dlog}.values() for r in p}.values()
         if len(self.dlog) != n or any(len(p) != n for p in self.dlog) or \
-           any(len(r) != n for p in self.dlog for r in p):
+           any(len(r) != n for r in rows):
             raise InputError("dlog table is not n x n x n")
-        if any(min(r) < 0 or max(r) >= self.modulus for p in self.dlog for r in p):
+        if any(min(r) < 0 or max(r) >= self.modulus for r in rows):
             raise InputError("dlog entries must lie in 0..modulus-1")
 
     @cached_property
     def is_trivial(self) -> bool:
         return not any(any(r) for p in self.dlog for r in p)
+
+    @cached_property
+    def _beta_tables(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
 
     # -- derived 2-cochains, as exponents mod modulus ---------------------------
 
@@ -74,7 +80,7 @@ class ThreeCocycle:
 
         beta_a(x, y) = dlog[a][x][y] + dlog[x][y][(xy)^-1 a xy] - dlog[x][x^-1 a x][y].
         """
-        cache = self.__dict__.setdefault("_beta_tables", {})
+        cache = self._beta_tables
         if a not in cache:
             G, d, m = self.group, self.dlog, self.modulus
             da = d[a]

@@ -70,8 +70,12 @@ class TwistedDouble:
         for p in factorize(N) if small else ():
             phi = phi // p * (p - 1)
         if phi > cap:
-            degree = f"= {phi}" if small else f">= sqrt({N} / 2)"
-            raise InputError(f"field Q(zeta_{N}) has degree phi({N}) {degree}, above cap {cap}")
+            digits = N.bit_length() * 3 // 10   # no str(N), which int()'s digit limit may refuse
+            while 10 ** digits <= N:
+                digits += 1
+            degree = f"({N}) = {phi}" if small else f"(N) >= sqrt(N / 2), N of {digits} digits"
+            raise InputError(f"field Q(zeta_{N if small else 'N'}) has degree phi{degree}, "
+                             f"above cap {cap}")
         self.ctx = CycloContext(N)
         self.scale = self.ctx.N // omega.modulus
         self._centralizers: dict[int, CentralizerData] = {}

@@ -172,10 +172,11 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
             form[k, s] = f = form[k1, s].copy()
             f[i * len(hgens) + j] += 1
             f[n] += scale * Bs[k1][kgens[i]]
-    for h1, j, h in G.cayley_tree(hgens):
-        for k in km:
+    htree = G.cayley_tree(hgens)
+    for k, Bk in zip(km, map(beta, km)):
+        for h1, j, h in htree:
             form[k, h] = f = [a + b for a, b in zip(form[k, h1], form[k, hgens[j]])]
-            f[n] -= scale * beta(k)[h1][hgens[j]]
+            f[n] -= scale * Bk[h1][hgens[j]]
 
     # evaluate column by column: each unknown's coefficients, then the constant
     cols = [{key: f[p] for key, f in form.items()} for p in range(n + 1)]
@@ -189,7 +190,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
         flat = table[n]
         for x, col in zip(sol, table):
             flat = [a + x * b for a, b in zip(flat, col)] if x else flat
-        dlogs.append(tuple(tuple(v % N for v in flat[i:i + nh]) for i in range(0, len(flat), nh)))
+        dlogs.append(tuple(zip(*[map(N.__rmod__, flat)] * nh)))
     return tuple(Triple(K, H, N, d) for d in sorted(dlogs))
 
 
@@ -381,20 +382,20 @@ def muger_center(dd: TwistedDouble, t: Triple) -> Triple:
 
 
 def classify(dd: TwistedDouble, t: Triple) -> TripleFlags:
-    N = dd.ctx.N
-    K, H, exp = t.K, t.H, t.exp
-    k_in_h = K.member_set <= H.member_set
-    symmetric = k_in_h and all(
-        (exp(k1, k2) + exp(k2, k1)) % N == 0
-        for k1 in K.members for k2 in K.members)
-    isotropic = k_in_h and all(exp(k, k) == 0 for k in K.members)
+    """Flags from one pass over B on KH x KH, KH = K n H (that is K x K when K <= H)."""
+    N, K, H = dd.ctx.N, t.K, t.H
+    KH = [a for a in K.members if a in H.member_set]
+    hpos = [H.index_of[a] for a in KH]
+    block = [[*map(t.B[K.index_of[a]].__getitem__, hpos)] for a in KH]
+    # a is in the radical iff its row is antisymmetric: B(a, j) B(j, a) = 1 for j in KH
+    in_radical = [not any(map(N.__rmod__, map(int.__add__, row, col)))
+                  for row, col in zip(block, zip(*block))]
+    k_in_h = len(KH) == len(K)
+    symmetric = k_in_h and all(in_radical)
+    isotropic = k_in_h and not any(row[i] for i, row in enumerate(block))
     lagrangian = isotropic and K.members == H.members
-    G = dd.group
-    KH = G.intersect(K, H)
-    radical = [a for a in KH.members
-               if all((exp(a, j) + exp(j, a)) % N == 0 for j in KH.members)]
     # K and H are normal, so HK is a subgroup, of order |H||K| / |H n K|
-    nondegenerate = len(H) * len(K) == G.order * len(KH) and len(radical) == 1
+    nondegenerate = len(H) * len(K) == dd.group.order * len(KH) and sum(in_radical) == 1
     return TripleFlags(symmetric, isotropic, lagrangian, nondegenerate)
 
 

@@ -11,14 +11,15 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qdouble
 from qdouble import CheckFailure, InputError, builtin_cyclic, oracle, subcats as sc
 from qdouble import cli
-from qdouble.cli import _hasse_edges, lattice_text, main
+from qdouble.cli import _dumps, _hasse_edges, lattice_text, main
 from qdouble.groups import BUILTIN_GROUP_NAMES, builtin_group
 
-from conftest import twisted_cyclic, untwisted, untwisted_product
+from conftest import twisted_cyclic, twisted_quotient, untwisted, untwisted_product
 
 
 def run(capsys, *argv):
@@ -144,6 +145,20 @@ def test_cap_bounds_field_degree(tmp_path, capsys):
     edge.write_text(json.dumps({"modulus": 256, "dlog": [0] * 8}))
     code, out, err = run(capsys, "group", "info", "--builtin", "Z2", "--cocycle", str(edge))
     assert code == 0 and "Q(zeta_512)" in out
+
+
+def test_field_degree_error_names_a_long_modulus_by_digits(tmp_path, capsys):
+    # past int()'s digit limit N = 2 m has 5,000 digits; the message stays one short line
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"modulus": %s, "dlog": %s}' % ("1" * 5000, [0] * 8))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, _, err = run(capsys, "verify", "all", "--builtin", "Z2", "--cocycle", str(huge))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and "N of 5000 digits" in err, err[:300]
+    assert max(map(len, err.splitlines())) < 200
 
 
 def test_verify_s3_counts(capsys):
@@ -486,8 +501,10 @@ LATTICES = {
 
 
 def test_hasse_edges_match_pairwise():
-    for dd in (untwisted_product("Z2", "Z4"), untwisted("D4"),
-               untwisted_product("S3", "Z3"), twisted_cyclic(4, 1), twisted_cyclic(4, 2)):
+    # Z3xZ3 reuses one key table per (low group, H2) for the most high groups
+    for dd in (untwisted_product("Z2", "Z4"), untwisted("D4"), untwisted_product("Z3", "Z3"),
+               untwisted_product("S3", "Z3"), twisted_cyclic(4, 1), twisted_cyclic(4, 2),
+               twisted_quotient("D4", 3)):
         triples = sc.enumerate_all(dd)
         assert _hasse_edges(triples) == _pairwise_hasse_edges(dd, triples)
 
@@ -500,3 +517,38 @@ def test_lattice_export_pinned(names):
     doc = json.loads(text)
     assert (len(doc["triples"]), len(doc["edges"])) == (n_triples, n_edges)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# JSON values of every kind the writer meets or falls back on
+json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 100, 2 ** 100)
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+json_values = st.recursive(
+    json_leaves | st.lists(st.integers() | st.booleans())
+    | st.lists(st.lists(st.integers(), max_size=4)) | st.lists(st.lists(st.nothing())),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_dumps_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_matches_json_dumps_on_cli_docs(monkeypatch, capsys):
+    docs = []
+
+    def recording(x, pad="\n"):
+        if pad == "\n":   # a document, not one of the writer's own recursive calls
+            docs.append(x)
+        return _dumps(x, pad)
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    for dd in (untwisted("D4"), twisted_quotient("S3", 3), untwisted_product("Z3", "Z3")):
+        lattice_text(dd, "json")
+    # the invariants doc holds floats: the Gauss sum and central charge approximations
+    code, _, _ = run(capsys, "invariants", "--builtin", "S3", "--triple", "0,0-1-2-3-4-5,trivial")
+    assert code == 0 and len(docs) == 4
+    assert isinstance(docs[3]["central_charge"]["re"], float)
+    for doc in docs:
+        assert _dumps(doc) == json.dumps(doc, indent=2)

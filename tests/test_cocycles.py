@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble import (IdentityViolation, NotACocycle, NotNormalized, ThreeCocycle,
+from qdouble import (IdentityViolation, InputError, NotACocycle, NotNormalized, ThreeCocycle,
                      builtin_cyclic, builtin_group, check_identities, coboundary,
                      cyclic_group, pullback, trivial_cocycle, validate)
 from qdouble.cocycles import product
@@ -20,6 +20,20 @@ def test_trivial_validates():
         validate(om)
         assert om.is_trivial
         check_identities(om)
+
+
+def test_shared_rows_are_checked():
+    # the checks visit each shared plane and row once, and so every entry still
+    G = builtin_group("Z3")
+    for bad in ((0, 0, 3), (0, -1, 0), (0, 0)):
+        plane = ((0, 0, 0), bad, (0, 0, 0))
+        with pytest.raises(InputError):
+            ThreeCocycle(G, 3, (plane,) * 3)
+        with pytest.raises(InputError):
+            ThreeCocycle(G, 3, ((bad,) * 3,) * 3)
+    with pytest.raises(InputError):
+        ThreeCocycle(G, 3, (((0, 0, 0),) * 3,) * 2 + (((0, 0, 0),) * 2,))
+    assert ThreeCocycle(G, 3, (((0, 1, 2),) * 3,) * 3).dlog[2][1] == (0, 1, 2)
 
 
 def test_builtin_cyclic_formula():

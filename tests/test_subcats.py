@@ -328,6 +328,28 @@ def test_classify_z2():
                      "sym,iso,lag", "sym"]
 
 
+def _classify_reference(dd, t):
+    """The flags by their definitions, one exp() call per entry of B read."""
+    N, K, H, exp = dd.ctx.N, t.K, t.H, t.exp
+    k_in_h = K.member_set <= H.member_set
+    symmetric = k_in_h and all((exp(k1, k2) + exp(k2, k1)) % N == 0
+                               for k1 in K.members for k2 in K.members)
+    isotropic = k_in_h and all(exp(k, k) == 0 for k in K.members)
+    KH = dd.group.intersect(K, H)
+    radical = [a for a in KH.members
+               if all((exp(a, j) + exp(j, a)) % N == 0 for j in KH.members)]
+    nondegenerate = len(H) * len(K) == dd.group.order * len(KH) and len(radical) == 1
+    return sc.TripleFlags(symmetric, isotropic, isotropic and K.members == H.members,
+                          nondegenerate)
+
+
+def test_classify_matches_reference():
+    doubles = braiding_doubles() + [untwisted_product("Z3", "Z3"), relabeled(untwisted("D4"), 1)]
+    for dd in doubles:
+        for t in sc.enumerate_all(dd):
+            assert sc.classify(dd, t) == _classify_reference(dd, t), (dd.group.name, t)
+
+
 def test_classify_implications():
     for name in EXPECTED_COUNTS:
         dd = untwisted(name)
