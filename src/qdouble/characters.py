@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .cyclotomic import Cyclo, CycloContext
 from .errors import CheckFailure, InputError
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup, GroupTooLarge
+from .groups import FiniteGroup, GroupTooLarge
 from .linmod import (charpoly_mod, mat_mul_mod, nullspace_mod, poly_roots_mod,
                      primitive_root, rref_mod, smallest_prime_one_mod)
 
@@ -280,8 +280,7 @@ def validate_two_cocycle(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) 
                     raise CheckFailure(f"2-cocycle identity fails at ({x}, {y}, {w})")
 
 
-def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
-                      cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> FiniteGroup:
     """The central extension E of C by Z/m' that the 2-cocycle beta mod m defines.
 
     With g = gcd(m, all beta) and b = (beta mod m) / g, E is C x Z/m' for
@@ -290,7 +289,7 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
     (e, 1) is index 1. When m' = 1 every beta is 0 mod m and E is C itself,
     returned as is: the identity to check reads 0 = 0.
 
-    Otherwise, after the cap check, validate_two_cocycle runs and E is built
+    Otherwise, after the check against C's cap, validate_two_cocycle runs and E is built
     without the group-table check, because the checked identity already
     proves E a group: dividing it by g gives
     b(x,y) + b(xy,w) = b(x,yw) + b(y,w) (mod m'), which is exactly
@@ -303,8 +302,8 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
         for y in range(n):
             g = gcd(g, beta[x][y] % m)
     mp = m // g
-    if n * mp > cap:
-        raise GroupTooLarge(f"extension order {n * mp} exceeds cap {cap}")
+    if n * mp > C.cap:
+        raise GroupTooLarge(f"extension order {n * mp} exceeds cap {C.cap}")
     if mp == 1:
         return C
     validate_two_cocycle(C, beta, m)
@@ -318,7 +317,7 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int,
                 b = bp[x][y]
                 for j in range(mp):
                     row[y * mp + j] = xy * mp + (i + j + b) % mp
-    return FiniteGroup(table, name=f"{C.name}~{mp}", validate=False, cap=cap)
+    return FiniteGroup(table, name=f"{C.name}~{mp}", validate=False, cap=C.cap)
 
 
 def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> int:
@@ -332,7 +331,7 @@ def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: i
 
 
 def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int]],
-                     m: int, cap: int = DEFAULT_ORDER_CAP) -> CharacterTable:
+                     m: int) -> CharacterTable:
     """All irreducible beta-characters of C, exactly.
 
     They are the characters chi of the central extension E with
@@ -341,7 +340,7 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
     no row is filtered out; each is checked instead: every eigenvalue of
     rho(z) must be zeta_m'.
     """
-    E = central_extension(C, beta, m, cap=cap)
+    E = central_extension(C, beta, m)
     mp = E.order // C.order
     if ctx.N % (mp * C.exponent):
         # exponent(E) divides m' * exponent(C)

@@ -110,7 +110,7 @@ def _load_cocycle(args: argparse.Namespace, G: FiniteGroup) -> ThreeCocycle:
 
 def _double(args: argparse.Namespace) -> TwistedDouble:
     G = _load_group(args)
-    return TwistedDouble(G, _load_cocycle(args, G), cap=args.cap)
+    return TwistedDouble(G, _load_cocycle(args, G))
 
 
 def _parse_members(text: str, order: int) -> tuple[int, ...]:
@@ -177,7 +177,7 @@ def _cyclo_json(z: Cyclo) -> dict:
 
 def _triple_json(dd: TwistedDouble, t: sc.Triple) -> dict:
     return {"K": list(t.K.members), "H": list(t.H.members),
-            "B": [list(r) for r in t.B], "N": t.N,
+            "B": [list(r) for r in t.B], "N": dd.ctx.N,
             "dim": t.dim,
             "flags": sc.classify(dd, t).names()}
 
@@ -213,11 +213,11 @@ def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
             if not keyed:
                 hpos = [H1.index_of[h] for h in H2.members]
                 for i in lows:
-                    key = tuple(row[p] for row in triples[i].B for p in hpos)
+                    key = tuple([row[p] for row in triples[i].B for p in hpos])
                     keyed[key] = keyed.get(key, 0) | 1 << i
             for j in highs:
                 B = triples[j].B
-                below[j] |= keyed.get(tuple(e for p in kpos for e in B[p]), 0)
+                below[j] |= keyed.get(tuple(chain.from_iterable(map(B.__getitem__, kpos))), 0)
     edges = []
     for j, mask in enumerate(below):
         under = 0

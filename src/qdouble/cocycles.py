@@ -53,17 +53,20 @@ class ThreeCocycle:
         if self.modulus < 1:
             raise InputError("modulus >= 1")
         n = self.group.order
-        # each shared row once: trivial_cocycle has one plane and one row
-        rows = {id(r): r for p in {id(p): p for p in self.dlog}.values() for r in p}.values()
         if len(self.dlog) != n or any(len(p) != n for p in self.dlog) or \
-           any(len(r) != n for r in rows):
+           any(len(r) != n for r in self._rows):
             raise InputError("dlog table is not n x n x n")
-        if any(min(r) < 0 or max(r) >= self.modulus for r in rows):
+        if any(min(r) < 0 or max(r) >= self.modulus for r in self._rows):
             raise InputError("dlog entries must lie in 0..modulus-1")
 
     @cached_property
+    def _rows(self) -> list[tuple[int, ...]]:
+        """Each distinct row object of dlog once: trivial_cocycle has one plane and one row."""
+        return [*{id(r): r for p in {id(p): p for p in self.dlog}.values() for r in p}.values()]
+
+    @cached_property
     def is_trivial(self) -> bool:
-        return not any(any(r) for p in self.dlog for r in p)
+        return not any(map(any, self._rows))
 
     @cached_property
     def _beta_tables(self) -> dict[int, tuple[tuple[int, ...], ...]]:

@@ -18,7 +18,7 @@ from .characters import CharacterTable, projective_table
 from .cocycles import ThreeCocycle, trivial_cocycle
 from .cyclotomic import Cyclo, CycloContext
 from .errors import CheckFailure, InputError
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup
+from .groups import FiniteGroup
 from .linmod import factorize, primitive_root, smallest_prime_one_mod
 
 
@@ -44,8 +44,11 @@ class CentralizerData:
 
     members: tuple[int, ...]            # parent elements, sorted
     local_of: dict                      # parent element -> local index
-    group: FiniteGroup = field(compare=False)
     table: CharacterTable = field(compare=False)
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.table.group
 
     def spectrum(self, char_index: int, parent_element: int) -> tuple[int, ...]:
         return self.table.spectra[char_index][self.local_of[parent_element]]
@@ -54,16 +57,14 @@ class CentralizerData:
 class TwistedDouble:
     """Bundle of (G, omega) with cached exact modular data."""
 
-    def __init__(self, G: FiniteGroup, omega: ThreeCocycle | None = None,
-                 cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, G: FiniteGroup, omega: ThreeCocycle | None = None):
         if omega is None:
             omega = trivial_cocycle(G)
         if omega.group is not G and omega.group.mult != G.mult:
             raise InputError("cocycle is not defined on this group")
         self.group = G
         self.omega = omega
-        self.cap = cap                  # order cap for the central extensions
-        N = omega.modulus * G.order
+        N, cap = omega.modulus * G.order, G.cap
         # phi(N) >= sqrt(N / 2), so an N above 2 cap^2 is over the cap unfactored
         small = N <= 2 * cap * cap
         phi = N
@@ -96,12 +97,11 @@ class TwistedDouble:
             members = G.centralizer_members(a)
             local_of = {g: i for i, g in enumerate(members)}
             table = [[local_of[G.mul(x, y)] for y in members] for x in members]
-            # a subgroup of an admitted group is admitted
-            C = FiniteGroup(table, name=f"C({G.name},{a})", validate=False, cap=G.order)
+            C = FiniteGroup(table, name=f"C({G.name},{a})", validate=False, cap=G.cap)
             Ba = self.omega.beta_table(a)
             beta = [[Ba[x][y] for y in members] for x in members]
-            P = projective_table(self.ctx, C, beta, self.omega.modulus, cap=self.cap)
-            self._centralizers[a] = CentralizerData(members, local_of, C, P)
+            P = projective_table(self.ctx, C, beta, self.omega.modulus)
+            self._centralizers[a] = CentralizerData(members, local_of, P)
         return self._centralizers[a]
 
     @property

@@ -28,7 +28,6 @@ class GroupTooLarge(InputError):
 class Subgroup:
     """A subgroup given by its sorted member indices inside a fixed parent group."""
 
-    parent_order: int
     members: tuple[int, ...]
     group: "FiniteGroup" = field(compare=False, repr=False)
 
@@ -89,6 +88,7 @@ class FiniteGroup:
         if n > cap:
             raise GroupTooLarge(f"order {n} exceeds cap {cap}")
         self.order = n
+        self.cap = cap     # bounds this group, all built from it, and its double's field
         self.mult: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in table)
         self.name = name
         if validate:
@@ -243,7 +243,7 @@ class FiniteGroup:
 
     def subgroup(self, members: Iterable[int], check: bool = True) -> Subgroup:
         ms = tuple(sorted(set(members)))
-        sub = Subgroup(self.order, ms, self)
+        sub = Subgroup(ms, self)
         if check:
             mset = sub.member_set   # Subgroup has already required the identity 0
             for a in ms:
@@ -459,6 +459,7 @@ def builtin_group(name: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     G = _BUILTIN_FACTORIES[name]()
     if G.order > cap:
         raise GroupTooLarge(f"order {G.order} exceeds cap {cap}")
+    G.cap = cap
     return G
 
 

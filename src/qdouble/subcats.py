@@ -2,11 +2,11 @@
 
 A subcategory is determined by a pair of elementwise-commuting normal
 subgroups K, H and a G-invariant bicharacter B: K x H -> roots of unity.
-It is one frozen value, Triple(K, H, N, B), with B the table of discrete
-logs mod N over the sorted members. build_subcat alone decides whether
-caller-supplied (K, H, B) is such a triple, by the equations bicharacters
-solves. The lattice operations (centralizer, meet, join, center) act on
-these triples directly.
+It is one frozen value, Triple(K, H, B), with B the table of discrete logs
+mod N over the sorted members, N that of the double's field Q(zeta_N).
+build_subcat alone decides whether caller-supplied (K, H, B) is such a
+triple: entries in 0..N-1 solving the equations of bicharacters. The
+lattice operations (centralizer, meet, join, center) act on triples directly.
 """
 
 from __future__ import annotations
@@ -39,27 +39,24 @@ class UnsupportedTriple(InputError):
 class Triple:
     """The fusion subcategory S(K, H, B).
 
-    B is the bicharacter K x H -> mu_N as a table of discrete logs base
-    zeta_N over the sorted members: B[i][j], in 0..N-1, is the exponent at
-    (K.members[i], H.members[j]). So each subcategory has one value.
+    B is the bicharacter K x H -> mu_N, N = dd.ctx.N, as a table of discrete
+    logs base zeta_N over the sorted members: B[i][j], in 0..N-1, is the
+    exponent at (K.members[i], H.members[j]). So each subcategory has one value.
     """
 
     K: Subgroup
     H: Subgroup
-    N: int
     B: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.B) != len(self.K.members) or \
            any(len(r) != len(self.H.members) for r in self.B):
             raise InputError("pairing table shape mismatch")
-        if any(min(r) < 0 or max(r) >= self.N for r in self.B):
-            raise InputError(f"pairing table entries must lie in 0..{self.N - 1}")
 
     @classmethod
-    def with_trivial_pairing(cls, K: Subgroup, H: Subgroup, N: int) -> "Triple":
+    def with_trivial_pairing(cls, K: Subgroup, H: Subgroup) -> "Triple":
         """S(K, H, 1)."""
-        return cls(K, H, N, tuple((0,) * len(H.members) for _ in K.members))
+        return cls(K, H, tuple((0,) * len(H.members) for _ in K.members))
 
     def exp(self, k: int, h: int) -> int:
         """Discrete log of B(k, h) base zeta_N."""
@@ -71,7 +68,7 @@ class Triple:
     @property
     def dim(self) -> int:
         """|K| [G:H], the sum of d_i^2 over the members."""
-        return len(self.K) * (self.K.parent_order // len(self.H))
+        return len(self.K) * (self.K.group.order // len(self.H))
 
 
 # each flag's name, in field order, and its abbreviation in labels
@@ -191,7 +188,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
         for x, col in zip(sol, table):
             flat = [a + x * b for a, b in zip(flat, col)] if x else flat
         dlogs.append(tuple(zip(*[map(N.__rmod__, flat)] * nh)))
-    return tuple(Triple(K, H, N, d) for d in sorted(dlogs))
+    return tuple(Triple(K, H, d) for d in sorted(dlogs))
 
 
 # -- membership and canonical triples -------------------------------------------------
@@ -199,8 +196,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
 
 def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
     """Simple objects of S(K, H, B), with the dimension identity enforced."""
-    key = ("members", t.K.members, t.H.members, t.B)
-    cached = dd.subcat_caches.get(key)
+    cached = dd.subcat_caches.get(t)
     if cached is not None:
         return cached
     members = []
@@ -216,7 +212,7 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
         raise DimensionMismatch(
             f"members carry dimension {dim}, triple predicts {t.dim}")
     result = frozenset(members)
-    dd.subcat_caches[key] = result
+    dd.subcat_caches[t] = result
     return result
 
 
@@ -227,7 +223,9 @@ def build_subcat(dd: TwistedDouble, K: Subgroup, H: Subgroup,
     normalized and satisfies them."""
     eqs = _equations(dd, K, H)
     N = dd.ctx.N
-    t = Triple(K, H, N, B)
+    t = Triple(K, H, B)
+    if any(min(r) < 0 or max(r) >= N for r in B):
+        raise InputError(f"pairing table entries must lie in 0..{N - 1}")
     exp = t.exp
     # e is the first member of K and of H
     if any(B[0]) or any(row[0] for row in B) or \
@@ -311,12 +309,12 @@ def enumerate_all(dd: TwistedDouble) -> tuple[Triple, ...]:
 
 def whole_triple(dd: TwistedDouble) -> Triple:
     G = dd.group
-    return Triple.with_trivial_pairing(G.whole_group, G.trivial_subgroup, dd.ctx.N)
+    return Triple.with_trivial_pairing(G.whole_group, G.trivial_subgroup)
 
 
 def trivial_triple(dd: TwistedDouble) -> Triple:
     G = dd.group
-    return Triple.with_trivial_pairing(G.trivial_subgroup, G.whole_group, dd.ctx.N)
+    return Triple.with_trivial_pairing(G.trivial_subgroup, G.whole_group)
 
 
 # -- lattice operations ------------------------------------------------------------
@@ -324,7 +322,7 @@ def trivial_triple(dd: TwistedDouble) -> Triple:
 
 def centralizer_triple(dd: TwistedDouble, t: Triple) -> Triple:
     """S(K, H, B)' = S(H, K, (B^op)^{-1})."""
-    return Triple(t.H, t.K, t.N, tuple(tuple(-e % t.N for e in col) for col in zip(*t.B)))
+    return Triple(t.H, t.K, tuple(tuple(-e % dd.ctx.N for e in col) for col in zip(*t.B)))
 
 
 def contains(dd: TwistedDouble, t1: Triple, t2: Triple) -> bool:
@@ -338,9 +336,7 @@ def contains(dd: TwistedDouble, t1: Triple, t2: Triple) -> bool:
 
 def meet(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
     """Intersection of two subcategories."""
-    G = dd.group
-    N = dd.ctx.N
-    scale = dd.scale
+    G, N, scale = dd.group, dd.ctx.N, dd.scale
     H_meet = G.product_subgroup(t1.H, t2.H)
     KK = G.intersect(t1.K, t2.K)
     HH = G.intersect(t1.H, t2.H)
@@ -364,7 +360,7 @@ def meet(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
                     raise CheckFailure(
                         f"pairing not well defined at ({a}, {h}): {prev} != {e}")
         rows.append(tuple(row[h] for h in H_meet.members))
-    return Triple(K_meet, H_meet, N, tuple(rows))
+    return Triple(K_meet, H_meet, tuple(rows))
 
 
 def join(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
@@ -470,7 +466,7 @@ def adjoint_triple(dd: TwistedDouble, t: Triple) -> Triple:
     K_ad = G.commutator_subgroup(t.K)
     H_ad = G.intersect(G.centralizer_of_subgroup(t.K),
                        G.preimage_of_center_of_quotient(t.H))
-    return Triple.with_trivial_pairing(K_ad, H_ad, dd.ctx.N)
+    return Triple.with_trivial_pairing(K_ad, H_ad)
 
 
 def adjoint_series_term(dd: TwistedDouble, n: int) -> Triple:
@@ -483,7 +479,7 @@ def adjoint_series_term(dd: TwistedDouble, n: int) -> Triple:
     K = G.lower_central_term(n)
     H = G.intersect(G.centralizer_of_subgroup(G.lower_central_term(n - 1)),
                     G.upper_central_term(n))
-    return Triple.with_trivial_pairing(K, H, dd.ctx.N)
+    return Triple.with_trivial_pairing(K, H)
 
 
 def central_series_term(dd: TwistedDouble, n: int) -> Triple:

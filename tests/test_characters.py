@@ -176,11 +176,11 @@ def test_projective_orthogonality():
 
 
 def test_central_extension_cap():
-    C = builtin_group("Z2xZ2")
+    C = builtin_group("Z2xZ2", cap=4)
     beta = [[0] * 4 for _ in range(4)]
     beta[1][2] = 1
     with pytest.raises(GroupTooLarge):
-        central_extension(C, beta, 2, cap=4)
+        central_extension(C, beta, 2)
 
 
 def test_central_extension_rejects_a_non_cocycle_before_building(monkeypatch):

@@ -36,6 +36,19 @@ def test_shared_rows_are_checked():
     assert ThreeCocycle(G, 3, (((0, 1, 2),) * 3,) * 3).dlog[2][1] == (0, 1, 2)
 
 
+def test_is_trivial_reads_unshared_rows():
+    # is_trivial walks each distinct row once; a nonzero entry in a row that no
+    # other plane or row shares still makes the table nontrivial
+    G = builtin_group("Z3")
+    zero = (0, 0, 0)
+    shared = (zero,) * 3
+    assert ThreeCocycle(G, 3, (shared,) * 3).is_trivial
+    for x, y in ((1, 1), (2, 2), (1, 2)):
+        planes = [shared] * 3
+        planes[x] = tuple((0, 0, 1) if r == y else zero for r in range(3))
+        assert not ThreeCocycle(G, 3, tuple(planes)).is_trivial
+
+
 def test_builtin_cyclic_formula():
     n, q = 4, 3
     om = builtin_cyclic(n, q)

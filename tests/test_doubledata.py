@@ -9,7 +9,8 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble import CheckFailure, TwistedDouble, VerlindeNonInteger, builtin_group
+from qdouble import (CheckFailure, GroupTooLarge, InputError, ThreeCocycle, TwistedDouble,
+                     VerlindeNonInteger, builtin_cyclic, builtin_group)
 from qdouble.oracle import certify
 
 from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, twisted_z2_cubed,
@@ -31,6 +32,20 @@ def test_trivial_group_double():
     dd = untwisted_cyclic(1)
     assert [(s.dim, s.twist) for s in dd.gamma] == [(1, 0)]
     assert dd.s_matrix == ((1,),) and dd.fusion == (((1,),),)
+
+
+def test_cap_lives_on_the_group():
+    # the double and every central extension it builds read the group's cap
+    om = builtin_cyclic(8, 1)
+    G = builtin_group("Z8", cap=8)
+    with pytest.raises(InputError, match=r"phi\(64\) = 32, above cap 8"):
+        TwistedDouble(G, ThreeCocycle(G, om.modulus, om.dlog))
+    G = builtin_group("Z8", cap=32)
+    dd = TwistedDouble(G, ThreeCocycle(G, om.modulus, om.dlog))
+    with pytest.raises(GroupTooLarge, match="extension order 64 exceeds cap 32"):
+        dd.gamma
+    G = builtin_group("Z8", cap=64)
+    assert len(TwistedDouble(G, ThreeCocycle(G, om.modulus, om.dlog)).gamma) == 64
 
 
 def test_global_dimension():

@@ -90,7 +90,7 @@ def test_build_subcat_dimension_mismatch():
     with pytest.raises(NotASubcategory, match="not a G-invariant bicharacter"):
         sc.build_subcat(dd, K, H, bad)
     with pytest.raises(DimensionMismatch):
-        sc.subcat_members(dd, sc.Triple(K, H, dd.ctx.N, bad))
+        sc.subcat_members(dd, sc.Triple(K, H, bad))
     # entries lie in 0..N-1, so each subcategory has one value: on Z2,
     # ((0, 0), (0, 3)) would have the members of the enumerated ((0, 0), (0, 1))
     # and still compare unequal to it
