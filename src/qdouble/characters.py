@@ -3,12 +3,12 @@
 Ordinary tables come from the class-algebra method: common eigenvectors of the
 class-sum structure matrices over a prime field F_p with p = 1 (mod N), lifted
 exactly to Q(zeta_N) via eigenvalue multiplicities; abelian tables from a walk
-along the generators. Projective characters for a 2-cocycle beta are ordinary
+along the generators. Projective characters for a 2-cocycle beta mod m are the
 characters of a central extension E = C x_beta Z/m' with central character
-zeta_m' at z = (e, 1), restricted along the section x -> (x, 0). Both engines
-start at that central character (the eigenspace of {z} at zeta_m', or the
-character of <z> the walk extends), so only the |E| / m' they need are built;
-that every row has chi(z) = d zeta_m' is then checked, not filtered.
+zeta_m' at z = (e, 1), restricted along the section x -> (x, 0). If E would be
+abelian, the walk finds them on C itself, twisted by beta. Otherwise E is built
+for Dixon, which starts at the eigenspace of {z} at zeta_m', so only the
+|E| / m' characters needed are built; chi(z) = d zeta_m' is checked, not filtered.
 """
 
 from __future__ import annotations
@@ -78,19 +78,24 @@ def _ordinary_rows(ctx: CycloContext, C: FiniteGroup,
     """Degrees and per-element spectra of C's irreducible characters, checked
     but in no particular order.
 
-    With mp > 1, index 1 is a central element z of order mp and only the
-    characters with chi(z) = d zeta_mp are built: both engines start from
+    Abelian groups take the walk of _abelian_rows with beta = 0. For Dixon,
+    mp > 1 says that index 1 is a central element z of order mp, and only the
+    characters with chi(z) = d zeta_mp are built: the refinement starts from
     that central character, so their squared degrees sum to |C| / mp.
     """
     if ctx.N % C.exponent:
         raise InputError(f"exponent {C.exponent} does not divide N = {ctx.N}")
+    n = C.order
     if C.is_abelian:
-        return _abelian_rows(ctx, C, mp)
+        degrees, rows = _abelian_rows(ctx, C, ((0,) * n,) * n, 1)
+        # distinct homomorphisms are orthogonal; verify exactly on small groups
+        if n <= 16:
+            _check_orthonormal(ctx, rows, n, "abelian rows")
+        return degrees, rows
     classes = C.conjugacy_classes
     r = len(classes)
     reps = C.class_reps
     sizes = [len(c) for c in classes]
-    n = C.order
     N = ctx.N
 
     p = smallest_prime_one_mod(N, isqrt(4 * n ** 3) + 1)
@@ -205,64 +210,64 @@ def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str) -> Non
                 raise LiftFailure(f"{what} {i}, {j} are not orthonormal")
 
 
-def _abelian_rows(ctx: CycloContext, C: FiniteGroup,
-                  mp: int = 1) -> tuple[list[int], list[tuple]]:
-    """Characters of an abelian group: the homomorphisms into the N-th roots of
-    unity that send z = index 1 to zeta_mp (all of them when mp = 1).
+def _abelian_rows(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int]],
+                  m: int) -> tuple[list[int], list[tuple]]:
+    """The beta-characters of an abelian C with beta symmetric mod m, all of degree 1:
+    the maps L: C -> Z/N with L(x) + L(y) = L(xy) + B(x, y), B = (N/m) beta
+    (beta = 0 gives the homomorphisms into the N-th roots of unity).
 
-    Built along the generators, starting from H = <z> with exponent k N/mp at
-    z^k: if t is the least power with g^t in H = <z, earlier generators>, a
-    character of H with exponent e at g^t extends to <H, g> in exactly the t
-    ways c = e/t + k N/t (0 <= k < t), sending h g^s to its exponent at h
-    plus s c. That gives |C| / mp rows, each then checked against the
-    generator equations L(x g) = L(x) + L(g) mod N.
+    Built along the generators from H = {e}: if t is the least power with g^t
+    in H = <earlier generators>, the equations at (g^s, g) for 0 < s < t leave
+    L(g) = c with t c = R for R = L(g^t) + sum_{0<s<t} B(g^s, g) mod N, solved
+    in exactly the t ways c = R/t + k N/t (0 <= k < t), and L extends to
+    h g^s as L(h) + L(g^s) - B(h, g^s). That gives |C| rows, each then checked
+    by _check_generator_equations and for distinctness.
     """
-    n, N = C.order, ctx.N
-    gens = C.whole_group.generators
-    elems, row = [0], [0] * n
-    for k in range(1, mp):
-        elems.append(C.mul(elems[-1], 1))
-        row[elems[-1]] = k * (N // mp)
-    member, rows = set(elems), [row]
-    for g in gens:
-        t, gt = 1, g
+    n, N, u = C.order, ctx.N, ctx.N // m
+    elems, rows, member = [0], [[0] * n], {0}
+    for g in C.whole_group.generators:
+        coset, drift, t, gt = [], 0, 1, g     # drift = sum of beta(g^s, g) over 0 < s < t
         while gt not in member:
+            coset += [(t, h, C.mul(h, gt), u * (drift + beta[h][gt])) for h in elems]
+            drift += beta[gt][g]
             t, gt = t + 1, C.mul(gt, g)
-        coset, gs = [], 0
-        for s in range(1, t):
-            gs = C.mul(gs, g)
-            coset += [(s, h, C.mul(h, gs)) for h in elems]
         extended = []
         for row in rows:
-            e = row[gt]
-            if e % t:
-                raise LiftFailure(f"exponent {e} at {gt} = {g}^{t} is not divisible by {t}")
+            R = (row[gt] + u * drift) % N
+            if R % t:
+                raise LiftFailure(f"exponent {R} at {gt} = {g}^{t} is not divisible by {t}")
             for k in range(t):
-                c = e // t + k * (N // t)
+                c = R // t + k * (N // t)
                 new = row[:]
-                for s, h, x in coset:
-                    new[x] = (row[h] + s * c) % N
+                for s, h, x, w in coset:
+                    new[x] = (row[h] + s * c - w) % N
                 extended.append(new)
         rows = extended
-        elems += [x for _, _, x in coset]
+        elems += [x for _, _, x, _ in coset]
         member.update(elems)
-    if len(rows) != n // mp:
-        raise LiftFailure(f"abelian group has {len(rows)} characters, expected {n // mp}")
-    for g in gens:
-        times_g = [C.mul(x, g) for x in range(n)]
-        for row in rows:
-            for x, xg in enumerate(times_g):
-                if row[xg] != (row[x] + row[g]) % N:
-                    raise LiftFailure(f"abelian character {row} fails "
-                                      f"L(x g) = L(x) + L(g) at x = {x}, g = {g}")
+    if len(rows) != n:
+        raise LiftFailure(f"abelian group has {len(rows)} characters, expected {n}")
+    _check_generator_equations(ctx, C, beta, m, rows)
     single = [(e,) for e in range(N)]
     spectra = [tuple(map(single.__getitem__, row)) for row in rows]
-    if len(set(spectra)) != n // mp:
+    if len(set(spectra)) != n:
         raise LiftFailure("abelian characters are not distinct")
-    # distinct homomorphisms are orthogonal; verify exactly on small groups
-    if n <= 16:
-        _check_orthonormal(ctx, spectra, n, "abelian rows")
-    return [1] * len(spectra), spectra
+    return [1] * n, spectra
+
+
+def _check_generator_equations(ctx: CycloContext, C: FiniteGroup,
+                               beta: Sequence[Sequence[int]], m: int, rows) -> None:
+    """Raise unless every exponent row L has L(x g) = L(x) + L(g) - (N/m) beta(x, g) mod N
+    for every x and generator g of C. Then L is a beta-character: on E, chi(x, i) =
+    L(x) + i N/m' is additive along z = (e, 1) and every (g, 0), which generate E."""
+    N, u = ctx.N, ctx.N // m
+    for g in C.whole_group.generators:
+        steps = [(x, C.mul(x, g), u * beta[x][g]) for x in range(C.order)]
+        for row in rows:
+            for x, xg, w in steps:
+                if row[xg] != (row[x] + row[g] - w) % N:
+                    raise LiftFailure(f"abelian character {row} fails L(x g) = "
+                                      f"L(x) + L(g) - B(x, g) at x = {x}, g = {g}")
 
 
 # -- projective characters ------------------------------------------------------
@@ -278,6 +283,17 @@ def validate_two_cocycle(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) 
             for w in range(n):
                 if (beta[x][y] + beta[xy][w] - beta[x][C.mul(y, w)] - beta[y][w]) % m:
                     raise CheckFailure(f"2-cocycle identity fails at ({x}, {y}, {w})")
+
+
+def _extension_degree(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> int:
+    """m' = m / gcd(m, all beta), so that |E| = |C| m', after the check against
+    C's cap; validate_two_cocycle runs whenever m' > 1."""
+    mp = m // gcd(m, *(b % m for row in beta for b in row))
+    if C.order * mp > C.cap:
+        raise GroupTooLarge(f"extension order {C.order * mp} exceeds cap {C.cap}")
+    if mp > 1:
+        validate_two_cocycle(C, beta, m)
+    return mp
 
 
 def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> FiniteGroup:
@@ -296,17 +312,10 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> 
     associativity; normalization makes index 0 the identity; and every row
     is a bijection, so every element has an inverse.
     """
-    n = C.order
-    g = m
-    for x in range(n):
-        for y in range(n):
-            g = gcd(g, beta[x][y] % m)
-    mp = m // g
-    if n * mp > C.cap:
-        raise GroupTooLarge(f"extension order {n * mp} exceeds cap {C.cap}")
+    mp = _extension_degree(C, beta, m)
     if mp == 1:
         return C
-    validate_two_cocycle(C, beta, m)
+    n, g = C.order, m // mp
     bp = [[(beta[x][y] % m) // g for y in range(n)] for x in range(n)]
     table = [[0] * (n * mp) for _ in range(n * mp)]
     for x in range(n):
@@ -335,28 +344,35 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
     """All irreducible beta-characters of C, exactly.
 
     They are the characters chi of the central extension E with
-    chi(z) = d zeta_m' at z = (e, 1), restricted along x -> (x, 0).
-    _ordinary_rows builds only those, starting both engines at zeta_m', so
-    no row is filtered out; each is checked instead: every eigenvalue of
-    rho(z) must be zeta_m'.
+    chi(z) = d zeta_m' at z = (e, 1), restricted along x -> (x, 0). E is
+    abelian iff C is and beta(x, y) = beta(y, x) mod m; then _abelian_rows
+    walks C itself, twisted by beta, and E is never built. Otherwise Dixon
+    runs on E = central_extension, seeded at zeta_m', so no row is filtered
+    out; each is checked instead: every eigenvalue of rho(z) must be zeta_m'.
     """
-    E = central_extension(C, beta, m)
-    mp = E.order // C.order
+    n = C.order
+    walk = C.is_abelian and all((beta[x][y] - beta[y][x]) % m == 0
+                                for x in range(n) for y in range(x))
+    E = C if walk else central_extension(C, beta, m)
+    mp = _extension_degree(C, beta, m) if walk else E.order // n
     if ctx.N % (mp * C.exponent):
         # exponent(E) divides m' * exponent(C)
         raise InputError(f"context N = {ctx.N} too small for extension")
-    degrees, spectra = _ordinary_rows(ctx, E, mp)
-    if E is C:
+    if mp == 1:
         # beta = 0 mod m: the beta-characters are the ordinary ones
-        return _canonical(ctx, C, degrees, spectra)
-    # z = (e, 1) is index 1, and (x, 0) is index x m'
-    for i, row in enumerate(spectra):
-        if any(e != ctx.N // mp for e in row[1]):
-            raise LiftFailure(f"row {i} has spectrum {row[1]} at z, "
-                              f"expected every exponent {ctx.N // mp}")
-    spectra = [row[::mp] for row in spectra]
+        return _canonical(ctx, C, *_ordinary_rows(ctx, C))
+    if walk:
+        degrees, spectra = _abelian_rows(ctx, C, beta, m)
+    else:
+        degrees, spectra = _ordinary_rows(ctx, E, mp)
+        # z = (e, 1) is index 1, and (x, 0) is index x m'
+        for i, row in enumerate(spectra):
+            if any(e != ctx.N // mp for e in row[1]):
+                raise LiftFailure(f"row {i} has spectrum {row[1]} at z, "
+                                  f"expected every exponent {ctx.N // mp}")
+        spectra = [row[::mp] for row in spectra]
 
     if len(degrees) != beta_regular_class_count(C, beta, m):
         raise LiftFailure("projective character count does not match regular classes")
-    _check_orthonormal(ctx, spectra, C.order, "projective rows")
+    _check_orthonormal(ctx, spectra, n, "projective rows")
     return _canonical(ctx, C, degrees, spectra)

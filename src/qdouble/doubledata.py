@@ -40,10 +40,9 @@ class SimpleObject:
 
 @dataclass(frozen=True)
 class CentralizerData:
-    """A centralizer C_G(a) materialized as a standalone group."""
+    """A centralizer C_G(a) as a group of its own, G itself when a is central."""
 
-    members: tuple[int, ...]            # parent elements, sorted
-    local_of: dict                      # parent element -> local index
+    local_of: dict                      # parent element -> local index, in sorted order
     table: CharacterTable = field(compare=False)
 
     @property
@@ -91,17 +90,20 @@ class TwistedDouble:
     # -- simple objects -----------------------------------------------------------
 
     def centralizer_data(self, a: int) -> CentralizerData:
-        """Centralizer of a class representative with its projective table."""
+        """Centralizer of a class representative with its projective table; a central
+        a gets G itself, so C's cached properties are computed once per double."""
         if a not in self._centralizers:
             G = self.group
-            members = G.centralizer_members(a)
-            local_of = {g: i for i, g in enumerate(members)}
-            table = [[local_of[G.mul(x, y)] for y in members] for x in members]
-            C = FiniteGroup(table, name=f"C({G.name},{a})", validate=False, cap=G.cap)
+            local_of = {g: i for i, g in enumerate(G.centralizer_members(a))}
             Ba = self.omega.beta_table(a)
-            beta = [[Ba[x][y] for y in members] for x in members]
+            if len(local_of) == G.order:
+                C, beta = G, Ba
+            else:
+                C = FiniteGroup([[local_of[G.mul(x, y)] for y in local_of] for x in local_of],
+                                name=f"C({G.name},{a})", validate=False, cap=G.cap)
+                beta = [[Ba[x][y] for y in local_of] for x in local_of]
             P = projective_table(self.ctx, C, beta, self.omega.modulus)
-            self._centralizers[a] = CentralizerData(members, local_of, P)
+            self._centralizers[a] = CentralizerData(local_of, P)
         return self._centralizers[a]
 
     @property
@@ -172,8 +174,7 @@ class TwistedDouble:
                 for j in range(i, n):
                     sj = gamma[j]
                     cdj = self.centralizer_data(sj.a)
-                    pref = Fraction(G.order,
-                                    len(cdi.members) * len(cdj.members))
+                    pref = Fraction(G.order, cdi.group.order * cdj.group.order)
                     total = self.ctx.root_sum(
                         -(x + y) - e * scale for u, v, e in self._pair_terms(si.a, sj.a)
                         for x in cdi.spectrum(si.char_index, u)

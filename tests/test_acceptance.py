@@ -204,8 +204,8 @@ def test_criterion_10_character_layer():
             cd = dd.centralizer_data(a)
             C, P = cd.group, cd.table
             assert sum(d * d for d in P.degrees) == C.order
-            beta = [[dd.omega.beta(a, x, y) % m for y in cd.members]
-                    for x in cd.members]
+            beta = [[dd.omega.beta(a, x, y) % m for y in cd.local_of]
+                    for x in cd.local_of]
             assert P.n_chars == beta_regular_class_count(C, beta, m)
             for i in range(P.n_chars):
                 for j in range(P.n_chars):

@@ -1,19 +1,20 @@
 """Ordinary and projective character tables, computed exactly."""
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 
-from qdouble import (CheckFailure, CycloContext, GroupTooLarge, builtin_cyclic,
-                     builtin_group, cyclic_group, ordinary_table, projective_table)
-from qdouble.characters import (LiftFailure, _canonical, _check_orthonormal, _ordinary_rows,
-                                beta_regular_class_count, central_extension,
-                                validate_two_cocycle)
+from qdouble import (CheckFailure, CycloContext, GroupTooLarge, TwistedDouble, builtin_cyclic,
+                     builtin_group, cyclic_group, enumerate_all, ordinary_table,
+                     projective_table, trivial_cocycle)
+from qdouble.characters import (LiftFailure, _abelian_rows, _canonical, _check_generator_equations,
+                                _check_orthonormal, _ordinary_rows, beta_regular_class_count,
+                                central_extension, validate_two_cocycle)
 from qdouble.groups import FiniteGroup, direct_product
 from qdouble.linmod import solve_mod
 
-from conftest import (braiding_doubles, relabeled_group, twisted_cyclic,
-                      twisted_cyclic_coboundary)
+from conftest import (braiding_doubles, relabeled_group, times_coboundary, twisted_cyclic,
+                      twisted_cyclic_coboundary, twisted_z2_cubed)
 
 
 EXPECTED_DEGREES = {
@@ -244,7 +245,7 @@ def _centralizer_cocycles(dd):
     m = dd.omega.modulus
     for a in dd.group.class_reps:
         cd = dd.centralizer_data(a)
-        yield cd.group, [[dd.omega.beta(a, x, y) % m for y in cd.members] for x in cd.members], m
+        yield cd.group, [[dd.omega.beta(a, x, y) % m for y in cd.local_of] for x in cd.local_of], m
 
 
 def _centralizer_extensions(dd):
@@ -339,9 +340,20 @@ def _filtered_table(ctx, C, beta, m):
     return _canonical(ctx, C, [degrees[i] for i in keep], [spectra[i][::mp] for i in keep])
 
 
+@lru_cache(maxsize=None)
+def _coboundary_product(names, m):
+    """The double of a product of builtin groups under a seeded coboundary mod m."""
+    G = reduce(direct_product, map(builtin_group, names))
+    return TwistedDouble(G, times_coboundary(trivial_cocycle(G), m))
+
+
+_COBOUNDARY_PRODUCTS = ((("Z2", "Z2", "Z2"), 4), (("Z2", "Z4"), 4), (("Z3", "Z3"), 3))
+
+
 def _projective_cases():
     doubles = braiding_doubles() + [twisted_cyclic(n, q) for n in range(2, 8) for q in range(1, n)]
     doubles += [twisted_cyclic_coboundary(n, q, 3) for n, q in ((4, 1), (6, 1), (6, 3))]
+    doubles += [_coboundary_product(*case) for case in _COBOUNDARY_PRODUCTS] + [twisted_z2_cubed()]
     return [(dd.ctx, C, beta, m) for dd in doubles for C, beta, m in _centralizer_cocycles(dd)]
 
 
@@ -352,21 +364,62 @@ def test_projective_table_matches_filtered_full_table():
         assert (P.degrees, P.spectra) == (ref.degrees, ref.spectra), C.name
         E = central_extension(C, beta, m)
         mp = E.order // C.order
-        assert len(_ordinary_rows(ctx, E, mp)[0]) == beta_regular_class_count(C, beta, m)
-        extensions.add((E.is_abelian, mp > 1, E.order))
-    # the abelian walk up to Z/7 by Z/7, and Dixon on seeded non-abelian extensions
-    assert (True, True, 49) in extensions
-    assert any(not abelian and seeded for abelian, seeded, _ in extensions)
+        rows = _abelian_rows(ctx, C, beta, m) if E.is_abelian else _ordinary_rows(ctx, E, mp)
+        assert len(rows[0]) == beta_regular_class_count(C, beta, m)
+        extensions.add((E.is_abelian, mp > 1, E.order, len(C.whole_group.generators),
+                        C.is_abelian))
+    # the twisted walk up to Z/7 by Z/7 and on 2 and 3 generators, and Dixon on seeded
+    # non-abelian extensions, of an abelian C too (beta not symmetric)
+    assert (True, True, 49, 1, True) in extensions
+    assert {(True, True, 8 * 4, 3, True), (True, True, 8 * 4, 2, True),
+            (True, True, 9 * 3, 2, True)} <= extensions
+    assert (False, True, 8 * 2, 3, True) in extensions
+    assert any(not abelian and seeded for abelian, seeded, *_ in extensions)
 
 
 def test_unseeded_rows_fail_the_central_character_check(monkeypatch):
     cases = [(ctx, C, beta, m) for ctx, C, beta, m in _projective_cases()
              if central_extension(C, beta, m) is not C]
-    abelian = next(c for c in cases if central_extension(*c[1:]).is_abelian)
-    dixon = next(c for c in cases if not central_extension(*c[1:]).is_abelian)
+    # the ordinary walk on an abelian E's quotient C, beta ignored, fails the twisted equations
+    ctx, C, beta, m = next(c for c in cases if central_extension(*c[1:]).is_abelian)
+    ordinary = _abelian_rows(ctx, C, ((0,) * C.order,) * C.order, 1)[1]
+    rows = [[sp[0] for sp in row] for row in ordinary]
+    with pytest.raises(LiftFailure, match=r"abelian character \[.*\] fails L\(x g\) = "
+                                          r"L\(x\) \+ L\(g\) - B\(x, g\)"):
+        _check_generator_equations(ctx, C, beta, m, rows)
+    # Dixon rows of all of E fail the central character check
+    ctx, C, beta, m = next(c for c in cases if not central_extension(*c[1:]).is_abelian)
     monkeypatch.setattr("qdouble.characters._ordinary_rows",
                         lambda ctx, E, mp: _ordinary_rows(ctx, E))
-    for ctx, C, beta, m in (abelian, dixon):
-        with pytest.raises(LiftFailure, match=r"row \d+ has spectrum \(.*\) at z, "
-                                              r"expected every exponent \d+"):
-            projective_table(ctx, C, beta, m)
+    with pytest.raises(LiftFailure, match=r"row \d+ has spectrum \(.*\) at z, "
+                                          r"expected every exponent \d+"):
+        projective_table(ctx, C, beta, m)
+
+
+def test_central_extension_is_built_for_dixon_only(monkeypatch):
+    cases = _projective_cases()
+    dixon = sum(not central_extension(C, beta, m).is_abelian for _, C, beta, m in cases)
+    calls = []
+
+    def counted(C, beta, m):
+        calls.append(C)
+        return central_extension(C, beta, m)
+
+    monkeypatch.setattr("qdouble.characters.central_extension", counted)
+    for case in cases:
+        projective_table(*case)
+    assert 0 < len(calls) == dixon < len(cases)
+
+
+def test_a_central_element_gets_the_group_itself():
+    for dd in braiding_doubles() + [_coboundary_product(*c) for c in _COBOUNDARY_PRODUCTS]:
+        G = dd.group
+        for a in G.class_reps:
+            central = a in G.center.member_set
+            assert (dd.centralizer_data(a).group is G) == central, (G.name, a)
+
+
+def test_coboundary_twisted_products_keep_the_untwisted_triple_counts():
+    # a coboundary twist is equivalent to no twist: the counts the benchmark pins
+    for names, m, count in ((("Z2", "Z4"), 4, 249), (("Z3", "Z3"), 3, 212)):
+        assert len(enumerate_all(_coboundary_product(names, m))) == count, names
