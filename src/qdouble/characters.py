@@ -1,14 +1,13 @@
 """Exact irreducible characters, ordinary and projective, as eigenvalue spectra.
 
-Ordinary tables come from the class-algebra method: common eigenvectors of the
-class-sum structure matrices over a prime field F_p with p = 1 (mod N), lifted
-exactly to Q(zeta_N) via eigenvalue multiplicities; abelian tables from a walk
-along the generators. Projective characters for a 2-cocycle beta mod m are the
-characters of a central extension E = C x_beta Z/m' with central character
-zeta_m' at z = (e, 1), restricted along the section x -> (x, 0). If E would be
-abelian, the walk finds them on C itself, twisted by beta. Otherwise E is built
-for Dixon, which starts at the eigenspace of {z} at zeta_m', so only the
-|E| / m' characters needed are built; chi(z) = d zeta_m' is checked, not filtered.
+Every table is projective: the beta-characters of C for a 2-cocycle beta mod m
+are the characters of E = C x_beta Z/m' with chi(z) = d zeta_m' at z = (e, 1),
+restricted along x -> (x, 0); beta = 0 mod 1 gives the ordinary table. If E
+would be abelian, a walk along the generators finds them on C itself, twisted
+by beta. Otherwise Dixon runs on E: common eigenvectors of the class-sum
+matrices over F_p, p = 1 (mod N), lifted exactly to Q(zeta_N) via eigenvalue
+multiplicities, from the eigenspace of {z} at zeta_m'. Only Dixon's rows are
+checked for orthonormality; walk rows and restricted rows are so by proof.
 """
 
 from __future__ import annotations
@@ -69,29 +68,20 @@ def _canonical(ctx: CycloContext, C: FiniteGroup, degrees: Sequence[int],
 
 
 def ordinary_table(ctx: CycloContext, C: FiniteGroup) -> CharacterTable:
-    """The full irreducible character table of C over Q(zeta_N)."""
-    return _canonical(ctx, C, *_ordinary_rows(ctx, C))
+    """The full irreducible character table of C over Q(zeta_N): beta = 0 mod 1."""
+    return projective_table(ctx, C, ((0,) * C.order,) * C.order, 1)
 
 
-def _ordinary_rows(ctx: CycloContext, C: FiniteGroup,
-                   mp: int = 1) -> tuple[list[int], list[tuple]]:
-    """Degrees and per-element spectra of C's irreducible characters, checked
-    but in no particular order.
+def _ordinary_rows(ctx: CycloContext, C: FiniteGroup, mp: int) -> tuple[list[int], list[tuple]]:
+    """Dixon's degrees and per-element spectra of C's irreducible characters,
+    checked, orthonormality included, but in no particular order.
 
-    Abelian groups take the walk of _abelian_rows with beta = 0. For Dixon,
     mp > 1 says that index 1 is a central element z of order mp, and only the
     characters with chi(z) = d zeta_mp are built: the refinement starts from
-    that central character, so their squared degrees sum to |C| / mp.
+    that central character, so their squared degrees sum to |C| / mp; mp = 1
+    builds them all. The caller checks that exponent(C) divides N.
     """
-    if ctx.N % C.exponent:
-        raise InputError(f"exponent {C.exponent} does not divide N = {ctx.N}")
     n = C.order
-    if C.is_abelian:
-        degrees, rows = _abelian_rows(ctx, C, ((0,) * n,) * n, 1)
-        # distinct homomorphisms are orthogonal; verify exactly on small groups
-        if n <= 16:
-            _check_orthonormal(ctx, rows, n, "abelian rows")
-        return degrees, rows
     classes = C.conjugacy_classes
     r = len(classes)
     reps = C.class_reps
@@ -192,11 +182,11 @@ def _ordinary_rows(ctx: CycloContext, C: FiniteGroup,
     if sum(d * d for d in degrees) != n // mp:
         # Ind from <z> to C of zeta_mp has dimension |C| / mp
         raise LiftFailure(f"squared degrees do not sum to |C| / {mp} = {n // mp}")
-    _check_orthonormal(ctx, rows, n, "rows")
+    _check_orthonormal(ctx, rows, n)
     return degrees, rows
 
 
-def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str) -> None:
+def _check_orthonormal(ctx: CycloContext, spectra, order: int) -> None:
     """Raise unless sum_x chi_i(x) conj(chi_j(x)) = order [i == j] for all i <= j.
 
     chi_i(x) is the sum of zeta_N^a over a in spectra[i][x], so each inner product is
@@ -207,7 +197,7 @@ def _check_orthonormal(ctx: CycloContext, spectra, order: int, what: str) -> Non
             inner = ctx.root_sum(a - b for si, sj in zip(row, spectra[j])
                                  for a in si for b in sj)
             if inner != (order if i == j else 0):
-                raise LiftFailure(f"{what} {i}, {j} are not orthonormal")
+                raise LiftFailure(f"rows {i}, {j} are not orthonormal")
 
 
 def _abelian_rows(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int]],
@@ -220,8 +210,8 @@ def _abelian_rows(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int
     in H = <earlier generators>, the equations at (g^s, g) for 0 < s < t leave
     L(g) = c with t c = R for R = L(g^t) + sum_{0<s<t} B(g^s, g) mod N, solved
     in exactly the t ways c = R/t + k N/t (0 <= k < t), and L extends to
-    h g^s as L(h) + L(g^s) - B(h, g^s). That gives |C| rows, each then checked
-    by _check_generator_equations and for distinctness.
+    h g^s as L(h) + L(g^s) - B(h, g^s). That gives |C| rows, which
+    _check_walk_rows proves to be the beta-characters, orthonormal.
     """
     n, N, u = C.order, ctx.N, ctx.N // m
     elems, rows, member = [0], [[0] * n], {0}
@@ -247,19 +237,22 @@ def _abelian_rows(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int
         member.update(elems)
     if len(rows) != n:
         raise LiftFailure(f"abelian group has {len(rows)} characters, expected {n}")
-    _check_generator_equations(ctx, C, beta, m, rows)
+    _check_walk_rows(ctx, C, beta, m, rows)
     single = [(e,) for e in range(N)]
-    spectra = [tuple(map(single.__getitem__, row)) for row in rows]
-    if len(set(spectra)) != n:
-        raise LiftFailure("abelian characters are not distinct")
-    return [1] * n, spectra
+    return [1] * n, [tuple(map(single.__getitem__, row)) for row in rows]
 
 
-def _check_generator_equations(ctx: CycloContext, C: FiniteGroup,
-                               beta: Sequence[Sequence[int]], m: int, rows) -> None:
+def _check_walk_rows(ctx: CycloContext, C: FiniteGroup,
+                     beta: Sequence[Sequence[int]], m: int, rows) -> None:
     """Raise unless every exponent row L has L(x g) = L(x) + L(g) - (N/m) beta(x, g) mod N
-    for every x and generator g of C. Then L is a beta-character: on E, chi(x, i) =
-    L(x) + i N/m' is additive along z = (e, 1) and every (g, 0), which generate E."""
+    for every x and generator g of C, and the rows are distinct.
+
+    The equations make L a beta-character: on E, chi(x, i) = L(x) + i N/m' is
+    additive along z = (e, 1) and every (g, 0), which generate E. The rows are
+    then orthonormal over C: for L != L', D = L - L' has D(x g) = D(x) + D(g),
+    so D is a nonzero homomorphism C -> Z/N, and sum_x zeta_N^D(x) = 0 (each
+    root of unity in its image, a subgroup of order > 1, is hit equally often).
+    """
     N, u = ctx.N, ctx.N // m
     for g in C.whole_group.generators:
         steps = [(x, C.mul(x, g), u * beta[x][g]) for x in range(C.order)]
@@ -268,6 +261,8 @@ def _check_generator_equations(ctx: CycloContext, C: FiniteGroup,
                 if row[xg] != (row[x] + row[g] - w) % N:
                     raise LiftFailure(f"abelian character {row} fails L(x g) = "
                                       f"L(x) + L(g) - B(x, g) at x = {x}, g = {g}")
+    if len(set(map(tuple, rows))) != len(rows):
+        raise LiftFailure("abelian characters are not distinct")
 
 
 # -- projective characters ------------------------------------------------------
@@ -341,7 +336,7 @@ def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: i
 
 def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int]],
                      m: int) -> CharacterTable:
-    """All irreducible beta-characters of C, exactly.
+    """All irreducible beta-characters of C, exactly; beta = 0 gives the ordinary ones.
 
     They are the characters chi of the central extension E with
     chi(z) = d zeta_m' at z = (e, 1), restricted along x -> (x, 0). E is
@@ -349,6 +344,11 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
     walks C itself, twisted by beta, and E is never built. Otherwise Dixon
     runs on E = central_extension, seeded at zeta_m', so no row is filtered
     out; each is checked instead: every eigenvalue of rho(z) must be zeta_m'.
+
+    Restricted Dixon rows are orthonormal over C: _ordinary_rows checked them
+    over E, and rho(z) = zeta_m' I. Since (x, i) = (x, 0) z^i, chi_i(x, i)
+    conj(chi_j(x, i)) = chi_i(x, 0) conj(chi_j(x, 0)), so the sum over E is m'
+    times the sum over C, and |E| = m' |C|.
     """
     n = C.order
     walk = C.is_abelian and all((beta[x][y] - beta[y][x]) % m == 0
@@ -357,22 +357,19 @@ def projective_table(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[
     mp = _extension_degree(C, beta, m) if walk else E.order // n
     if ctx.N % (mp * C.exponent):
         # exponent(E) divides m' * exponent(C)
-        raise InputError(f"context N = {ctx.N} too small for extension")
-    if mp == 1:
-        # beta = 0 mod m: the beta-characters are the ordinary ones
-        return _canonical(ctx, C, *_ordinary_rows(ctx, C))
+        raise InputError(f"N = {ctx.N} is not a multiple of m' exponent(C) = {mp * C.exponent}")
     if walk:
         degrees, spectra = _abelian_rows(ctx, C, beta, m)
     else:
         degrees, spectra = _ordinary_rows(ctx, E, mp)
-        # z = (e, 1) is index 1, and (x, 0) is index x m'
+        # z = (e, 1) is index 1 % m' (the identity if m' = 1), and (x, 0) is index x m'
+        z, zeta = 1 % mp, ctx.N // mp % ctx.N
         for i, row in enumerate(spectra):
-            if any(e != ctx.N // mp for e in row[1]):
-                raise LiftFailure(f"row {i} has spectrum {row[1]} at z, "
-                                  f"expected every exponent {ctx.N // mp}")
+            if any(e != zeta for e in row[z]):
+                raise LiftFailure(f"row {i} has spectrum {row[z]} at z, "
+                                  f"expected every exponent {zeta}")
         spectra = [row[::mp] for row in spectra]
 
     if len(degrees) != beta_regular_class_count(C, beta, m):
         raise LiftFailure("projective character count does not match regular classes")
-    _check_orthonormal(ctx, spectra, n, "projective rows")
     return _canonical(ctx, C, degrees, spectra)

@@ -244,7 +244,9 @@ class Cyclo:
         return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash((self.den, self.num))
+        # a value equal to an int (den 1, num (c, 0, ...)) hashes like c, as __eq__ needs
+        is_int = self.den == 1 and not any(self.num[1:])
+        return hash(self.num[0] if is_int else (self.den, self.num))
 
     def __repr__(self) -> str:
         terms = []

@@ -4,11 +4,11 @@ from functools import lru_cache, reduce
 
 import pytest
 
-from qdouble import (CheckFailure, CycloContext, GroupTooLarge, TwistedDouble, builtin_cyclic,
-                     builtin_group, cyclic_group, enumerate_all, ordinary_table,
+from qdouble import (BUILTIN_GROUP_NAMES, CheckFailure, CycloContext, GroupTooLarge, TwistedDouble,
+                     builtin_cyclic, builtin_group, cyclic_group, enumerate_all, ordinary_table,
                      projective_table, trivial_cocycle)
-from qdouble.characters import (LiftFailure, _abelian_rows, _canonical, _check_generator_equations,
-                                _check_orthonormal, _ordinary_rows, beta_regular_class_count,
+from qdouble.characters import (LiftFailure, _abelian_rows, _canonical, _check_orthonormal,
+                                _check_walk_rows, _ordinary_rows, beta_regular_class_count,
                                 central_extension, validate_two_cocycle)
 from qdouble.groups import FiniteGroup, direct_product
 from qdouble.linmod import solve_mod
@@ -313,16 +313,16 @@ def _shifted(spectra, i, x):
 
 def test_orthonormality_kernel_rejects_shifted_exponent():
     T = ordinary_table(CycloContext(6), builtin_group("S3"))
-    _check_orthonormal(T.ctx, T.spectra, 6, "rows")
+    _check_orthonormal(T.ctx, T.spectra, 6)
     with pytest.raises(LiftFailure, match="rows 0, 2 are not orthonormal"):
-        _check_orthonormal(T.ctx, _shifted(T.spectra, 2, 1), 6, "rows")
+        _check_orthonormal(T.ctx, _shifted(T.spectra, 2, 1), 6)
     A = ordinary_table(CycloContext(4), cyclic_group(4))
-    with pytest.raises(LiftFailure, match="abelian rows 0, 3 are not orthonormal"):
-        _check_orthonormal(A.ctx, _shifted(A.spectra, 3, 2), 4, "abelian rows")
+    with pytest.raises(LiftFailure, match="rows 0, 3 are not orthonormal"):
+        _check_orthonormal(A.ctx, _shifted(A.spectra, 3, 2), 4)
     P = twisted_cyclic(4, 1).centralizer_data(1).table
-    _check_orthonormal(P.ctx, P.spectra, 4, "projective rows")
-    with pytest.raises(LiftFailure, match="projective rows 0, 1 are not orthonormal"):
-        _check_orthonormal(P.ctx, _shifted(P.spectra, 1, 3), 4, "projective rows")
+    _check_orthonormal(P.ctx, P.spectra, 4)
+    with pytest.raises(LiftFailure, match="rows 0, 1 are not orthonormal"):
+        _check_orthonormal(P.ctx, _shifted(P.spectra, 1, 3), 4)
 
 
 # -- projective tables start both engines at the central character ---------------
@@ -334,10 +334,10 @@ def _filtered_table(ctx, C, beta, m):
     engines replaced."""
     E = central_extension(C, beta, m)
     mp = E.order // C.order
-    degrees, spectra = _ordinary_rows(ctx, E)
-    keep = [i for i, row in enumerate(spectra)
+    T = ordinary_table(ctx, E)
+    keep = [i for i, row in enumerate(T.spectra)
             if mp == 1 or all(e == ctx.N // mp for e in row[1])]
-    return _canonical(ctx, C, [degrees[i] for i in keep], [spectra[i][::mp] for i in keep])
+    return _canonical(ctx, C, [T.degrees[i] for i in keep], [T.spectra[i][::mp] for i in keep])
 
 
 @lru_cache(maxsize=None)
@@ -386,14 +386,36 @@ def test_unseeded_rows_fail_the_central_character_check(monkeypatch):
     rows = [[sp[0] for sp in row] for row in ordinary]
     with pytest.raises(LiftFailure, match=r"abelian character \[.*\] fails L\(x g\) = "
                                           r"L\(x\) \+ L\(g\) - B\(x, g\)"):
-        _check_generator_equations(ctx, C, beta, m, rows)
+        _check_walk_rows(ctx, C, beta, m, rows)
     # Dixon rows of all of E fail the central character check
     ctx, C, beta, m = next(c for c in cases if not central_extension(*c[1:]).is_abelian)
     monkeypatch.setattr("qdouble.characters._ordinary_rows",
-                        lambda ctx, E, mp: _ordinary_rows(ctx, E))
+                        lambda ctx, E, mp: _ordinary_rows(ctx, E, 1))
     with pytest.raises(LiftFailure, match=r"row \d+ has spectrum \(.*\) at z, "
                                           r"expected every exponent \d+"):
         projective_table(ctx, C, beta, m)
+
+
+def test_walk_row_check_rejects_a_repeated_row():
+    # a repeated row passes the twisted generator equations; distinctness, half of the
+    # walk's orthonormality proof, is what rejects it
+    walks = [c for c in _projective_cases() if central_extension(*c[1:]).is_abelian]
+    assert any(central_extension(*c[1:]) is not c[1] for c in walks)
+    for ctx, C, beta, m in walks:
+        rows = [[sp[0] for sp in row] for row in _abelian_rows(ctx, C, beta, m)[1]]
+        _check_walk_rows(ctx, C, beta, m, rows)
+        with pytest.raises(LiftFailure, match="abelian characters are not distinct"):
+            _check_walk_rows(ctx, C, beta, m, rows + [rows[-1][:]])
+
+
+def test_every_table_is_orthonormal_over_its_group():
+    # the runtime checks orthonormality only on Dixon rows over E; walk rows and rows
+    # restricted to C are orthonormal by proof, and this checks the proofs' conclusion
+    tables = [projective_table(*case) for case in _projective_cases()]
+    tables += [ordinary_table(_ctx_for(G), G) for G in map(builtin_group, BUILTIN_GROUP_NAMES)]
+    assert any(T.group.is_abelian and max(T.degrees) > 1 for T in tables)   # restricted Dixon
+    for T in tables:
+        _check_orthonormal(T.ctx, T.spectra, T.group.order)
 
 
 def test_central_extension_is_built_for_dixon_only(monkeypatch):

@@ -85,6 +85,21 @@ def test_sort_key_consistent_with_eq():
                 assert a.sort_key() != b.sort_key()
 
 
+def test_hash_agrees_with_int_equality():
+    # a value equal to an int hashes like it, so sets and dicts treat the two as one key
+    for N in (1, 2, 3, 4, 6, 8):
+        ctx = CycloContext(N)
+        ints = [ctx.root_sum([0]), ctx.root_sum(()), ctx.from_int(-3),
+                ctx.from_fraction(Fraction(4, 2)), ctx.root_sum([0] * 5)]
+        for v, c in zip(ints, (1, 0, -3, 2, 5)):
+            assert v == c and hash(v) == hash(c)
+        assert len({ctx.root_sum([0]), 1}) == 1 and {1: "one"}[ctx.one] == "one"
+        if N > 2:
+            # zeta_N is no int (zeta_2 = -1 is)
+            z = ctx.root_sum([1])
+            assert z != 1 and len({z, 1}) == 2
+
+
 small_coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
 
 
