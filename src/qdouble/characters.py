@@ -8,6 +8,8 @@ by beta. Otherwise Dixon runs on E: common eigenvectors of the class-sum
 matrices over F_p, p = 1 (mod N), lifted exactly to Q(zeta_N) via eigenvalue
 multiplicities, from the eigenspace of {z} at zeta_m'. Only Dixon's rows are
 checked for orthonormality; walk rows and restricted rows are so by proof.
+Nor is beta taken on trust: walk rows are checked on every pair of C, and E
+must pass the group axioms, so a beta that is not a normalized 2-cocycle raises.
 """
 
 from __future__ import annotations
@@ -244,23 +246,24 @@ def _abelian_rows(ctx: CycloContext, C: FiniteGroup, beta: Sequence[Sequence[int
 
 def _check_walk_rows(ctx: CycloContext, C: FiniteGroup,
                      beta: Sequence[Sequence[int]], m: int, rows) -> None:
-    """Raise unless every exponent row L has L(x g) = L(x) + L(g) - (N/m) beta(x, g) mod N
-    for every x and generator g of C, and the rows are distinct.
+    """Raise unless every exponent row L has L(x y) = L(x) + L(y) - (N/m) beta(x, y) mod N
+    for every pair x, y of C, and the rows are distinct.
 
-    The equations make L a beta-character: on E, chi(x, i) = L(x) + i N/m' is
-    additive along z = (e, 1) and every (g, 0), which generate E. The rows are
-    then orthonormal over C: for L != L', D = L - L' has D(x g) = D(x) + D(g),
-    so D is a nonzero homomorphism C -> Z/N, and sum_x zeta_N^D(x) = 0 (each
-    root of unity in its image, a subgroup of order > 1, is hit equally often).
+    The equations say rho(x) rho(y) = zeta_m^beta(x, y) rho(xy) for
+    rho = zeta_N^L, which defines a degree-1 beta-character. Walk rows have
+    L(e) = 0, and such a row passes only if beta is a normalized 2-cocycle.
+    The rows are orthonormal over C: for L != L', D = L - L' has
+    D(x y) = D(x) + D(y), so D is a nonzero homomorphism C -> Z/N, and
+    sum_x zeta_N^D(x) = 0 (each root of unity in its image, a subgroup of
+    order > 1, is hit equally often).
     """
     N, u = ctx.N, ctx.N // m
-    for g in C.whole_group.generators:
-        steps = [(x, C.mul(x, g), u * beta[x][g]) for x in range(C.order)]
-        for row in rows:
-            for x, xg, w in steps:
-                if row[xg] != (row[x] + row[g] - w) % N:
-                    raise LiftFailure(f"abelian character {row} fails L(x g) = "
-                                      f"L(x) + L(g) - B(x, g) at x = {x}, g = {g}")
+    for row in rows:
+        for x, (mx, bx) in enumerate(zip(C.mult, beta)):
+            for y, xy in enumerate(mx):
+                if row[xy] != (row[x] + row[y] - u * bx[y]) % N:
+                    raise LiftFailure(f"abelian character {row} fails L(x y) = "
+                                      f"L(x) + L(y) - B(x, y) at ({x}, {y})")
     if len(set(map(tuple, rows))) != len(rows):
         raise LiftFailure("abelian characters are not distinct")
 
@@ -268,26 +271,11 @@ def _check_walk_rows(ctx: CycloContext, C: FiniteGroup,
 # -- projective characters ------------------------------------------------------
 
 
-def validate_two_cocycle(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> None:
-    n = C.order
-    if any(beta[0][x] % m or beta[x][0] % m for x in range(n)):
-        raise CheckFailure("2-cocycle must be normalized")
-    for x in range(n):
-        for y in range(n):
-            xy = C.mul(x, y)
-            for w in range(n):
-                if (beta[x][y] + beta[xy][w] - beta[x][C.mul(y, w)] - beta[y][w]) % m:
-                    raise CheckFailure(f"2-cocycle identity fails at ({x}, {y}, {w})")
-
-
 def _extension_degree(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> int:
-    """m' = m / gcd(m, all beta), so that |E| = |C| m', after the check against
-    C's cap; validate_two_cocycle runs whenever m' > 1."""
+    """m' = m / gcd(m, all beta), so that |E| = |C| m', after the check against C's cap."""
     mp = m // gcd(m, *(b % m for row in beta for b in row))
     if C.order * mp > C.cap:
         raise GroupTooLarge(f"extension order {C.order * mp} exceeds cap {C.cap}")
-    if mp > 1:
-        validate_two_cocycle(C, beta, m)
     return mp
 
 
@@ -298,14 +286,10 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> 
     m' = m / g under (x, i)(y, j) = (xy, i + j + b(x, y)). (x, i) sits at index
     x m' + i, so m' = |E| / |C|, the section x -> (x, 0) is x -> x m', and
     (e, 1) is index 1. When m' = 1 every beta is 0 mod m and E is C itself,
-    returned as is: the identity to check reads 0 = 0.
-
-    Otherwise, after the check against C's cap, validate_two_cocycle runs and E is built
-    without the group-table check, because the checked identity already
-    proves E a group: dividing it by g gives
-    b(x,y) + b(xy,w) = b(x,yw) + b(y,w) (mod m'), which is exactly
-    associativity; normalization makes index 0 the identity; and every row
-    is a bijection, so every element has an inverse.
+    returned as is. Otherwise, after the check against C's cap, FiniteGroup's
+    group-axiom check decides that beta is a normalized 2-cocycle: index 0 is
+    the identity iff beta vanishes at e, and E is associative iff
+    b(x,y) + b(xy,w) = b(x,yw) + b(y,w) (mod m'), the identity divided by g.
     """
     mp = _extension_degree(C, beta, m)
     if mp == 1:
@@ -321,7 +305,7 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> 
                 b = bp[x][y]
                 for j in range(mp):
                     row[y * mp + j] = xy * mp + (i + j + b) % mp
-    return FiniteGroup(table, name=f"{C.name}~{mp}", validate=False, cap=C.cap)
+    return FiniteGroup(table, name=f"{C.name}~{mp}", cap=C.cap)
 
 
 def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> int:

@@ -3,7 +3,7 @@
 Simple objects are pairs (a, chi): a conjugacy class representative and an
 irreducible projective character of its centralizer for the conjugation
 2-cocycle beta_a. Everything is computed exactly over Q(zeta_N) with
-N = modulus(omega) * |G|.
+N = modulus(omega) * |G|, after omega is validated as a normalized 3-cocycle.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .characters import CharacterTable, projective_table
-from .cocycles import ThreeCocycle, trivial_cocycle
+from .cocycles import ThreeCocycle, trivial_cocycle, validate
 from .cyclotomic import Cyclo, CycloContext
 from .errors import CheckFailure, InputError
 from .groups import FiniteGroup
@@ -54,7 +54,7 @@ class CentralizerData:
 
 
 class TwistedDouble:
-    """Bundle of (G, omega) with cached exact modular data."""
+    """Bundle of (G, omega) with cached exact modular data; building it validates omega."""
 
     def __init__(self, G: FiniteGroup, omega: ThreeCocycle | None = None):
         if omega is None:
@@ -76,6 +76,7 @@ class TwistedDouble:
             degree = f"({N}) = {phi}" if small else f"(N) >= sqrt(N / 2), N of {digits} digits"
             raise InputError(f"field Q(zeta_{N if small else 'N'}) has degree phi{degree}, "
                              f"above cap {cap}")
+        validate(omega)
         self.ctx = CycloContext(N)
         self.scale = self.ctx.N // omega.modulus
         self._centralizers: dict[int, CentralizerData] = {}

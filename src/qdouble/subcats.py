@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .cocycles import validate
 from .cyclotomic import Cyclo
 from .doubledata import TwistedDouble
 from .errors import CheckFailure, InputError
@@ -116,15 +115,14 @@ def _equations(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> Iterator[tuple]:
       conj_exp(k, x, y h y^-1) + conj_exp(x^-1 k x, y, h). Invariance under
       x and y therefore gives it under xy.
 
-    Both arguments rest on (K, H) being a centralizing pair and omega a
-    normalized 3-cocycle, so both are checked first (omega once).
+    Both arguments rest on (K, H) being a centralizing pair, checked first,
+    and on omega being a normalized 3-cocycle, which TwistedDouble guarantees.
     """
     G = dd.group
     if not (K.is_normal and H.is_normal):
         raise NotASubcategory("K and H must be normal subgroups")
     if not all(G.commute(k, h) for k in K.members for h in H.members):
         raise NotASubcategory("K and H must commute elementwise")
-    validate(dd.omega)
     scale = dd.scale
     beta = dd.omega.beta_table
     km, hm = K.members, H.members

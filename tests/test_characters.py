@@ -4,13 +4,13 @@ from functools import lru_cache, reduce
 
 import pytest
 
-from qdouble import (BUILTIN_GROUP_NAMES, CheckFailure, CycloContext, GroupTooLarge, TwistedDouble,
+from qdouble import (BUILTIN_GROUP_NAMES, CycloContext, GroupTooLarge, InputError, TwistedDouble,
                      builtin_cyclic, builtin_group, cyclic_group, enumerate_all, ordinary_table,
                      projective_table, trivial_cocycle)
 from qdouble.characters import (LiftFailure, _abelian_rows, _canonical, _check_orthonormal,
                                 _check_walk_rows, _ordinary_rows, beta_regular_class_count,
-                                central_extension, validate_two_cocycle)
-from qdouble.groups import FiniteGroup, direct_product
+                                central_extension)
+from qdouble.groups import FiniteGroup, NotAGroup, direct_product
 from qdouble.linmod import solve_mod
 
 from conftest import (braiding_doubles, relabeled_group, times_coboundary, twisted_cyclic,
@@ -126,7 +126,6 @@ def test_projective_semion():
     G = om.group
     beta, cm = _beta_from_cocycle(om, 1)
     C = cyclic_group(2)
-    validate_two_cocycle(C, beta, 2)
     ctx = CycloContext(4)
     P = projective_table(ctx, C, beta, 2)
     assert P.degrees == (1, 1)
@@ -142,7 +141,6 @@ def test_projective_klein_four():
         for b in range(4):
             # bilinear form <(a1,a2),(b1,b2)> = a2*b1 mod 2
             beta[a][b] = ((a % 2) * (b // 2)) % 2
-    validate_two_cocycle(C, beta, 2)
     ctx = CycloContext(4)
     P = projective_table(ctx, C, beta, 2)
     assert P.degrees == (2,)
@@ -184,27 +182,39 @@ def test_central_extension_cap():
         central_extension(C, beta, 2)
 
 
-def test_central_extension_rejects_a_non_cocycle_before_building(monkeypatch):
-    # normalized, but beta(1,1) + beta(2,2) - beta(1,0) - beta(1,2) = 1 at (1, 1, 2)
+def test_central_extension_rejects_a_non_cocycle_before_building():
+    # normalized, but beta(1,1) + beta(2,2) - beta(1,0) - beta(1,2) = 1 at (1, 1, 2):
+    # E is not associative, and its group-axiom check says so before any character
     C = cyclic_group(3)
     beta = [[0] * 3 for _ in range(3)]
     beta[1][1] = 1
-
-    def no_table(*args, **kwargs):
-        raise AssertionError("extension table built from a non-cocycle")
-
-    monkeypatch.setattr("qdouble.characters.FiniteGroup", no_table)
-    with pytest.raises(CheckFailure, match=r"2-cocycle identity fails at \(1, 1, 2\)"):
+    with pytest.raises(NotAGroup, match="associativity fails"):
         central_extension(C, beta, 3)
 
 
-def test_central_extension_is_the_group_when_beta_vanishes_mod_m(monkeypatch):
-    # beta = 0 mod m gives m' = 1: E is C itself, returned before the Theta(|C|^3)
-    # cocycle check; the identity it would check reads 0 = 0
-    def no_check(*args, **kwargs):
-        raise AssertionError("2-cocycle checked although m' = 1")
+def test_walk_rejects_a_non_cocycle_at_a_pair():
+    # beta(1,1) = 1 on Z3 is symmetric, so the walk runs; its rows pass every pair with
+    # the generator 1 and fail L(x y) = L(x) + L(y) - B(x, y) first at (2, 2)
+    beta = [[0] * 3 for _ in range(3)]
+    beta[1][1] = 1
+    with pytest.raises(LiftFailure, match=r"at \(2, 2\)"):
+        projective_table(CycloContext(9), cyclic_group(3), beta, 3)
 
-    monkeypatch.setattr("qdouble.characters.validate_two_cocycle", no_check)
+
+@pytest.mark.parametrize("name, N, error", [("Z2", 4, LiftFailure), ("S3", 12, InputError)])
+def test_a_beta_that_is_not_normalized_gets_no_table(name, N, error):
+    # both betas are symmetric, so the walk runs on Z2 and fails at (0, 0); Dixon runs on
+    # S3, whose E has no identity at index 0. A constant beta is even a 2-cocycle.
+    C = builtin_group(name)
+    n = C.order
+    for beta in ([[1] * n for _ in range(n)],
+                 [[int((x == 0) != (y == 0)) for y in range(n)] for x in range(n)]):
+        with pytest.raises(error):
+            projective_table(CycloContext(N), C, beta, 2)
+
+
+def test_central_extension_is_the_group_when_beta_vanishes_mod_m():
+    # beta = 0 mod m gives m' = 1: E is C itself, returned without a new table
     C = builtin_group("S3")
     assert central_extension(C, [[0] * 6 for _ in range(6)], 4) is C
     assert central_extension(C, [[2 * ((x * y) % 3) for y in range(6)] for x in range(6)],
@@ -268,8 +278,8 @@ def test_abelian_table_matches_solve_mod():
 
 
 def test_central_extensions_are_groups():
-    # central_extension builds E without validation; the docstring's proof says
-    # the group axioms hold, and the full check on the same table agrees
+    # every beta_a of a validated omega gives an E that passes the group axioms,
+    # up to Z/7 by Z/7
     doubles = braiding_doubles() + [twisted_cyclic(n, q) for n in range(2, 8) for q in range(n)]
     extensions = [E for dd in doubles for E in _centralizer_extensions(dd)]
     assert any(E.order == 49 for E in extensions)   # Z/7 by Z/7
@@ -384,8 +394,8 @@ def test_unseeded_rows_fail_the_central_character_check(monkeypatch):
     ctx, C, beta, m = next(c for c in cases if central_extension(*c[1:]).is_abelian)
     ordinary = _abelian_rows(ctx, C, ((0,) * C.order,) * C.order, 1)[1]
     rows = [[sp[0] for sp in row] for row in ordinary]
-    with pytest.raises(LiftFailure, match=r"abelian character \[.*\] fails L\(x g\) = "
-                                          r"L\(x\) \+ L\(g\) - B\(x, g\)"):
+    with pytest.raises(LiftFailure, match=r"abelian character \[.*\] fails L\(x y\) = "
+                                          r"L\(x\) \+ L\(y\) - B\(x, y\)"):
         _check_walk_rows(ctx, C, beta, m, rows)
     # Dixon rows of all of E fail the central character check
     ctx, C, beta, m = next(c for c in cases if not central_extension(*c[1:]).is_abelian)

@@ -102,6 +102,27 @@ def test_not_normalized_witness():
         validate(ThreeCocycle(G, 2, dlog))
 
 
+def test_validate_decides_exactly_the_normalized_cocycles_on_z2():
+    # every dlog table on Z2 mod 2 and mod 3 against the definition, with all three
+    # slots normalized; validate checks only the middle slot
+    G = cyclic_group(2)
+    els = range(2)
+    for m in (2, 3):
+        for flat in itertools.product(range(m), repeat=8):
+            d = tuple(tuple(flat[4 * x + 2 * y: 4 * x + 2 * y + 2] for y in els) for x in els)
+            normalized = all(d[0][x][y] == d[x][0][y] == d[x][y][0] == 0
+                             for x in els for y in els)
+            identity = all((d[g2][g3][g4] + d[g1][g2 ^ g3][g4] + d[g1][g2][g3]
+                            - d[g1 ^ g2][g3][g4] - d[g1][g2][g3 ^ g4]) % m == 0
+                           for g1, g2, g3, g4 in itertools.product(els, repeat=4))
+            try:
+                validate(ThreeCocycle(G, m, d))
+                accepted = True
+            except (NotNormalized, NotACocycle):
+                accepted = False
+            assert accepted == (normalized and identity), (m, d)
+
+
 def test_coboundary_validates():
     rng = random.Random(11)
     for name in ("Z4", "S3", "D4"):

@@ -9,8 +9,8 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdouble import (CheckFailure, GroupTooLarge, InputError, ThreeCocycle, TwistedDouble,
-                     VerlindeNonInteger, builtin_cyclic, builtin_group)
+from qdouble import (CheckFailure, GroupTooLarge, InputError, NotACocycle, ThreeCocycle,
+                     TwistedDouble, VerlindeNonInteger, builtin_cyclic, builtin_group)
 from qdouble.oracle import certify
 
 from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, twisted_z2_cubed,
@@ -46,6 +46,16 @@ def test_cap_lives_on_the_group():
         dd.gamma
     G = builtin_group("Z8", cap=64)
     assert len(TwistedDouble(G, ThreeCocycle(G, om.modulus, om.dlog)).gamma) == 64
+
+
+def test_double_rejects_a_non_cocycle_on_construction():
+    # normalized, but the identity fails at (1, 1, 1, 1): no double is built
+    G = builtin_group("Z3")
+    dlog = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    dlog[1][1][1] = 1
+    with pytest.raises(NotACocycle, match=r"cocycle identity fails at \(1, 1, 1, 1\)") as ei:
+        TwistedDouble(G, ThreeCocycle(G, 3, tuple(tuple(map(tuple, p)) for p in dlog)))
+    assert ei.value.witness == (1, 1, 1, 1)
 
 
 def test_global_dimension():
