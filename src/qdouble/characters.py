@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .cyclotomic import Cyclo, CycloContext
 from .errors import CheckFailure, InputError
-from .groups import FiniteGroup, GroupTooLarge
+from .groups import FiniteGroup, GroupTooLarge, NotAGroup
 from .linmod import (charpoly_mod, mat_mul_mod, nullspace_mod, poly_roots_mod,
                      primitive_root, rref_mod, smallest_prime_one_mod)
 
@@ -286,16 +286,20 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> 
     m' = m / g under (x, i)(y, j) = (xy, i + j + b(x, y)). (x, i) sits at index
     x m' + i, so m' = |E| / |C|, the section x -> (x, 0) is x -> x m', and
     (e, 1) is index 1. When m' = 1 every beta is 0 mod m and E is C itself,
-    returned as is. Otherwise, after the check against C's cap, FiniteGroup's
-    group-axiom check decides that beta is a normalized 2-cocycle: index 0 is
-    the identity iff beta vanishes at e, and E is associative iff
+    returned as is. Otherwise, after the check against C's cap, index 0 of E
+    is the identity iff beta vanishes at e, checked first, and FiniteGroup's
+    group-axiom check decides that beta is a 2-cocycle: E is associative iff
     b(x,y) + b(xy,w) = b(x,yw) + b(y,w) (mod m'), the identity divided by g.
+    Either failure names a pair or triple of C, not indices of E.
     """
     mp = _extension_degree(C, beta, m)
     if mp == 1:
         return C
     n, g = C.order, m // mp
     bp = [[(beta[x][y] % m) // g for y in range(n)] for x in range(n)]
+    bad = [(x, y) for x in range(n) for y in range(n) if bp[x][y] and 0 in (x, y)]
+    if bad:
+        raise InputError(f"beta mod {m} is not normalized: beta{bad[0]} != 0 on {C.name}")
     table = [[0] * (n * mp) for _ in range(n * mp)]
     for x in range(n):
         for i in range(mp):
@@ -305,7 +309,14 @@ def central_extension(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> 
                 b = bp[x][y]
                 for j in range(mp):
                     row[y * mp + j] = xy * mp + (i + j + b) % mp
-    return FiniteGroup(table, name=f"{C.name}~{mp}", cap=C.cap)
+    try:
+        return FiniteGroup(table, name=f"{C.name}~{mp}", cap=C.cap)
+    except NotAGroup:
+        # E is a group whenever b is a normalized 2-cocycle, so some triple fails
+        triple = next((x, y, w) for x in range(n) for y in range(n) for w in range(n)
+                   if (bp[x][y] + bp[C.mul(x, y)][w] - bp[x][C.mul(y, w)] - bp[y][w]) % mp)
+        raise NotAGroup(f"associativity fails at {triple} of {C.name}: "
+                        f"beta mod {m} is not a 2-cocycle there") from None
 
 
 def beta_regular_class_count(C: FiniteGroup, beta: Sequence[Sequence[int]], m: int) -> int:

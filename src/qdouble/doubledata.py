@@ -82,7 +82,7 @@ class TwistedDouble:
         self._centralizers: dict[int, CentralizerData] = {}
         self._gamma: tuple[SimpleObject, ...] | None = None
         self._smatrix: tuple[tuple[Cyclo, ...], ...] | None = None
-        self._fusion: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+        self._fusion: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] | None = None
         self._conj_lists: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
         self._scalar_exps: dict[int, tuple[int | None, ...]] = {}
         self._emb: _Embeddings | None = None
@@ -191,11 +191,12 @@ class TwistedDouble:
         return self._smatrix
 
     @property
-    def fusion(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Fusion coefficients N[i][j][k], exact nonnegative integers.
+    def fusion(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """Fusion rows: fusion[i][j] holds the pairs (k, N_ij^k) with N_ij^k > 0, k ascending.
 
-        Verlinde's formula runs in F_p and proposes each N_ij^k in [0, d_i d_j];
-        _prove_fusion then checks N_i S = S Lambda_i in Q(zeta_N). Since
+        Each row is stored once: fusion[i][j] is fusion[j][i]. Verlinde's formula
+        runs in F_p and proposes each N_ij^k in [0, d_i d_j]; _prove_fusion then
+        checks N_i S = S Lambda_i in Q(zeta_N), every absent k read as 0. Since
         s_matrix has proved S S^dagger = |G|^2 I, that identity pins N_i to
         S Lambda_i S^-1, Verlinde's value, so the table is exact.
         """
@@ -203,7 +204,7 @@ class TwistedDouble:
             S = self.s_matrix
             N = self._verlinde_mod_p(S)
             self._prove_fusion(S, N)
-            self._fusion = tuple(tuple(tuple(r) for r in p) for p in N)
+            self._fusion = N
         return self._fusion
 
     def _embeddings(self, S) -> "_Embeddings":
@@ -228,14 +229,16 @@ class TwistedDouble:
                             f"{self.group.name}: S-matrix rows {i}, {j} not orthogonal "
                             f"mod p = {emb.p} at t = {t}")
 
-    def _verlinde_mod_p(self, S) -> list[list[list[int]]]:
+    def _verlinde_mod_p(self, S) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         """Candidate N_ij^k = sum_s S_is S_js conj(S_ks) / (S_0s |G|^2), lifted from F_p.
 
         Read off sigma_1 and sigma_-1 of _embeddings. Its p > 2 D^2 |G|^2
         exceeds every d_i d_j, divides neither |G| nor D, and sends no
-        S_0s = d_s to 0; the lift of N_ij^k must lie in [0, d_i d_j].
+        S_0s = d_s to 0; the lift of N_ij^k must lie in [0, d_i d_j]. Rows are
+        in the format of fusion: the nonzero (k, N_ij^k), k ascending, one
+        tuple per i <= j, shared by (i, j) and (j, i).
 
-        Only k over the class product are computed; every other N_ij^k stays 0.
+        Only k over the class product are computed; every other k is absent from the row.
         The category is graded by G: (a, chi) lives over the class of a, and a
         tensor product of objects over X and Y lives over XY, so N_ij^k = 0
         unless class(a_k) lies in class(a_i) class(a_j). That product is a
@@ -255,7 +258,7 @@ class TwistedDouble:
                                      "sends some S_0s to 0 or is at most d_max^2")
         # with c = D S the s-th term is c_is c_js conj(c_ks) / (D^2 c_0s |G|^2)
         scale = [pow(D * D * x * G.order ** 2, p - 2, p) for x in row0]
-        table = [[[0] * n for _ in range(n)] for _ in range(n)]
+        table: list[list[tuple[tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
         # above[c]: the simples over class c; products[(a, b)]: those over class(a) class(b)
         cls_of = G.class_index_of
         above: list[list[int]] = [[] for _ in G.conjugacy_classes]
@@ -272,14 +275,17 @@ class TwistedDouble:
                 if key not in products:
                     classes = {cls_of[G.mult[ai][y]] for y in G.class_of(key[1])}
                     products[key] = [k for c in sorted(classes) for k in above[c]]
+                row = []
                 for k in products[key]:
                     v = sum(map(mul, t, conj_p[k])) % p
                     if v > bound:
                         raise VerlindeNonInteger(
                             f"{name}: N[{i}][{j}][{k}] = {v} mod {p} "
                             f"has no lift in [0, {bound}]")
-                    table[i][j][k] = table[j][i][k] = v
-        return table
+                    if v:
+                        row.append((k, v))
+                table[i][j] = table[j][i] = tuple(row)
+        return tuple(map(tuple, table))
 
     def _prove_fusion(self, S, N) -> None:
         """Raise unless sum_k N_ij^k S_ks = S_is S_js / d_s for all i <= j and s.
@@ -296,10 +302,9 @@ class TwistedDouble:
         for i in range(n):
             for j in range(i, n):
                 lhs, mass = [0] * len(weight), 0
-                for k, c in enumerate(N[i][j]):
-                    if c:
-                        lhs = list(map(add, lhs, map(c.__mul__, flat[k])))
-                        mass += abs(c)
+                for k, c in N[i][j]:
+                    lhs = list(map(add, lhs, map(c.__mul__, flat[k])))
+                    mass += abs(c)
                 if mass > emb.mass:
                     raise VerlindeNonInteger(f"{name}: fusion row N[{i}][{j}] has "
                                              f"sum_k |N_ij^k| = {mass} > n d_max^2")
@@ -312,11 +317,9 @@ class TwistedDouble:
 
     @cached_property
     def duals(self) -> tuple[int, ...]:
-        N = self.fusion
-        n = len(self.gamma)
         duals = []
-        for i in range(n):
-            ks = [k for k in range(n) if N[i][k][0] == 1]
+        for i, rows in enumerate(self.fusion):
+            ks = [k for k, row in enumerate(rows) if row[:1] == ((0, 1),)]
             if len(ks) != 1:
                 raise CheckFailure(f"dual of {i} is not unique: {ks}")
             duals.append(ks[0])
@@ -386,8 +389,7 @@ class TwistedDouble:
     # -- fusion rows as sets -----------------------------------------------------------
 
     def tensor_components(self, i: int, j: int) -> tuple[int, ...]:
-        N = self.fusion
-        return tuple(k for k in range(len(self.gamma)) if N[i][j][k])
+        return tuple(k for k, _ in self.fusion[i][j])
 
 
 class _Embeddings:

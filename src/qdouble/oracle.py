@@ -9,7 +9,6 @@ the S-matrix, each checked to be fusion-closed.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterable, Sequence
 
 from .doubledata import TwistedDouble
@@ -39,8 +38,7 @@ def _masks(dd: TwistedDouble) -> tuple[list[list[int]], list[int]]:
     key = ("oracle_masks",)
     cached = dd.subcat_caches.get(key)
     if cached is None:
-        bit = [1 << k for k in range(len(dd.gamma))]
-        prod = [[sum(compress(bit, row)) for row in rows] for rows in dd.fusion]
+        prod = [[sum(1 << k for k, _ in row) for row in rows] for rows in dd.fusion]
         cached = dd.subcat_caches[key] = (prod, [1 << d for d in dd.duals])
     return cached
 

@@ -192,6 +192,27 @@ def test_central_extension_rejects_a_non_cocycle_before_building():
         central_extension(C, beta, 3)
 
 
+def test_central_extension_names_a_non_cocycle_triple_of_c():
+    # the same beta: E fails associativity at its indices (3, 3, 6) = x m' + i, which
+    # is C's triple (1, 1, 2), where the 2-cocycle identity of beta fails
+    beta = [[0] * 3 for _ in range(3)]
+    beta[1][1] = 1
+    with pytest.raises(NotAGroup, match=r"^associativity fails at \(1, 1, 2\) of Z3: "
+                                        r"beta mod 3 is not a 2-cocycle there$"):
+        central_extension(cyclic_group(3), beta, 3)
+
+
+def test_central_extension_names_an_unnormalized_pair_of_c():
+    # not "table must have its identity at index 0": the message names beta and
+    # the least pair of C with e in it where beta is nonzero
+    C = builtin_group("S3")
+    for beta, pair in (([[1] * 6 for _ in range(6)], "0, 0"),
+                       ([[int((x == 0) != (y == 0)) for y in range(6)] for x in range(6)], "0, 1")):
+        with pytest.raises(InputError,
+                           match=rf"^beta mod 2 is not normalized: beta\({pair}\) != 0 on S3$"):
+            central_extension(C, beta, 2)
+
+
 def test_walk_rejects_a_non_cocycle_at_a_pair():
     # beta(1,1) = 1 on Z3 is symmetric, so the walk runs; its rows pass every pair with
     # the generator 1 and fail L(x y) = L(x) + L(y) - B(x, y) first at (2, 2)

@@ -14,11 +14,23 @@ from qdouble import (CheckFailure, GroupTooLarge, InputError, NotACocycle, Three
 from qdouble.oracle import certify
 
 from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, twisted_z2_cubed,
-                      untwisted, untwisted_cyclic)
+                      untwisted, untwisted_cyclic, untwisted_product)
 
 
 EXPECTED_SIMPLES = {"Z2": 4, "Z3": 9, "Z4": 16, "Z2xZ2": 16, "S3": 8,
                     "D4": 22, "Q8": 22, "S4": 21}
+
+
+def _dense(N):
+    """The full table N[i][j][k] of sparse fusion rows, every absent k read as 0."""
+    return [[[dict(row).get(k, 0) for k in range(len(N))] for row in rows] for rows in N]
+
+
+def _plus_one(row, k):
+    """The sparse row with N^k raised by 1, k added to the support if absent."""
+    counts = dict(row)
+    counts[k] = counts.get(k, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 def test_simple_counts():
@@ -31,7 +43,7 @@ def test_trivial_group_double():
     # the trivial group's only extension has order 1, with no element (e, 1)
     dd = untwisted_cyclic(1)
     assert [(s.dim, s.twist) for s in dd.gamma] == [(1, 0)]
-    assert dd.s_matrix == ((1,),) and dd.fusion == (((1,),),)
+    assert dd.s_matrix == ((1,),) and _dense(dd.fusion) == [[[1]]]
 
 
 def test_cap_lives_on_the_group():
@@ -106,7 +118,7 @@ def test_s_matrix_properties():
 def test_verlinde_fusion_ring():
     for name in ("Z2", "S3", "D4"):
         dd = untwisted(name)
-        N = dd.fusion
+        N = _dense(dd.fusion)
         n = len(dd.gamma)
         duals = dd.duals
         for i in range(n):
@@ -282,7 +294,7 @@ def test_balancing():
     # S_ij = theta_i^-1 theta_j^-1 sum_k N_{i* j}^k d_k theta_k, the right side one
     # root_sum with exponent t_k - t_i - t_j repeated N_{i* j}^k d_k times
     for dd in braiding_doubles():
-        S, N, duals = dd.s_matrix, dd.fusion, dd.duals
+        S, N, duals = dd.s_matrix, _dense(dd.fusion), dd.duals
         t = [s.twist for s in dd.gamma]
         dims = [s.dim for s in dd.gamma]
         for i in range(len(t)):
@@ -295,7 +307,7 @@ def test_balancing():
 
 def test_tensor_components():
     dd = untwisted("D4")
-    N = dd.fusion
+    N = _dense(dd.fusion)
     for i in (0, 3, 11, 21):
         for j in (0, 5, 13):
             comps = dd.tensor_components(i, j)
@@ -316,13 +328,13 @@ def _cyclo_verlinde(dd):
                 q = val.as_fraction() / order2
                 assert q.denominator == 1 and q >= 0
                 N[i][j][k] = N[j][i][k] = int(q)
-    return tuple(tuple(tuple(r) for r in p) for p in N)
+    return N
 
 
 def test_fusion_matches_cyclo_verlinde():
     for name in ("Z2", "Z4", "S3", "D4"):
         dd = untwisted(name)
-        assert dd.fusion == _cyclo_verlinde(dd)
+        assert _dense(dd.fusion) == _cyclo_verlinde(dd)
 
 
 def test_fusion_proof_rejects_rescaled_column():
@@ -343,16 +355,57 @@ def test_fusion_proof_rejects_rescaled_column():
 
 def test_fusion_proof_rejects_wrong_candidate():
     dd = untwisted("S3")
-    S, n = dd.s_matrix, len(dd.gamma)
+    S = dd.s_matrix
     for change in ("zero row", "one more"):
-        N = [[list(r) for r in p] for p in dd.fusion]
-        if change == "zero row":
-            N[2][3] = N[3][2] = [0] * n
-        else:
-            N[2][3][4] += 1
-            N[3][2][4] += 1
+        N = [list(rows) for rows in dd.fusion]
+        N[2][3] = N[3][2] = () if change == "zero row" else _plus_one(N[2][3], 4)
         with pytest.raises(VerlindeNonInteger, match=r"N\[2\]\[3\]"):
             dd._prove_fusion(S, N)
+
+
+def test_fusion_proof_rejects_negative_and_over_mass_rows():
+    # a negated row is wrong at some s; a row heavier than n d_max^2 lies outside the
+    # bound of _Embeddings, so it is rejected before its residual is read
+    dd = untwisted("S3")
+    S = dd.s_matrix
+    mass = dd._embeddings(S).mass
+    N = [list(rows) for rows in dd.fusion]
+    negated = tuple((k, -c) for k, c in N[2][3])
+    for row, match in ((negated, r"N\[2\]\[3\] fails sum_k N_ij\^k S_ks"),
+                       (((0, -mass - 1),), rf"N\[2\]\[3\] has sum_k \|N_ij\^k\| = {mass + 1} >")):
+        N[2][3] = N[3][2] = row
+        with pytest.raises(VerlindeNonInteger, match=match):
+            dd._prove_fusion(S, N)
+
+
+def _fused_doubles():
+    """Every kind of double that tier-1 fuses: untwisted Z/n (n <= 8), builtins and
+    products, omega_q on Z/n (n <= 8), the twisted quotients and coboundaries, D^omega(Z2^3),
+    and S3 under a zero cocycle of modulus 35."""
+    G = builtin_group("S3")
+    zero35 = ThreeCocycle(G, 35, tuple(tuple((0,) * 6 for _ in range(6)) for _ in range(6)))
+    return list(dict.fromkeys([
+        *map(untwisted_cyclic, range(1, 9)), untwisted("Z2xZ2"), untwisted("S4"),
+        untwisted_product("D4", "Z2"), untwisted_product("S3", "S3"),
+        *(twisted_cyclic(n, q) for n in range(2, 9) for q in range(1, n)),
+        *braiding_doubles(), twisted_z2_cubed(), TwistedDouble(G, zero35)]))
+
+
+def test_fusion_rows_are_sorted_supports_stored_once():
+    # fusion[i][j] holds (k, N_ij^k) with N_ij^k > 0 and k ascending, the same tuple
+    # as fusion[j][i], and sum_k N_ij^k d_k = d_i d_j
+    for dd in _fused_doubles():
+        N, dims = dd.fusion, [s.dim for s in dd.gamma]
+        n = len(dims)
+        assert len(N) == n and all(len(rows) == n for rows in N)
+        for i in range(n):
+            for j in range(n):
+                row, where = N[i][j], (dd.group.name, dd.omega.modulus, i, j)
+                assert row is N[j][i], where
+                ks = [k for k, _ in row]
+                assert ks == sorted(set(ks)) and all(0 <= k < n for k in ks), where
+                assert all(type(c) is int and c > 0 for _, c in row), where
+                assert sum(c * dims[k] for k, c in row) == dims[i] * dims[j], where
 
 
 def _ungraded_verlinde(dd, S):
@@ -374,7 +427,7 @@ def test_graded_candidates_match_ungraded_loop():
     doubles = braiding_doubles() + [untwisted_cyclic(8)]
     for dd in doubles:
         S = dd.s_matrix
-        assert dd._verlinde_mod_p(S) == _ungraded_verlinde(dd, S), dd.group.name
+        assert _dense(dd._verlinde_mod_p(S)) == _ungraded_verlinde(dd, S), dd.group.name
 
 
 def _off_grade(dd):
@@ -394,9 +447,9 @@ def test_fusion_proof_is_not_graded():
         dd = untwisted(name)
         S = dd.s_matrix
         i, j, k = next(t for t in _off_grade(dd) if 0 not in t)
-        N = [[list(r) for r in p] for p in dd.fusion]
-        assert N[i][j][k] == 0
-        N[i][j][k] = N[j][i][k] = 1
+        N = [list(rows) for rows in dd.fusion]
+        assert k not in dict(N[i][j])
+        N[i][j] = N[j][i] = _plus_one(N[i][j], k)
         with pytest.raises(VerlindeNonInteger, match=rf"N\[{i}\]\[{j}\]"):
             dd._prove_fusion(S, N)
 
@@ -486,8 +539,8 @@ def _mutations(dd):
     bumped[n - 1][n - 2] = bumped[n - 1][n - 2] + 1
     turned = [[x * dd.ctx.root_sum((1,)) if s == n - 1 else x for s, x in enumerate(row)]
               for row in S]
-    wrong = [[list(r) for r in p] for p in N]
-    wrong[1][1][0] += 1
+    wrong = [list(rows) for rows in N]
+    wrong[1][1] = _plus_one(wrong[1][1], 0)
     return [("true", S, N),
             ("entry + 1", tuple(map(tuple, bumped)), N),
             ("column * zeta", tuple(map(tuple, turned)), N),
@@ -510,7 +563,7 @@ def test_embedding_bound_covers_every_residual():
         for label, S, N in _mutations(dd):
             emb = dd._embeddings(S)
             assert emb.p > 2 * emb.bound
-            unitary, fusion = _residual_coordinates(dd, S, N)
+            unitary, fusion = _residual_coordinates(dd, S, _dense(N))
             worst = max(map(abs, unitary + fusion))
             assert worst <= emb.bound, (name, label, worst, emb.bound)
             assert (worst == 0) == (label == "true"), (name, label)
@@ -523,7 +576,7 @@ def test_embedding_checks_match_cyclo_checks():
             unitary = _accepts(dd._prove_unitary, S)
             fusion = _accepts(dd._prove_fusion, S, N)
             assert unitary == _cyclo_unitary(dd, S), (name, label)
-            assert fusion == _cyclo_prove_fusion(dd, S, N), (name, label)
+            assert fusion == _cyclo_prove_fusion(dd, S, _dense(N)), (name, label)
             # unit-modulus column rescaling keeps S unitary; only fusion sees it
             assert unitary == (label in ("true", "column * zeta", "wrong N")), (name, label)
             assert fusion == (label == "true"), (name, label)
@@ -542,7 +595,7 @@ def test_checks_reject_a_prime_multiple_perturbation():
     rows[a][b] = rows[a][b] + dd.ctx.root_sum((1,)) * Fraction(p, D)
     S2 = tuple(map(tuple, rows))
     assert (rows[a][b] - S[a][b]) * D == dd.ctx.root_sum((1,)) * p
-    unitary, fusion = _residual_coordinates(dd, S2, N)
+    unitary, fusion = _residual_coordinates(dd, S2, _dense(N))
     for residual in (unitary, fusion):
         assert any(residual) and all(x % p == 0 for x in residual)
     p2 = dd._embeddings(S2).p
@@ -597,7 +650,7 @@ def test_a_column_seen_at_one_embedding_is_checked(name, t0):
 @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
 def test_verlinde_associativity_s3(i, j, k):
     dd = untwisted("S3")
-    N = dd.fusion
+    N = _dense(dd.fusion)
     n = len(dd.gamma)
     for m in range(n):
         lhs = sum(N[i][j][t] * N[t][k][m] for t in range(n))
