@@ -58,11 +58,10 @@ def _canonical(ctx: CycloContext, C: FiniteGroup, degrees: Sequence[int],
     sort keys element by element. For class functions this is the order by
     class values: classes are ordered by their least element, so the first
     element where two rows differ is a class representative. Keys are
-    computed once per distinct spectrum.
+    computed once per distinct spectrum and context, by ctx.sort_key_of.
     """
-    key_of = {sp: ctx.root_sum(sp).sort_key() for sp in {sp for row in spectra for sp in row}}
     one = ctx.one.sort_key()
-    keys = [tuple(map(key_of.__getitem__, row)) for row in spectra]
+    keys = [tuple(map(ctx.sort_key_of, row)) for row in spectra]
     order = sorted(range(len(degrees)),
                    key=lambda i: (degrees[i], any(k != one for k in keys[i]), keys[i]))
     return CharacterTable(C, ctx, tuple(degrees[i] for i in order),

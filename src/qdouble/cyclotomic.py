@@ -77,6 +77,8 @@ class CycloContext:
         self._pow_rows = tuple(rows)
         # x^d = -sum p_j x^j over the nonzero lower coefficients p_j of Phi_N
         self._phi_low = tuple((j, p) for j, p in enumerate(phi[:d]) if p)
+        # sort_key_of's memo: the character tables of one double share their keys
+        self._sort_keys: dict[tuple[int, ...], tuple] = {}
 
     # constants are built on demand: a Cyclo points to its context, so a
     # context holding Cyclo values would be a reference cycle
@@ -112,6 +114,13 @@ class CycloContext:
                 for j, p in low:
                     acc[base + j] -= c * p
         return Cyclo(self, tuple(acc[:d]), 1)
+
+    def sort_key_of(self, exps: tuple[int, ...]) -> tuple:
+        """root_sum(exps).sort_key(), computed once per exponent tuple."""
+        key = self._sort_keys.get(exps)
+        if key is None:
+            key = self._sort_keys[exps] = self.root_sum(exps).sort_key()
+        return key
 
     def __repr__(self) -> str:
         return f"CycloContext(N={self.N})"

@@ -5,7 +5,7 @@ subgroups K, H and a G-invariant bicharacter B: K x H -> roots of unity.
 It is one frozen value, Triple(K, H, B), with B the table of discrete logs
 mod N over the sorted members, N that of the double's field Q(zeta_N).
 build_subcat alone decides whether caller-supplied (K, H, B) is such a
-triple: entries in 0..N-1 solving the equations of bicharacters. The
+triple: entries in 0..N-1 that the system of bicharacters gives back. The
 lattice operations (centralizer, meet, join, center) act on triples directly.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .cyclotomic import Cyclo
 from .doubledata import TwistedDouble
@@ -95,28 +95,70 @@ class TripleFlags:
 
 
 def _equations(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> Iterator[tuple]:
-    """The equations on B: K x H that, with B(e, h) = B(k, e) = 1, make B a
-    G-invariant bicharacter for the ambient cocycle.
+    """The equations on B: K x H that, with the tree edges of _system, make B
+    a G-invariant bicharacter for the ambient cocycle.
 
     Each is (plus, minus, minus2, rhs), read B(plus) - B(minus) - B(minus2)
-    = rhs in discrete logs mod N, with its terms keyed by (k, h). They are
-    imposed on generators only, which is exact for a normalized 3-cocycle:
+    = rhs in discrete logs mod N, with its terms keyed by (k, h). With Kg, Hg
+    and Gg the generators of K, H and G, they are imposed on generator pairs
+    only, |Kg| |H| |Hg| + |Hg| |K| |Kg| + |Kg| |Hg| |Gg| equations:
 
-    - second slot, B(k, h1 s) = B(k, h1) B(k, s) beta_k(h1, s)^-1 for every
-      h1 in H and s in a generating set of H. H centralizes k, so beta_k is
-      a 2-cocycle on H, and the equation for h2 = u and h2 = s gives it for
-      h2 = us. Every element of a finite group is a positive word in its
-      generators, and h2 = e holds by normalization.
-    - first slot, the same argument with beta_h on K and generators of K.
-    - G-invariance, B(x^-1 k x, h) = B(k, x h x^-1) times the transport
-      phase conj_exp(k, x, h), for x in a generating set of G. K and H are
-      normal and commute, so H centralizes every conjugate of k, and there
-      the phase composes along products: conj_exp(k, xy, h) =
-      conj_exp(k, x, y h y^-1) + conj_exp(x^-1 k x, y, h). Invariance under
-      x and y therefore gives it under xy.
+    - second slot, B(k, h1 s) = B(k, h1) B(k, s) beta_k(h1, s)^-1 for k in
+      Kg, h1 in H and s in Hg;
+    - first slot, B(k1 r, h) = B(k1, h) B(r, h) beta_h(k1, r) for h in Hg,
+      k1 in K and r in Kg;
+    - G-invariance, B(k^x, h) = B(k, xh) zeta_m^c(k, x, h) for k in Kg, h in
+      Hg and x in Gg, with k^x = x^-1 k x, xh = x h x^-1 and c = conj_exp.
 
-    Both arguments rest on (K, H) being a centralizing pair, checked first,
-    and on omega being a normalized 3-cocycle, which TwistedDouble guarantees.
+    Exactness. All below is mod m for the normalized omega that TwistedDouble
+    validated, with K and H normal and commuting elementwise, which is
+    checked first. Write dw(g1, g2, g3, g4) = w(g2, g3, g4) - w(g1 g2, g3, g4)
+    + w(g1, g2 g3, g4) - w(g1, g2, g3 g4) + w(g1, g2, g3), validate's
+    lhs - rhs, which vanishes. Three identities hold:
+
+    (A) beta_{k1 k2}(h1, h2) - beta_k1(h1, h2) - beta_k2(h1, h2)
+        + beta_{h1 h2}(k1, k2) - beta_h1(k1, k2) - beta_h2(k1, k2)
+        = -dw(k1, k2, h1, h2) + dw(k1, h1, k2, h2) - dw(k1, h1, h2, k2)
+          + dw(h1, k1, h2, k2) - dw(h1, k1, k2, h2) - dw(h1, h2, k1, k2),
+        term by term in omega, over the six shuffles of (k1, k2) into (h1, h2);
+    (B) c(k, x, h1 h2) - c(k, x, h1) - c(k, x, h2)
+        = beta_k(xh1, xh2) - beta_{k^x}(h1, h2);
+    (C) c(k1 k2, x, h) - c(k1, x, h) - c(k2, x, h)
+        = beta_h(k1^x, k2^x) - beta_{xh}(k1, k2).
+
+    For (B), the identity beta_a(x, y) + beta_a(xy, z) - beta_a(x, yz)
+    - beta_{a^x}(y, z) = dw(a, x, y, z) - dw(x, a^x, y, z) + dw(x, y, a^xy, z)
+    - dw(x, y, z, a^xyz) makes the arrows e_a^x: a -> a^x with
+    e_a^x e_{a^x}^y = zeta_m^beta_a(x, y) e_a^xy an associative algebra, in
+    which u = e_k^x is invertible and c(k, x, h) is the phase of
+    u e_{k^x}^h u^-1 = zeta_m^c(k, x, h) e_k^{xh}. Conjugation by u is
+    multiplicative, and expanding u e^h1 e^h2 u^-1 both ways gives (B).
+    (C) is (B) for beta_h at x^-1, after the swap c(k, x, h) = c(h, x^-1, k)
+    of commuting k and h with k^x commuting with h, as K and H guarantee:
+    the relation commuting_beta_sym of check_identities. The same algebra gives the composition law
+    c(k, xy, h) = c(k, x, yh) + c(k^x, y, h).
+
+    Propagation. Let sigma_k(h1, h2), phi_h(k1, k2) and iota_x(k, h) be the
+    defects (left side minus right side) of the three families on all of
+    K and H. B(k, e) = B(e, h) = 0, so sigma_e = phi_e = 0. H centralizes k,
+    so beta_k is a 2-cocycle on H and so is sigma_k; hence sigma_k vanishes
+    once it does at every (h1, s), s in Hg, as every element is a positive
+    word in Hg. Likewise for phi_h with K and Kg.
+
+    - The B terms cancel, so by (A) sigma_{k1 k2} - sigma_k1 - sigma_k2 at
+      (h1, h2) equals phi_{h1 h2} - phi_h1 - phi_h2 at (k1, k2).
+    - The tree edges give sigma_k(h1, s) = 0 for every k and each edge
+      (h1, s) of H's tree; the first family gives phi_s = 0 for s in Hg.
+    - Along H's tree, h = h1 s: phi_h(k, r) = phi_h1(k, r) for r in Kg, by
+      the first point at (k, r; h1, s). So phi_h = 0 for every h.
+    - Along K's tree, k = k1 r: now that phi = 0, the first point gives
+      sigma_k(h1, s) = sigma_k1(h1, s) + sigma_r(h1, s), and the second
+      family gives sigma_r(h1, s) = 0. So sigma_k = 0 for every k, and B is
+      a bicharacter.
+    - Then by (B) and (C), iota_x is additive in each slot, so it vanishes on
+      K x H once it does on Kg x Hg. By the composition law,
+      iota_xy(k, h) = iota_y(k^x, h) + iota_x(k, yh), so invariance under Gg
+      gives it under G.
     """
     G = dd.group
     if not (K.is_normal and H.is_normal):
@@ -126,29 +168,34 @@ def _equations(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> Iterator[tuple]:
     scale = dd.scale
     beta = dd.omega.beta_table
     km, hm = K.members, H.members
-    # multiplicativity in the second slot, twisted by beta_k
+    kgens, hgens = K.generators, H.generators
+    # multiplicativity in the second slot at generators of K, twisted by beta_k
     second = (((k, G.mul(h1, s)), (k, h1), (k, s), -scale * Bk[h1][s])
-              for k in km for Bk in (beta(k),) for h1 in hm for s in H.generators)
-    # multiplicativity in the first slot, twisted by beta_h
-    first = (((G.mul(k1, s), h), (k1, h), (s, h), scale * Bh[k1][s])
-             for h in hm for Bh in (beta(h),) for k1 in km for s in K.generators)
-    # G-invariance, with B(e, e) = 1 as the second minus term
+              for k in kgens for Bk in (beta(k),) for h1 in hm for s in hgens)
+    # multiplicativity in the first slot at generators of H, twisted by beta_h
+    first = (((G.mul(k1, r), h), (k1, h), (r, h), scale * Bh[k1][r])
+             for h in hgens for Bh in (beta(h),) for k1 in km for r in kgens)
+    # G-invariance on generator pairs, with B(e, e) = 1 as the second minus term
     invariance = (((kx, h), (k, G.conj(x, h)), (0, 0), scale * dd.omega.conj_exp(k, x, h))
-                  for k in km for x in G.whole_group.generators
-                  for kx in (G.conj(G.inverse(x), k),) for h in hm)
+                  for k in kgens for x in G.whole_group.generators
+                  for kx in (G.conj(G.inverse(x), k),) for h in hgens)
     return chain(second, first, invariance)
 
 
-def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, ...]:
-    """The triples (K, H, B), B over all G-invariant bicharacters on K x H for
-    the ambient cocycle, sorted by table: the solutions of _equations.
+def _system(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[list[list[int]], list[tuple]]:
+    """The bicharacters on K x H as affine forms and the rows they must solve.
 
-    The unknowns are B(r, s) for generators r of K and s of H. The
-    first-slot equations along a Cayley tree of K make each B(k, s) an
-    affine form in them, the second-slot ones along a tree of H each
-    B(k, h); being among the equations, they fix the table from the
-    unknowns one to one. The equations not vanishing identically on the
-    forms go to solve_mod.
+    The unknowns are B(r, s) for generators r of K and s of H, unknown
+    i |Hg| + j at (Kg[i], Hg[j]). The first-slot equations along a Cayley
+    tree of K make each B(k, s) an affine form in them, the second-slot ones
+    along a tree of H each B(k, h); B(k, e) = B(e, h) = 0, and the form of
+    B(r, s) is its unknown, as the trees are breadth-first. Returns
+    (columns, residual): columns[p] holds unknown p's coefficients in the
+    table flattened over the sorted members, row by row, and the last
+    column the constants; residual holds the equations of _equations that do
+    not vanish identically on the forms, as (coefficients, rhs), deduplicated
+    and sorted. By _equations' argument the bicharacters are exactly the
+    forms at the solutions of residual, one table per solution.
     """
     eqs = list(_equations(dd, K, H))
     G = dd.group
@@ -157,7 +204,7 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
     beta = dd.omega.beta_table
     km, hm = K.members, H.members
     kgens, hgens = K.generators, H.generators
-    n, nh = len(kgens) * len(hgens), len(hm)
+    n = len(kgens) * len(hgens)
 
     # form[k, h]: coefficients of B(k, h) in the unknowns, then its constant
     form = {(k, 0): [0] * (n + 1) for k in km} | {(0, s): [0] * (n + 1) for s in hgens}
@@ -178,15 +225,42 @@ def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, .
     values = [[(c[a] - c[b] - c[d]) % N for a, b, d, _ in eqs] for c in cols[:n]]
     values.append([(r - cols[n][a] + cols[n][b] + cols[n][d]) % N for a, b, d, r in eqs])
     residual = sorted({(v[:n], v[n]) for v in zip(*values) if any(v)})
+    return [[c[k, h] for k in km for h in hm] for c in cols], residual
 
-    table = [[c[k, h] for k in km for h in hm] for c in cols]
-    dlogs = []
-    for sol in solve_mod(residual, n, N):
-        flat = table[n]
-        for x, col in zip(sol, table):
-            flat = [a + x * b for a, b in zip(flat, col)] if x else flat
-        dlogs.append(tuple(zip(*[map(N.__rmod__, flat)] * nh)))
-    return tuple(Triple(K, H, d) for d in sorted(dlogs))
+
+def _expand(columns: list[list[int]], solutions: Iterable[Sequence[int]],
+            N: int) -> Iterator[list[int]]:
+    """The flattened table of each solution x, the last column plus
+    x_p columns[p] over the unknowns p, mod N.
+
+    Partial sums over the first p unknowns are kept, and only those from the
+    first unknown where x differs from the solution before are redone. For
+    solutions in ascending order, as solve_mod returns them, that is mostly
+    the last unknown alone.
+    """
+    n = len(columns) - 1
+    partial = [columns[n]] * (n + 1)
+    prev: Sequence[int] = ()
+    for x in solutions:
+        p = next((i for i, (a, b) in enumerate(zip(x, prev)) if a != b), 0)
+        for i in range(p, n):
+            v = x[i]
+            partial[i + 1] = [a + v * b for a, b in zip(partial[i], columns[i])] if v \
+                else partial[i]
+        prev = x
+        yield [a % N for a in partial[n]]
+
+
+def bicharacters(dd: TwistedDouble, K: Subgroup, H: Subgroup) -> tuple[Triple, ...]:
+    """The triples (K, H, B), B over all G-invariant bicharacters on K x H for
+    the ambient cocycle, sorted by table: the forms of _system at the
+    solutions of its residual rows, from solve_mod.
+    """
+    columns, residual = _system(dd, K, H)
+    N, nh = dd.ctx.N, len(H.members)
+    solutions = solve_mod(residual, len(columns) - 1, N)
+    tables = sorted(tuple(zip(*[iter(flat)] * nh)) for flat in _expand(columns, solutions, N))
+    return tuple(Triple(K, H, B) for B in tables)
 
 
 # -- membership and canonical triples -------------------------------------------------
@@ -217,17 +291,23 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
 def build_subcat(dd: TwistedDouble, K: Subgroup, H: Subgroup,
                  B: tuple[tuple[int, ...], ...]) -> Triple:
     """The triple (K, H, B) if B is a table of bicharacters(dd, K, H), else
-    NotASubcategory: by the argument of _equations, exactly when B is
-    normalized and satisfies them."""
-    eqs = _equations(dd, K, H)
+    NotASubcategory.
+
+    Those tables are the forms of _system at the solutions of its residual
+    rows, and the form of B(r, s) at generators r, s is its unknown. So B is
+    one exactly when its values on generator pairs solve the residual rows
+    and the forms at those values give back all of B. The rows alone would
+    not do: _equations holds only with the tree edges, and a table that
+    breaks one off the generator pairs can satisfy every row.
+    """
+    columns, residual = _system(dd, K, H)
     N = dd.ctx.N
     t = Triple(K, H, B)
     if any(min(r) < 0 or max(r) >= N for r in B):
         raise InputError(f"pairing table entries must lie in 0..{N - 1}")
-    exp = t.exp
-    # e is the first member of K and of H
-    if any(B[0]) or any(row[0] for row in B) or \
-       any((exp(*a) - exp(*b) - exp(*d) - r) % N for a, b, d, r in eqs):
+    x = [t.exp(r, s) for r in K.generators for s in H.generators]
+    if any((sum(a * v for a, v in zip(c, x)) - rhs) % N for c, rhs in residual) or \
+       next(_expand(columns, [x], N)) != [*chain.from_iterable(B)]:
         raise NotASubcategory("the pairing is not a G-invariant bicharacter on K x H "
                               "for this cocycle")
     subcat_members(dd, t)

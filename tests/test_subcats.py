@@ -1,16 +1,18 @@
 """Triples (K, H, B): enumeration, lattice operations, invariants."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from qdouble import InputError, subcats as sc
+from qdouble import InputError, builtin_group, direct_product, subcats as sc
 from qdouble.linmod import solve_mod
 from qdouble.subcats import DimensionMismatch, NotASubcategory, UnsupportedTriple
 
 from conftest import (braiding_doubles, relabeled, twisted_cyclic, twisted_cyclic_coboundary,
-                      twisted_quotient, untwisted, untwisted_cyclic, untwisted_product)
+                      twisted_quotient, twisted_z2_cubed, untwisted, untwisted_cyclic,
+                      untwisted_product)
 
 
 EXPECTED_COUNTS = {"Z2": 5, "Z4": 15, "Z2xZ2": 67, "S3": 8, "D4": 45, "Q8": 45}
@@ -282,6 +284,125 @@ def test_bicharacters_match_all_pairs_under_relabeling():
             for K, H in rd.group.centralizing_pairs():
                 got = [t.B for t in sc.bicharacters(rd, K, H)]
                 assert got == _all_pairs_bichars(rd, K, H), (dd.group.name, seed, K.members)
+
+
+def _identity_doubles():
+    return (braiding_doubles() + [twisted_z2_cubed()]
+            + [twisted_cyclic(n, q) for n in range(2, 10) for q in range(1, n)])
+
+
+def test_equation_identities_on_every_centralizing_pair():
+    """(A), (B) and (C) of _equations' docstring, exhaustively: every element
+    quadruple of every centralizing pair, and for (B) and (C) every x in G."""
+    bad = []
+    for dd in _identity_doubles():
+        G, omega = dd.group, dd.omega
+        m, mul, beta, c = omega.modulus, G.mult, omega.beta_table, omega.conj_exp
+        for K, H in G.centralizing_pairs():
+            km, hm = K.members, H.members
+            for k1, k2, h1, h2 in product(km, km, hm, hm):
+                a = (beta(mul[k1][k2])[h1][h2] - beta(k1)[h1][h2] - beta(k2)[h1][h2]
+                     + beta(mul[h1][h2])[k1][k2] - beta(h1)[k1][k2] - beta(h2)[k1][k2])
+                if a % m:
+                    bad.append(("A", G.name, k1, k2, h1, h2))
+            for x in range(G.order):
+                xi = G.inverse(x)
+                for k, h1, h2 in product(km, hm, hm):
+                    b = (c(k, x, mul[h1][h2]) - c(k, x, h1) - c(k, x, h2)
+                         - beta(k)[G.conj(x, h1)][G.conj(x, h2)] + beta(G.conj(xi, k))[h1][h2])
+                    if b % m:
+                        bad.append(("B", G.name, k, x, h1, h2))
+                for k1, k2, h in product(km, km, hm):
+                    cc = (c(mul[k1][k2], x, h) - c(k1, x, h) - c(k2, x, h)
+                          - beta(h)[G.conj(xi, k1)][G.conj(xi, k2)] + beta(G.conj(x, h))[k1][k2])
+                    if cc % m:
+                        bad.append(("C", G.name, k1, k2, x, h))
+    assert not bad, bad[:5]
+
+
+def _formal_beta(G, acc, sign, a, x, y):
+    """Add sign beta_a(x, y) = w(a, x, y) + w(x, y, a^xy) - w(x, a^x, y) to acc, by omega-triple."""
+    acc[a, x, y] += sign
+    acc[x, y, G.conj(G.inverse(G.mul(x, y)), a)] += sign
+    acc[x, G.conj(G.inverse(x), a), y] -= sign
+
+
+def _formal_dw(G, acc, sign, g1, g2, g3, g4):
+    """Add sign dw(g1, g2, g3, g4), validate's lhs - rhs, to acc, by omega-triple."""
+    mul = G.mul
+    for triple, s in (((g2, g3, g4), 1), ((mul(g1, g2), g3, g4), -1),
+                      ((g1, mul(g2, g3), g4), 1), ((g1, g2, mul(g3, g4)), -1),
+                      ((g1, g2, g3), 1)):
+        acc[triple] += sign * s
+
+
+def test_shuffle_identity_is_formal():
+    """(A) holds term by term in omega, with no cocycle assumed: on S3 x S3,
+    with k1, k2 in S3 x 1 and h1, h2 in 1 x S3, the omega-triples of the
+    beta side and of the six-shuffle dw side are the same Counter."""
+    G = direct_product(builtin_group("S3"), builtin_group("S3"))
+    ks, hs = range(0, 36, 6), range(6)      # (a, e) is 6a, (e, b) is b
+    for k1, k2, h1, h2 in product(ks, ks, hs, hs):
+        betas, dws = Counter(), Counter()
+        for sign, a, x, y in ((1, G.mul(k1, k2), h1, h2), (-1, k1, h1, h2), (-1, k2, h1, h2),
+                              (1, G.mul(h1, h2), k1, k2), (-1, h1, k1, k2), (-1, h2, k1, k2)):
+            _formal_beta(G, betas, sign, a, x, y)
+        for sign, quadruple in ((-1, (k1, k2, h1, h2)), (1, (k1, h1, k2, h2)),
+                                (-1, (k1, h1, h2, k2)), (1, (h1, k1, h2, k2)),
+                                (-1, (h1, k1, k2, h2)), (-1, (h1, h2, k1, k2))):
+            _formal_dw(G, dws, sign, *quadruple)
+        betas.subtract(dws)
+        assert not any(betas.values()), (k1, k2, h1, h2)
+
+
+def test_beta_associativity_is_formal():
+    """The identity behind (B): beta_a(x, y) + beta_a(xy, z) - beta_a(x, yz)
+    - beta_{a^x}(y, z) = dw(a, x, y, z) - dw(x, a^x, y, z) + dw(x, y, a^xy, z)
+    - dw(x, y, z, a^xyz), term by term in omega, on all of S3."""
+    G = builtin_group("S3")
+
+    def conj_by(g, b):
+        """g^-1 b g"""
+        return G.conj(G.inverse(g), b)
+
+    for a, x, y, z in product(range(6), repeat=4):
+        xy, yz = G.mul(x, y), G.mul(y, z)
+        betas, dws = Counter(), Counter()
+        for sign, b, u, v in ((1, a, x, y), (1, a, xy, z), (-1, a, x, yz), (-1, conj_by(x, a), y, z)):
+            _formal_beta(G, betas, sign, b, u, v)
+        for sign, quadruple in ((1, (a, x, y, z)), (-1, (x, conj_by(x, a), y, z)),
+                                (1, (x, y, conj_by(xy, a), z)),
+                                (-1, (x, y, z, conj_by(G.mul(xy, z), a)))):
+            _formal_dw(G, dws, sign, *quadruple)
+        betas.subtract(dws)
+        assert not any(betas.values()), (a, x, y, z)
+
+
+def test_equations_on_generator_pairs_only():
+    """_equations yields |Kg| |H| |Hg| + |Hg| |K| |Kg| + |Kg| |Hg| |Gg| rows."""
+    for dd in (untwisted("D4"), untwisted_product("Z2", "Z4"), twisted_quotient("S3", 3),
+               twisted_z2_cubed()):
+        gg = len(dd.group.whole_group.generators)
+        for K, H in dd.group.centralizing_pairs():
+            kg, hg = len(K.generators), len(H.generators)
+            count = sum(1 for _ in sc._equations(dd, K, H))
+            assert count == kg * len(H) * hg + hg * len(K) * kg + kg * hg * gg, \
+                (dd.group.name, K.members, H.members)
+
+
+def test_build_subcat_rejects_a_table_wrong_off_the_generator_pairs():
+    """On Z4 with K = H = Z4, the zero table changed at (2, 2) satisfies every
+    equation of _equations, as 2 is no generator, yet breaks the tree edge
+    B(2, 1 + 1) = B(2, 1) B(2, 1); build_subcat also checks the forms."""
+    dd = untwisted("Z4")
+    W = dd.group.whole_group
+    assert W.generators == (1,) and dd.group.mul(1, 1) == 2
+    B = tuple(tuple(int(k == h == 2) for h in W.members) for k in W.members)
+    t = sc.Triple(W, W, B)
+    assert not any((t.exp(*a) - t.exp(*b) - t.exp(*d) - r) % dd.ctx.N
+                   for a, b, d, r in sc._equations(dd, W, W))
+    with pytest.raises(NotASubcategory, match="not a G-invariant bicharacter"):
+        sc.build_subcat(dd, W, W, B)
 
 
 def test_contains_matches_member_sets():
