@@ -2,8 +2,11 @@
 
 Simple objects are pairs (a, chi): a conjugacy class representative and an
 irreducible projective character of its centralizer for the conjugation
-2-cocycle beta_a. Everything is computed exactly over Q(zeta_N) with
-N = modulus(omega) * |G|, after omega is validated as a normalized 3-cocycle.
+2-cocycle beta_a. Each simple carries its representation's spectra on G, read
+off the centralizer's table once; the twist, the S-matrix, the braiding and
+subcategory membership all read them at elements of G. Everything is computed
+exactly over Q(zeta_N) with N = modulus(omega) * |G|, after omega is validated as
+a normalized 3-cocycle.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ class VerlindeNonInteger(CheckFailure):
 
 @dataclass(frozen=True)
 class SimpleObject:
-    """A simple object (a, chi) of the double."""
+    """A simple object (a, chi) of the double, rho read at the elements g of G.
+
+    spectra[g] holds the sorted exponents of zeta_N over the eigenvalues of rho(g),
+    and scalar_exps[g] the k with rho(g) = zeta_N^k I, None where rho(g) is not
+    scalar; both are None off C_G(a).
+    """
 
     index: int
     a: int                      # class representative, minimal in its class
@@ -36,21 +44,8 @@ class SimpleObject:
     degree: int
     dim: int
     twist: int = field(compare=False)   # k with theta = zeta_N^k
-
-
-@dataclass(frozen=True)
-class CentralizerData:
-    """A centralizer C_G(a) as a group of its own, G itself when a is central."""
-
-    local_of: dict                      # parent element -> local index, in sorted order
-    table: CharacterTable = field(compare=False)
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.table.group
-
-    def spectrum(self, char_index: int, parent_element: int) -> tuple[int, ...]:
-        return self.table.spectra[char_index][self.local_of[parent_element]]
+    spectra: tuple[tuple[int, ...] | None, ...] = field(compare=False, repr=False)
+    scalar_exps: tuple[int | None, ...] = field(compare=False, repr=False)
 
 
 class TwistedDouble:
@@ -79,55 +74,59 @@ class TwistedDouble:
         validate(omega)
         self.ctx = CycloContext(N)
         self.scale = self.ctx.N // omega.modulus
-        self._centralizers: dict[int, CentralizerData] = {}
         self._gamma: tuple[SimpleObject, ...] | None = None
         self._smatrix: tuple[tuple[Cyclo, ...], ...] | None = None
         self._fusion: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] | None = None
         self._conj_lists: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        self._scalar_exps: dict[int, tuple[int | None, ...]] = {}
         self._emb: _Embeddings | None = None
         self.subcat_caches: dict = {}
 
+    @property
+    def where(self) -> str:
+        """The group and cocycle modulus, as every failed check names the double."""
+        return f"{self.group.name} (cocycle mod {self.omega.modulus})"
+
     # -- simple objects -----------------------------------------------------------
 
-    def centralizer_data(self, a: int) -> CentralizerData:
-        """Centralizer of a class representative with its projective table; a central
-        a gets G itself, so C's cached properties are computed once per double."""
-        if a not in self._centralizers:
-            G = self.group
-            local_of = {g: i for i, g in enumerate(G.centralizer_members(a))}
-            Ba = self.omega.beta_table(a)
-            if len(local_of) == G.order:
-                C, beta = G, Ba
-            else:
-                C = FiniteGroup([[local_of[G.mul(x, y)] for y in local_of] for x in local_of],
-                                name=f"C({G.name},{a})", validate=False, cap=G.cap)
-                beta = [[Ba[x][y] for y in local_of] for x in local_of]
-            P = projective_table(self.ctx, C, beta, self.omega.modulus)
-            self._centralizers[a] = CentralizerData(local_of, P)
-        return self._centralizers[a]
+    def centralizer_table(self, a: int) -> CharacterTable:
+        """Projective table of C_G(a) for beta_a, C indexed by the members of C_G(a) in
+        sorted order; a central a gets G itself, so C's cached properties are computed
+        once per double."""
+        G = self.group
+        local_of = {g: i for i, g in enumerate(G.centralizer_members(a))}
+        Ba = self.omega.beta_table(a)
+        if len(local_of) == G.order:
+            C, beta = G, Ba
+        else:
+            C = FiniteGroup([[local_of[G.mul(x, y)] for y in local_of] for x in local_of],
+                            name=f"C({G.name},{a})", validate=False, cap=G.cap)
+            beta = [[Ba[x][y] for y in local_of] for x in local_of]
+        return projective_table(self.ctx, C, beta, self.omega.modulus)
 
     @property
     def gamma(self) -> tuple[SimpleObject, ...]:
+        """The simples (a, chi), each table row translated to G once with its twist."""
         if self._gamma is None:
             G = self.group
             simples = []
             for a in G.class_reps:
-                cd = self.centralizer_data(a)
+                P = self.centralizer_table(a)
                 ksize = len(G.class_of(a))
-                for ci in range(cd.table.n_chars):
-                    deg = cd.table.degrees[ci]
-                    sp = cd.spectrum(ci, a)   # rho(a) is scalar iff its spectrum is
-                    if sp[0] != sp[-1]:
+                for ci, deg in enumerate(P.degrees):
+                    row = dict(zip(G.centralizer_members(a), P.spectra[ci]))
+                    spectra = tuple(map(row.get, range(G.order)))
+                    scalars = tuple(sp[0] if sp and sp[0] == sp[-1] else None
+                                    for sp in spectra)
+                    if scalars[a] is None:   # rho(a) is scalar iff its spectrum is
                         raise CheckFailure(
-                            f"twist of ({a}, {ci}) is not a root of unity: "
-                            f"eigenvalue exponents {sp}")
-                    simples.append(SimpleObject(len(simples), a, ci, deg,
-                                                ksize * deg, sp[0]))
+                            f"{self.where}: twist of ({a}, {ci}) is not a root of unity: "
+                            f"eigenvalue exponents {spectra[a]}")
+                    simples.append(SimpleObject(len(simples), a, ci, deg, ksize * deg,
+                                                scalars[a], spectra, scalars))
             total = sum(s.dim * s.dim for s in simples)
             if total != G.order ** 2:
-                raise CheckFailure(
-                    f"squared dimensions sum to {total}, expected {G.order ** 2}")
+                raise CheckFailure(f"{self.where}: squared dimensions sum to {total}, "
+                                   f"expected {G.order ** 2}")
             self._gamma = tuple(simples)
         return self._gamma
 
@@ -161,8 +160,9 @@ class TwistedDouble:
 
     @property
     def s_matrix(self) -> tuple[tuple[Cyclo, ...], ...]:
-        """|G| / (|C(a_i)| |C(a_j)|) times the sum over the _pair_terms (u, v, e) of
-        conj(zeta_m^e chi_i(u) chi_j(v)), for every omega (Dijkgraaf-Pasquier-Roche)."""
+        """|G| / (|C(a_i)| |C(a_j)|) = |class(a_i)| |class(a_j)| / |G| times the sum over the
+        _pair_terms (u, v, e) of conj(zeta_m^e chi_i(u) chi_j(v)), for every omega
+        (Dijkgraaf-Pasquier-Roche); chi_i(u) is the sum of the simple's spectra[u]."""
         if self._smatrix is None:
             G = self.group
             scale = self.scale
@@ -171,21 +171,20 @@ class TwistedDouble:
             rows: list[list[Cyclo]] = [[None] * n for _ in range(n)]
             for i in range(n):
                 si = gamma[i]
-                cdi = self.centralizer_data(si.a)
                 for j in range(i, n):
                     sj = gamma[j]
-                    cdj = self.centralizer_data(sj.a)
-                    pref = Fraction(G.order, cdi.group.order * cdj.group.order)
+                    pref = Fraction(len(G.class_of(si.a)) * len(G.class_of(sj.a)), G.order)
                     total = self.ctx.root_sum(
                         -(x + y) - e * scale for u, v, e in self._pair_terms(si.a, sj.a)
-                        for x in cdi.spectrum(si.char_index, u)
-                        for y in cdj.spectrum(sj.char_index, v))
+                        for x in si.spectra[u] for y in sj.spectra[v])
                     entry = total * pref
                     rows[i][j] = entry
                     rows[j][i] = entry
             S = tuple(tuple(row) for row in rows)
-            if any(x != s.dim for x, s in zip(S[0], gamma)):
-                raise CheckFailure("first S-matrix row does not match dimensions")
+            for x, s in zip(S[0], gamma):
+                if x != s.dim:
+                    raise CheckFailure(f"{self.where}: first S-matrix row does not match "
+                                       f"dimensions at s = {s.index}: S_0s = {x}, d_s = {s.dim}")
             self._prove_unitary(S)
             self._smatrix = S
         return self._smatrix
@@ -321,22 +320,11 @@ class TwistedDouble:
         for i, rows in enumerate(self.fusion):
             ks = [k for k, row in enumerate(rows) if row[:1] == ((0, 1),)]
             if len(ks) != 1:
-                raise CheckFailure(f"dual of {i} is not unique: {ks}")
+                raise CheckFailure(f"{self.where}: dual of {i} is not unique: {ks}")
             duals.append(ks[0])
         return tuple(duals)
 
     # -- exact braiding predicates -----------------------------------------------------
-
-    def scalar_exps(self, i: int) -> tuple[int | None, ...]:
-        """r[x] = k with every eigenvalue of rho_i(x) zeta_N^k, or None; None off C_G(a_i)."""
-        if i not in self._scalar_exps:
-            s = self.gamma[i]
-            cd = self.centralizer_data(s.a)
-            sps = (cd.spectrum(s.char_index, x) if x in cd.local_of else None
-                   for x in range(self.group.order))
-            self._scalar_exps[i] = tuple(sp[0] if sp and sp[0] == sp[-1] else None
-                                         for sp in sps)
-        return self._scalar_exps[i]
 
     def common_phase(self, i: int, j: int, expect: int | None = None) -> int | None:
         """The k with the double braiding of simples i and j equal to zeta_N^k, else None.
@@ -346,17 +334,18 @@ class TwistedDouble:
         (rho comes from a central extension whose exponent divides N = m |G|). There are at
         most |G| terms and pref |G| deg_i deg_j = d_i d_j, so |S_ij| <= d_i d_j, with equality
         in the triangle inequality iff there are |G| terms (the classes of a_i and a_j commute
-        elementwise) and all these roots agree. Then rho_i(u) and rho_j(v) are scalars, held by
-        scalar_exps, and r_i[u] + r_j[v] + e scale takes one value k mod N: the double braiding,
-        a module map, acts on every term by zeta_N^k. So i and j centralize iff k = 0, and
-        projectively centralize (|S_ij| = d_i d_j) iff k exists. A given expect stops the walk
-        at the first term whose phase is another (centralize passes 0).
+        elementwise) and all these roots agree. Then rho_i(u) and rho_j(v) are scalars, with
+        exponents r_i[u] and r_j[v] in the simples' scalar_exps, and r_i[u] + r_j[v] + e scale
+        takes one value k mod N: the double braiding, a module map, acts on every term by
+        zeta_N^k. So i and j centralize iff k = 0, and projectively centralize
+        (|S_ij| = d_i d_j) iff k exists. A given expect stops the walk at the first term
+        whose phase is another (centralize passes 0).
         """
         si, sj = self.gamma[i], self.gamma[j]
         terms = self._pair_terms(si.a, sj.a)
         if len(terms) < self.group.order:
             return None
-        ri, rj = self.scalar_exps(i), self.scalar_exps(j)
+        ri, rj = si.scalar_exps, sj.scalar_exps
         N, scale = self.ctx.N, self.scale
         k = expect
         for u, v, e in terms:

@@ -96,12 +96,12 @@ def all_closed_sets(dd: TwistedDouble) -> frozenset[frozenset[int]]:
     for i, row in enumerate(rows):
         if row != braided[i]:
             raise CheckFailure(
-                f"{_where(dd)}: centralizer row {i} read off S is not braiding row {i}; "
+                f"{dd.where}: centralizer row {i} read off S is not braiding row {i}; "
                 f"they differ first at simple {bits(row ^ braided[i])[0]}")
     fam = _intersections(rows)
     for c in fam:
         if _close(dd, c) != c:
-            raise CheckFailure(f"{_where(dd)}: the intersection of centralizer rows "
+            raise CheckFailure(f"{dd.where}: the intersection of centralizer rows "
                                f"{bits(c)} is not fusion-closed")
     return frozenset(frozenset(bits(c)) for c in fam)
 
@@ -137,12 +137,9 @@ def projectively_centralizing_simples(dd: TwistedDouble,
                      if all(dd.common_phase(i, j) is not None for j in ms))
 
 
-def _where(dd: TwistedDouble, t: sc.Triple | None = None) -> str:
-    """The group and cocycle modulus of a failed check, and the triple's K and H."""
-    where = f"{dd.group.name} (cocycle mod {dd.omega.modulus})"
-    if t is not None:
-        where += f" at K = {list(t.K.members)}, H = {list(t.H.members)}"
-    return where
+def _where(dd: TwistedDouble, t: sc.Triple) -> str:
+    """The double of a failed check, named as dd.where names it, and the triple's K and H."""
+    return f"{dd.where} at K = {list(t.K.members)}, H = {list(t.H.members)}"
 
 
 def _differ(got: frozenset[int], expect: frozenset[int]) -> str:
@@ -192,7 +189,7 @@ def certify(dd: TwistedDouble) -> dict:
     sets = frozenset(members.values())
     if sets != closed:
         raise CheckFailure(
-            f"{_where(dd)}: enumeration mismatch: {len(closed - sets)} closed sets "
+            f"{dd.where}: enumeration mismatch: {len(closed - sets)} closed sets "
             f"missing, {len(sets - closed)} member sets not closed; the least set "
             f"in only one family is {min(map(sorted, closed ^ sets))}")
     return {"triples": len(triples),

@@ -276,7 +276,7 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
     for s in dd.gamma:
         if s.a not in kset:
             continue
-        r = dd.scalar_exps(s.index)
+        r = s.scalar_exps
         if all(r[h] == t.exp(s.a, h) for h in t.H.members):
             members.append(s.index)
     dim = sum(dd.gamma[i].dim ** 2 for i in members)
@@ -339,7 +339,7 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
     hset = set(range(G.order))
     for i in idx:
         if gamma[i].a == 0:
-            r = dd.scalar_exps(i)
+            r = gamma[i].scalar_exps
             hset &= {g for g in range(G.order) if r[g] == 0}
     H = G.subgroup(hset)
 
@@ -350,7 +350,7 @@ def triple_of(dd: TwistedDouble, simples: Iterable[int]) -> Triple:
     scale = dd.scale
     for i in sorted(idx):
         a = gamma[i].a
-        r = dd.scalar_exps(i)
+        r = gamma[i].scalar_exps
         for x in range(G.order):
             k = G.conj(G.inverse(x), a)
             for h in H.members:

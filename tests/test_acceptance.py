@@ -201,11 +201,10 @@ def test_criterion_10_character_layer():
         G = dd.group
         m = dd.omega.modulus
         for a in G.class_reps:
-            cd = dd.centralizer_data(a)
-            C, P = cd.group, cd.table
+            P = dd.centralizer_table(a)
+            C, members = P.group, G.centralizer_members(a)
             assert sum(d * d for d in P.degrees) == C.order
-            beta = [[dd.omega.beta(a, x, y) % m for y in cd.local_of]
-                    for x in cd.local_of]
+            beta = [[dd.omega.beta(a, x, y) % m for y in members] for x in members]
             assert P.n_chars == beta_regular_class_count(C, beta, m)
             for i in range(P.n_chars):
                 for j in range(P.n_chars):

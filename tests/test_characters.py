@@ -275,8 +275,9 @@ def _centralizer_cocycles(dd):
     """(C, beta, m) for the centralizer C of every class representative of dd."""
     m = dd.omega.modulus
     for a in dd.group.class_reps:
-        cd = dd.centralizer_data(a)
-        yield cd.group, [[dd.omega.beta(a, x, y) % m for y in cd.local_of] for x in cd.local_of], m
+        members = dd.group.centralizer_members(a)
+        yield (dd.centralizer_table(a).group,
+               [[dd.omega.beta(a, x, y) % m for y in members] for x in members], m)
 
 
 def _centralizer_extensions(dd):
@@ -314,7 +315,7 @@ def test_spectra_match_values():
     tables = []
     for dd in braiding_doubles():
         tables.append(ordinary_table(dd.ctx, dd.group))
-        tables += [dd.centralizer_data(a).table for a in dd.group.class_reps]
+        tables += [dd.centralizer_table(a) for a in dd.group.class_reps]
     for name in EXPECTED_DEGREES:
         G = builtin_group(name)
         tables.append(ordinary_table(_ctx_for(G), G))
@@ -350,7 +351,7 @@ def test_orthonormality_kernel_rejects_shifted_exponent():
     A = ordinary_table(CycloContext(4), cyclic_group(4))
     with pytest.raises(LiftFailure, match="rows 0, 3 are not orthonormal"):
         _check_orthonormal(A.ctx, _shifted(A.spectra, 3, 2), 4)
-    P = twisted_cyclic(4, 1).centralizer_data(1).table
+    P = twisted_cyclic(4, 1).centralizer_table(1)
     _check_orthonormal(P.ctx, P.spectra, 4)
     with pytest.raises(LiftFailure, match="rows 0, 1 are not orthonormal"):
         _check_orthonormal(P.ctx, _shifted(P.spectra, 1, 3), 4)
@@ -469,7 +470,7 @@ def test_a_central_element_gets_the_group_itself():
         G = dd.group
         for a in G.class_reps:
             central = a in G.center.member_set
-            assert (dd.centralizer_data(a).group is G) == central, (G.name, a)
+            assert (dd.centralizer_table(a).group is G) == central, (G.name, a)
 
 
 def test_coboundary_twisted_products_keep_the_untwisted_triple_counts():

@@ -420,6 +420,31 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2 and "identity at index 0" in err, err
 
 
+@pytest.mark.parametrize("argv, doc, msg", [
+    (["group", "info", "--group", "{f}"], {"name": "G"},
+     'group file needs a "mult" table or "perm_gens" list'),
+    (["group", "info", "--builtin", "Z2", "--cocycle", "cyclic:4"], None,
+     "--cocycle cyclic:N,Q needs two integers"),
+    (["group", "info", "--builtin", "Z2", "--cocycle", "cyclic:a,b"], None,
+     "--cocycle cyclic:N,Q needs two integers"),
+    (["group", "info", "--builtin", "Z2", "--cocycle", "{f}"], {"modulus": 2},
+     'cocycle file needs "modulus" and "dlog"'),
+    (["group", "info", "--builtin", "Z2", "--cocycle", "{f}"], {"modulus": 2, "dlog": [0] * 7},
+     "flat dlog must have 2^3 entries"),
+    (["invariants", "--builtin", "S3", "--triple", "0-x,0,trivial"], None,
+     "bad element list '0-x'; use dash-joined indices"),
+    (["invariants", "--builtin", "S3", "--triple", "0-9,0,trivial"], None,
+     "element out of range in '0-9'"),
+], ids=["no-table", "cyclic-one-int", "cyclic-not-ints", "no-dlog", "flat-dlog-length",
+        "bad-element-list", "element-out-of-range"])
+def test_bad_input_exits_2_with_its_message(tmp_path, capsys, argv, doc, msg):
+    f = tmp_path / "input.json"
+    if doc is not None:
+        f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.replace("{f}", str(f)) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+
 def test_non_group_table_fails(tmp_path, capsys):
     gf = tmp_path / "g.json"
     gf.write_text(json.dumps({"mult": [[0, 1], [1, 1]]}))

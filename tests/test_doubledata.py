@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdouble import (CheckFailure, GroupTooLarge, InputError, NotACocycle, ThreeCocycle,
                      TwistedDouble, VerlindeNonInteger, builtin_cyclic, builtin_group)
+from qdouble.characters import projective_table
 from qdouble.oracle import certify
 
 from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, twisted_z2_cubed,
@@ -221,9 +223,9 @@ def test_centralize_matches_s_matrix():
                 assert dd.centralize(i, j) == equal
 
 
-def _chi(cd, char_index, x):
-    """chi(x) in Q(zeta_N) for x in the centralizer cd, x a parent element."""
-    return cd.table.value(char_index, cd.local_of[x])
+def _chi(dd, s, x):
+    """chi(x) in Q(zeta_N) for the simple s and x in C_G(s.a), read off s.spectra."""
+    return dd.ctx.root_sum(s.spectra[x])
 
 
 def _cyclo_centralize(dd, i, j):
@@ -232,10 +234,9 @@ def _cyclo_centralize(dd, i, j):
     si, sj = dd.gamma[i], dd.gamma[j]
     if not all(G.commute(u, v) for u in G.class_of(si.a) for v in G.class_of(sj.a)):
         return False
-    cdi, cdj = dd.centralizer_data(si.a), dd.centralizer_data(sj.a)
     degdeg = ctx.from_int(si.degree * sj.degree)
     for u, v, e in dd._pair_terms(si.a, sj.a):
-        lhs = _chi(cdi, si.char_index, u) * _chi(cdj, sj.char_index, v)
+        lhs = _chi(dd, si, u) * _chi(dd, sj, v)
         if lhs * ctx.root_sum(((e % dd.omega.modulus) * dd.scale,)) != degdeg:
             return False
     return True
@@ -250,13 +251,12 @@ def test_braiding_rows_match_cyclo_predicate():
             assert rows[i] == expect, (dd.group.name, dd.omega.modulus, i)
         # r[x] is defined exactly where |chi(x)|^2 = d^2, an independent norm test
         for s in dd.gamma:
-            cd = dd.centralizer_data(s.a)
-            r = dd.scalar_exps(s.index)
+            r = s.scalar_exps
             for x in range(dd.group.order):
-                if x not in cd.local_of:
+                if not dd.group.commute(x, s.a):
                     assert r[x] is None
                     continue
-                chi = _chi(cd, s.char_index, x)
+                chi = _chi(dd, s, x)
                 assert (r[x] is not None) == (chi * chi.conj() == s.degree ** 2)
                 if r[x] is not None:
                     assert chi == dd.ctx.root_sum((r[x],)) * s.degree
@@ -265,8 +265,7 @@ def test_braiding_rows_match_cyclo_predicate():
 def _pair_sum(dd, i, j):
     """X = sum over _pair_terms of zeta_m^e chi_i(u) chi_j(v), with Cyclo products."""
     si, sj = dd.gamma[i], dd.gamma[j]
-    cdi, cdj = dd.centralizer_data(si.a), dd.centralizer_data(sj.a)
-    return sum([_chi(cdi, si.char_index, u) * _chi(cdj, sj.char_index, v)
+    return sum([_chi(dd, si, u) * _chi(dd, sj, v)
                 * dd.ctx.root_sum((e * dd.scale,))
                 for u, v, e in dd._pair_terms(si.a, sj.a)], dd.ctx.root_sum(()))
 
@@ -670,6 +669,79 @@ def test_twist_is_the_scalar_at_a():
     for dd in braiding_doubles():
         for s in dd.gamma:
             where = (dd.group.name, dd.omega.modulus, s.index)
-            chi = _chi(dd.centralizer_data(s.a), s.char_index, s.a)
+            chi = _chi(dd, s, s.a)
             assert chi == dd.ctx.root_sum((s.twist,)) * s.degree, where
-            assert s.twist == dd.scalar_exps(s.index)[s.a], where
+            assert s.twist == s.scalar_exps[s.a], where
+
+
+def test_simples_carry_their_centralizer_rows_on_g():
+    # each table row of C_G(a), read in sorted member order, is the simple's
+    # spectra on G, None exactly off C_G(a); the twist is the scalar at a
+    for dd in braiding_doubles() + [twisted_z2_cubed()]:
+        G, ctx = dd.group, dd.ctx
+        for a in G.class_reps:
+            P, members = dd.centralizer_table(a), G.centralizer_members(a)
+            simples = [s for s in dd.gamma if s.a == a]
+            assert [s.char_index for s in simples] == list(range(P.n_chars))
+            for s in simples:
+                where = (G.name, dd.omega.modulus, s.index)
+                assert [g for g in range(G.order) if s.spectra[g] is not None] == \
+                    list(members), where
+                for x, g in enumerate(members):
+                    assert ctx.root_sum(s.spectra[g]) == P.value(s.char_index, x), where
+                assert s.scalar_exps[s.a] == s.twist, where
+
+
+# -- the double's own checks name the double ------------------------------------------
+
+
+def _fresh_s3():
+    return TwistedDouble(builtin_group("S3"))
+
+
+def _wrap_centre_table(monkeypatch, change):
+    """projective_table with change applied to the table of C_G(e) = G."""
+    def wrapped(ctx, C, beta, m):
+        P = projective_table(ctx, C, beta, m)
+        return change(P) if C.order == 6 else P
+    monkeypatch.setattr("qdouble.doubledata.projective_table", wrapped)
+
+
+def test_a_nonscalar_twist_names_the_double(monkeypatch):
+    # rho(e) of the 2-dim character made (0, 3): not a scalar
+    _wrap_centre_table(monkeypatch, lambda P: replace(
+        P, spectra=P.spectra[:2] + (((0, 3),) + P.spectra[2][1:],)))
+    with pytest.raises(CheckFailure) as err:
+        _fresh_s3().gamma
+    assert str(err.value) == ("S3 (cocycle mod 1): twist of (0, 2) is not a root of "
+                              "unity: eigenvalue exponents (0, 3)")
+
+
+def test_missing_squared_dimensions_name_the_double(monkeypatch):
+    _wrap_centre_table(monkeypatch, lambda P: replace(
+        P, degrees=P.degrees[:2], spectra=P.spectra[:2]))
+    with pytest.raises(CheckFailure) as err:
+        _fresh_s3().gamma
+    assert str(err.value) == "S3 (cocycle mod 1): squared dimensions sum to 32, expected 36"
+
+
+def test_a_wrong_dimension_is_the_s_row_witness():
+    dd = _fresh_s3()
+    gamma = list(dd.gamma)
+    gamma[3] = replace(gamma[3], dim=gamma[3].dim + 1)
+    dd._gamma = tuple(gamma)
+    with pytest.raises(CheckFailure) as err:
+        dd.s_matrix
+    assert str(err.value) == ("S3 (cocycle mod 1): first S-matrix row does not match "
+                              "dimensions at s = 3: S_0s = 3, d_s = 4")
+
+
+def test_a_second_unit_row_names_the_double():
+    # N_10^0 = 1 next to N_11^0 = 1: simple 1 would have two duals
+    dd = _fresh_s3()
+    rows = [list(r) for r in dd.fusion]
+    rows[1][0] = ((0, 1),)
+    dd._fusion = tuple(map(tuple, rows))
+    with pytest.raises(CheckFailure) as err:
+        dd.duals
+    assert str(err.value) == "S3 (cocycle mod 1): dual of 1 is not unique: [0, 1]"

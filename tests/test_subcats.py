@@ -33,9 +33,7 @@ def test_members_match_cyclo_membership():
             for s in dd.gamma:
                 if s.a not in t.K.member_set:
                     continue
-                cd = dd.centralizer_data(s.a)
-                if all(cd.table.value(s.char_index, cd.local_of[h])
-                       == ctx.root_sum((t.exp(s.a, h),)) * s.degree
+                if all(ctx.root_sum(s.spectra[h]) == ctx.root_sum((t.exp(s.a, h),)) * s.degree
                        for h in t.H.members):
                     expect.add(s.index)
             assert sc.subcat_members(dd, t) == expect, (dd.group.name, t)
@@ -531,8 +529,7 @@ def _cyclo_gauss_sums(dd, t):
     thetas = []
     for i in sc.subcat_members(dd, t):
         s = dd.gamma[i]
-        cd = dd.centralizer_data(s.a)
-        theta = cd.table.value(s.char_index, cd.local_of[s.a]) * Fraction(1, s.degree)
+        theta = ctx.root_sum(s.spectra[s.a]) * Fraction(1, s.degree)
         thetas.append(theta * s.dim ** 2)
     return formula * (G.order // len(t.H)), sum(thetas, ctx.root_sum(()))
 
