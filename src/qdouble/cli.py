@@ -14,13 +14,14 @@ import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Sequence
 
 from .cocycles import ThreeCocycle, builtin_cyclic, check_identities, trivial_cocycle, validate
 from .cyclotomic import Cyclo
 from .doubledata import TwistedDouble
 from .errors import CheckFailure, InputError
-from .groups import BUILTIN_GROUP_NAMES, DEFAULT_ORDER_CAP, FiniteGroup, builtin_group
+from .groups import BUILTIN_GROUP_NAMES, DEFAULT_ORDER_CAP, FiniteGroup, Subgroup, builtin_group
 from . import oracle
 from . import subcats as sc
 
@@ -191,40 +192,63 @@ def _label(dd: TwistedDouble, t: sc.Triple) -> str:
 def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
     """Covering pairs (i, j): S(triples[i]) is maximal in S(triples[j]), by j then i.
 
-    S(K1, H1, B1) lies in S(K2, H2, B2) iff K1 <= K2, H2 <= H1 and B1 = B2
-    on K1 x H2 (subcats.contains). The triples are grouped by (K, H); for
-    each pair of groups with nested subgroups both sides are keyed by B on
-    K1 x H2 and matched in a dict (the low side's, one per low group and H2),
-    giving below[j] as a bitmask.
+    triples must be all of sc.enumerate_all(dd), in any order, as the covers
+    are read off the lattice of normal subgroups. S(K1, H1, B1) <= S(K2, H2,
+    B2) iff K1 <= K2, H2 <= H1 and B1 = B2 on K1 x H2 (subcats.contains).
+    Let S1 < S2 in that notation.
+
+    - A cover changes one side only. If K1 < K2 and H2 < H1, M = (K1, H2, B1
+      on K1 x H2) lies strictly between: K1 and H2 are normal and commute,
+      and B1 restricted is still a G-invariant bicharacter for the cocycle,
+      so M is enumerated (the exactness argument of subcats._equations).
+    - A one-sided cover is a cover of normal subgroups. With H1 = H2 = H, a
+      normal K, K1 < K < K2, commutes with H, so (K, H, B2 on K x H) lies
+      strictly between; likewise for H with K fixed. Conversely, a triple
+      between S1 and S2 with K1 maximal in K2 has H, B2 restricted, and K1
+      or K2, so it is S1 or S2.
+
+    So the edges are: same H, K1 maximal in K2, B1 = B2 on K1 x H; and same
+    K, H2 maximal in H1, B1 = B2 on K x H2. In a (K, H) group B determines
+    the triple, so a pair of groups is matched by keying both on B over
+    K1 x H2 in one dict.
     """
-    by_pair: dict[tuple, list[int]] = {}
+    normals = triples[0].K.group.normal_subgroups
+    # each normal subgroup's maximal normal subgroups
+    maximal: dict[Subgroup, list[Subgroup]] = {M: [] for M in normals}
+    for M, found in maximal.items():
+        for N in reversed(normals):   # in falling order a larger N comes first
+            if N.member_set < M.member_set and \
+               not any(N.member_set < C.member_set for C in found):
+                found.append(N)
+    groups: dict[tuple, list[int]] = {}
     for i, t in enumerate(triples):
-        by_pair.setdefault((t.K.members, t.H.members), []).append(i)
-    below = [0] * len(triples)
-    for lows in by_pair.values():
-        K1, H1 = triples[lows[0]].K, triples[lows[0]].H
-        tables: dict[tuple, dict[tuple, int]] = {}   # lows keyed on K1 x H2, per H2
-        for highs in by_pair.values():
-            K2, H2 = triples[highs[0]].K, triples[highs[0]].H
-            if highs is lows or K1.bitmask & ~K2.bitmask or H2.bitmask & ~H1.bitmask:
-                continue
-            kpos = [K2.index_of[k] for k in K1.members]
-            keyed = tables.setdefault(H2.members, {})
-            if not keyed:
-                hpos = [H1.index_of[h] for h in H2.members]
-                for i in lows:
-                    key = tuple([row[p] for row in triples[i].B for p in hpos])
-                    keyed[key] = keyed.get(key, 0) | 1 << i
-            for j in highs:
-                B = triples[j].B
-                below[j] |= keyed.get(tuple(chain.from_iterable(map(B.__getitem__, kpos))), 0)
-    edges = []
-    for j, mask in enumerate(below):
-        under = 0
-        for k in oracle.bits(mask):
-            under |= below[k]
-        edges += [(i, j) for i in oracle.bits(mask & ~under)]
-    return edges
+        groups.setdefault((t.K, t.H), []).append(i)
+    flat = [tuple(chain.from_iterable(t.B)) for t in triples]
+    below: list[list[int]] = [[] for _ in triples]
+
+    def keyed(ids: list[int], K1: Subgroup, H2: Subgroup) -> list[tuple[object, int]]:
+        # one position gives the entry, not a 1-tuple, on both sides alike
+        K, H = triples[ids[0]].K, triples[ids[0]].H
+        n = len(H)
+        get = itemgetter(*[K.index_of[k] * n + H.index_of[h]
+                           for k in K1.members for h in H2.members])
+        return [(get(flat[i]), i) for i in ids]
+
+    def match(lows: list[int], highs: list[int], K1: Subgroup, H2: Subgroup) -> None:
+        table: dict[object, list[int]] = {}
+        for key, i in keyed(lows, K1, H2):
+            table.setdefault(key, []).append(i)
+        for key, j in keyed(highs, K1, H2):
+            below[j] += table.get(key, ())
+
+    for (K, H), ids in groups.items():
+        for N in maximal[K]:
+            if (N, H) in groups:
+                match(groups[N, H], ids, N, H)
+        for N in maximal[H]:
+            if (K, N) in groups:
+                match(ids, groups[K, N], K, N)
+    return [(i, j) for j, lows in enumerate(below) for i in sorted(lows)]
 
 
 # -- subcommands --------------------------------------------------------------------

@@ -225,7 +225,7 @@ class TwistedDouble:
                 for t, A, Abar in pairs:
                     if (sum(map(mul, A[i], Abar[j])) - (i == j) * emb.target) % emb.p:
                         raise CheckFailure(
-                            f"{self.group.name}: S-matrix rows {i}, {j} not orthogonal "
+                            f"{self.where}: S-matrix rows {i}, {j} not orthogonal "
                             f"mod p = {emb.p} at t = {t}")
 
     def _verlinde_mod_p(self, S) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
@@ -247,13 +247,12 @@ class TwistedDouble:
         """
         G = self.group
         n = len(self.gamma)
-        name = G.name
         emb = self._embeddings(S)
         p, D, dims = emb.p, emb.D, emb.dims
         S_p, conj_p = emb.at[1 % self.ctx.N], emb.at[-1 % self.ctx.N]
         row0 = S_p[0]
         if not (G.order % p and D % p and all(row0) and p > max(dims) ** 2):
-            raise VerlindeNonInteger(f"{name}: prime {p} divides |G| or D = {D}, "
+            raise VerlindeNonInteger(f"{self.where}: prime {p} divides |G| or D = {D}, "
                                      "sends some S_0s to 0 or is at most d_max^2")
         # with c = D S the s-th term is c_is c_js conj(c_ks) / (D^2 c_0s |G|^2)
         scale = [pow(D * D * x * G.order ** 2, p - 2, p) for x in row0]
@@ -279,7 +278,7 @@ class TwistedDouble:
                     v = sum(map(mul, t, conj_p[k])) % p
                     if v > bound:
                         raise VerlindeNonInteger(
-                            f"{name}: N[{i}][{j}][{k}] = {v} mod {p} "
+                            f"{self.where}: N[{i}][{j}][{k}] = {v} mod {p} "
                             f"has no lift in [0, {bound}]")
                     if v:
                         row.append((k, v))
@@ -295,7 +294,7 @@ class TwistedDouble:
         fusion rows (sum_k N_ij^k <= d_i d_j).
         """
         emb = self._embeddings(S)
-        p, name, n, cols = emb.p, self.group.name, len(self.gamma), emb.columns
+        p, n, cols = emb.p, len(self.gamma), emb.columns
         flat = list(zip(*(col for _, _, _, col in cols)))
         weight = [emb.D * d for _, _, d, _ in cols]
         for i in range(n):
@@ -305,13 +304,13 @@ class TwistedDouble:
                     lhs = list(map(add, lhs, map(c.__mul__, flat[k])))
                     mass += abs(c)
                 if mass > emb.mass:
-                    raise VerlindeNonInteger(f"{name}: fusion row N[{i}][{j}] has "
+                    raise VerlindeNonInteger(f"{self.where}: fusion row N[{i}][{j}] has "
                                              f"sum_k |N_ij^k| = {mass} > n d_max^2")
                 res = [(w * u - x * y) % p for w, u, x, y in zip(weight, lhs, flat[i], flat[j])]
                 if any(res):
                     t, s, _, _ = cols[next(q for q, r in enumerate(res) if r)]
                     raise VerlindeNonInteger(
-                        f"{name}: fusion row N[{i}][{j}] fails sum_k N_ij^k S_ks = "
+                        f"{self.where}: fusion row N[{i}][{j}] fails sum_k N_ij^k S_ks = "
                         f"S_is S_js / d_s mod p = {p} at t = {t}, at s = {s}")
 
     @cached_property

@@ -436,6 +436,8 @@ def meet(dd: TwistedDouble, t1: Triple, t2: Triple) -> Triple:
                 prev = row.setdefault(h, e)
                 if prev != e:
                     raise CheckFailure(
+                        f"{dd.where}: meet of K = {list(t1.K.members)}, H = {list(t1.H.members)} "
+                        f"and K = {list(t2.K.members)}, H = {list(t2.H.members)}: "
                         f"pairing not well defined at ({a}, {h}): {prev} != {e}")
         rows.append(tuple(row[h] for h in H_meet.members))
     return Triple(K_meet, H_meet, tuple(rows))

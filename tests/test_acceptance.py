@@ -10,7 +10,8 @@ from qdouble import (builtin_cyclic, builtin_group, check_identities, coboundary
                      validate)
 from qdouble.characters import beta_regular_class_count
 
-from conftest import twisted_cyclic, untwisted, untwisted_cyclic
+from conftest import (braiding_doubles, twisted_cyclic, twisted_z2_cubed, untwisted,
+                      untwisted_cyclic)
 
 UNTWISTED_NAMES = ("Z2", "Z4", "Z2xZ2", "S3", "D4", "Q8")
 
@@ -115,33 +116,45 @@ def test_criterion_06_gauss_sums():
           f"triples; tau(whole) = |G| and zeta(whole) = 1")
 
 
+def _check_lattice_laws(dd):
+    """Meet/join/centralizer of every pair of triples against set oracles."""
+    ts = sc.enumerate_all(dd)
+    mem = {t: sc.subcat_members(dd, t) for t in ts}
+    for t1 in ts:
+        assert sc.meet(dd, t1, t1) == t1
+        assert sc.join(dd, t1, t1) == t1
+        c = sc.centralizer_triple(dd, t1)
+        assert sc.subcat_members(dd, c) == oracle.centralizing_simples(
+            dd, mem[t1])
+        for t2 in ts:
+            m = sc.meet(dd, t1, t2)
+            assert sc.subcat_members(dd, m) == mem[t1] & mem[t2]
+            assert m == sc.meet(dd, t2, t1)
+            j = sc.join(dd, t1, t2)
+            assert j == sc.join(dd, t2, t1)
+            jm = sc.subcat_members(dd, j)
+            assert jm >= mem[t1] | mem[t2]
+            assert all(not (mem[t] >= mem[t1] | mem[t2]) or jm <= mem[t]
+                       for t in ts)
+            assert sc.meet(dd, t1, j) == t1
+            assert sc.join(dd, t1, m) == t1
+
+
 def test_criterion_07_lattice_laws():
     """Meet/join/centralizer against set oracles plus lattice axioms."""
     for dd in (untwisted("Z2"), untwisted("Z4"), untwisted("Z2xZ2"),
                untwisted("S3"), untwisted("D4"),
                twisted_cyclic(2, 1), twisted_cyclic(4, 1)):
-        ts = sc.enumerate_all(dd)
-        mem = {t: sc.subcat_members(dd, t) for t in ts}
-        for t1 in ts:
-            assert sc.meet(dd, t1, t1) == t1
-            assert sc.join(dd, t1, t1) == t1
-            c = sc.centralizer_triple(dd, t1)
-            assert sc.subcat_members(dd, c) == oracle.centralizing_simples(
-                dd, mem[t1])
-            for t2 in ts:
-                m = sc.meet(dd, t1, t2)
-                assert sc.subcat_members(dd, m) == mem[t1] & mem[t2]
-                assert m == sc.meet(dd, t2, t1)
-                j = sc.join(dd, t1, t2)
-                assert j == sc.join(dd, t2, t1)
-                jm = sc.subcat_members(dd, j)
-                assert jm >= mem[t1] | mem[t2]
-                assert all(not (mem[t] >= mem[t1] | mem[t2]) or jm <= mem[t]
-                           for t in ts)
-                assert sc.meet(dd, t1, j) == t1
-                assert sc.join(dd, t1, m) == t1
+        _check_lattice_laws(dd)
     print("criterion 7 PASS: lattice operations match set oracles; "
           "idempotence, commutativity, absorption hold")
+
+
+def test_lattice_laws_on_twisted_doubles():
+    # S3, D4 and Q8 under cocycles pulled back from a quotient, a coboundary-twisted Z4,
+    # and Z2^3 under omega(a, b, c) = (-1)^(a1 b2 c3); criterion 7 has no non-abelian twist
+    for dd in (*braiding_doubles(), twisted_z2_cubed()):
+        _check_lattice_laws(dd)
 
 
 def test_criterion_08_cocycle_identity_suite():

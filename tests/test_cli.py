@@ -19,7 +19,8 @@ from qdouble import cli
 from qdouble.cli import _dumps, _hasse_edges, lattice_text, main
 from qdouble.groups import BUILTIN_GROUP_NAMES, builtin_group
 
-from conftest import twisted_cyclic, twisted_quotient, untwisted, untwisted_product
+from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, twisted_z2_cubed,
+                      untwisted, untwisted_product)
 
 
 def run(capsys, *argv):
@@ -525,13 +526,37 @@ LATTICES = {
 }
 
 
+def _hasse_doubles():
+    """Z2xZ4, Z3xZ3, S3xZ3, omega_2 on Z4, every braiding double and twisted Z2^3:
+    non-abelian and twisted doubles, each small enough for the pairwise oracle."""
+    return (untwisted_product("Z2", "Z4"), untwisted_product("Z3", "Z3"),
+            untwisted_product("S3", "Z3"), twisted_cyclic(4, 2),
+            *braiding_doubles(), twisted_z2_cubed())
+
+
 def test_hasse_edges_match_pairwise():
-    # Z3xZ3 reuses one key table per (low group, H2) for the most high groups
-    for dd in (untwisted_product("Z2", "Z4"), untwisted("D4"), untwisted_product("Z3", "Z3"),
-               untwisted_product("S3", "Z3"), twisted_cyclic(4, 1), twisted_cyclic(4, 2),
-               twisted_quotient("D4", 3)):
+    for dd in _hasse_doubles():
         triples = sc.enumerate_all(dd)
-        assert _hasse_edges(triples) == _pairwise_hasse_edges(dd, triples)
+        assert _hasse_edges(triples) == _pairwise_hasse_edges(dd, triples), dd.where
+
+
+def test_hasse_edges_are_one_sided_normal_covers():
+    # each edge moves K up or H down by a cover of the normal-subgroup lattice, never both
+    for dd in (*_hasse_doubles(), untwisted_product("D4", "Z2")):
+        normals = [N.member_set for N in dd.group.normal_subgroups]
+        covers = {(A, B) for A in normals for B in normals
+                  if A < B and not any(A < C < B for C in normals)}
+        triples = sc.enumerate_all(dd)
+        edges = _hasse_edges(triples)
+        assert edges == sorted(edges, key=lambda e: (e[1], e[0])), dd.where
+        assert len(set(edges)) == len(edges), dd.where
+        for i, j in edges:
+            lo, hi = triples[i], triples[j]
+            K = (lo.K.member_set, hi.K.member_set)
+            H = (hi.H.member_set, lo.H.member_set)
+            assert (K in covers and H[0] == H[1]) != (H in covers and K[0] == K[1]), \
+                (dd.where, i, j)
+            assert sc.contains(dd, lo, hi), (dd.where, i, j)
 
 
 @pytest.mark.parametrize("names", list(LATTICES), ids="x".join)

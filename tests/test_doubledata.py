@@ -348,7 +348,8 @@ def test_fusion_proof_rejects_rescaled_column():
         row[s] = row[s] * zeta
     dd._smatrix = tuple(tuple(row) for row in S)
     with pytest.raises(VerlindeNonInteger,
-                       match=r"D4: fusion row N\[0\]\[0\] .* at s = 5$"):
+                       match=r"^D4 \(cocycle mod 1\): fusion row N\[0\]\[0\] .* "
+                             r"at s = 5$"):
         dd.fusion
 
 
@@ -600,10 +601,12 @@ def test_checks_reject_a_prime_multiple_perturbation():
     p2 = dd._embeddings(S2).p
     assert p2 > p
     with pytest.raises(CheckFailure,
-                       match=rf"^D4: S-matrix rows 0, 3 not orthogonal mod p = {p2} at t = 1$"):
+                       match=rf"^D4 \(cocycle mod 1\): S-matrix rows 0, 3 not orthogonal "
+                             rf"mod p = {p2} at t = 1$"):
         dd._prove_unitary(S2)
     with pytest.raises(VerlindeNonInteger,
-                       match=rf"^D4: fusion row N\[\d+\]\[\d+\] fails .* mod p = {p2} "
+                       match=rf"^D4 \(cocycle mod 1\): fusion row N\[\d+\]\[\d+\] fails .* "
+                             rf"mod p = {p2} "
                              rf"at t = \d+, at s = {b}$"):
         dd._prove_fusion(S2, N)
     # the true data still passes, on its own prime
@@ -636,11 +639,12 @@ def test_a_column_seen_at_one_embedding_is_checked(name, t0):
     t_unitary = min(t0, dd.ctx.N - t0)
     assert emb.unitary_ts[0] == 1 and t_unitary in emb.unitary_ts
     with pytest.raises(CheckFailure,
-                       match=rf"^{name}: S-matrix rows 0, 0 not orthogonal "
+                       match=rf"^{name} \(cocycle mod 1\): S-matrix rows 0, 0 not orthogonal "
                              rf"mod p = {p} at t = {t_unitary}$"):
         dd._prove_unitary(S2)
     with pytest.raises(VerlindeNonInteger,
-                       match=rf"^{name}: fusion row N\[0\]\[0\] fails .* mod p = {p} "
+                       match=rf"^{name} \(cocycle mod 1\): fusion row N\[0\]\[0\] fails .* "
+                             rf"mod p = {p} "
                              rf"at t = {t0}, at s = {s}$"):
         dd._prove_fusion(S2, N)
 

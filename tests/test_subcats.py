@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from qdouble import InputError, builtin_group, direct_product, subcats as sc
+from qdouble import CheckFailure, InputError, builtin_group, direct_product, subcats as sc
 from qdouble.linmod import solve_mod
 from qdouble.subcats import DimensionMismatch, NotASubcategory, UnsupportedTriple
 
@@ -438,6 +438,19 @@ def test_muger_center_members():
             expect = frozenset(i for i in members
                                if all(dd.centralize(i, j) for j in members))
             assert sc.subcat_members(dd, z) == expect
+
+
+def test_meet_names_the_double_and_both_triples():
+    # B(e, 1) = 1 is no bicharacter: h = 2 is 0 * 2 and 1 * 1 in H1 H2, giving 0 and 2
+    dd = untwisted("Z3")
+    G = dd.group
+    t1 = sc.Triple(G.trivial_subgroup, G.whole_group, ((0, 1, 0),))
+    t2 = sc.Triple(G.whole_group, G.whole_group, ((0, 1, 0), (0, 0, 0), (0, 0, 0)))
+    with pytest.raises(CheckFailure) as info:
+        sc.meet(dd, t1, t2)
+    assert str(info.value) == ("Z3 (cocycle mod 1): meet of K = [0], H = [0, 1, 2] and "
+                               "K = [0, 1, 2], H = [0, 1, 2]: "
+                               "pairing not well defined at (0, 2): 0 != 2")
 
 
 def test_classify_z2():
