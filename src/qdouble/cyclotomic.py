@@ -60,21 +60,7 @@ class CycloContext:
             raise InputError("N >= 1")
         self.N = N
         phi = cyclotomic_polynomial(N)
-        self.degree = len(phi) - 1
-        d = self.degree
-        # reduction rows: coefficients of x^k mod Phi_N for k up to the largest
-        # exponent produced by products (2d-2) and by conjugation lookups (N-1)
-        top = max(N - 1, 2 * d - 2, d)
-        rows: list[tuple[int, ...]] = [tuple(1 if i == k else 0 for i in range(d)) for k in range(d)]
-        for k in range(d, top + 1):
-            prev = rows[k - 1]
-            shifted = [0] + list(prev[: d - 1])
-            lead = prev[d - 1]
-            if lead:
-                for i in range(d):
-                    shifted[i] -= lead * phi[i]
-            rows.append(tuple(shifted))
-        self._pow_rows = tuple(rows)
+        self.degree = d = len(phi) - 1
         # x^d = -sum p_j x^j over the nonzero lower coefficients p_j of Phi_N
         self._phi_low = tuple((j, p) for j, p in enumerate(phi[:d]) if p)
         # sort_key_of's memo: the character tables of one double share their keys
@@ -85,7 +71,7 @@ class CycloContext:
 
     @property
     def one(self) -> "Cyclo":
-        return Cyclo(self, self._pow_rows[0], 1)
+        return self.from_int(1)
 
     def from_int(self, c: int) -> "Cyclo":
         d = self.degree
@@ -96,24 +82,27 @@ class CycloContext:
         return _make(self, [q.numerator] + [0] * (d - 1), q.denominator)
 
     def root_sum(self, exps: Iterable[int]) -> "Cyclo":
-        """sum of zeta_N^e over the exponents: counted mod N, reduced once.
-
-        The counts are a polynomial of degree < N (x^N = 1 mod Phi_N); its
-        remainder mod Phi_N is taken by folding the top coefficient down,
-        from x^(N-1) to x^d, through x^d = -sum p_j x^j.
-        """
-        N, d = self.N, self.degree
+        """sum of zeta_N^e over the exponents: counted mod N, then folded."""
+        N = self.N
         acc = [0] * N
         for e in exps:
             acc[e % N] += 1
-        low = self._phi_low
-        for k in range(N - 1, d - 1, -1):
+        return Cyclo(self, tuple(self._fold(acc)), 1)
+
+    def _fold(self, acc: list[int]) -> list[int]:
+        """The field's one reduction: sum acc[k] x^k (k < N, as x^N = 1) mod Phi_N.
+
+        acc is folded in place from x^(N-1) down to x^d through
+        x^d = -sum p_j x^j; its d low coefficients are the remainder.
+        """
+        d, low = self.degree, self._phi_low
+        for k in range(self.N - 1, d - 1, -1):
             c = acc[k]
             if c:
                 base = k - d
                 for j, p in low:
                     acc[base + j] -= c * p
-        return Cyclo(self, tuple(acc[:d]), 1)
+        return acc[:d]
 
     def sort_key_of(self, exps: tuple[int, ...]) -> tuple:
         """root_sum(exps).sort_key(), computed once per exponent tuple."""
@@ -186,38 +175,24 @@ class Cyclo:
             return _make(ctx, [c * other.numerator for c in self.num],
                          self.den * other.denominator)
         self._check(other)
-        d = ctx.degree
-        a, b = self.num, other.num
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
+        N = ctx.N
+        acc = [0] * N
+        for i, ai in enumerate(self.num):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(other.num, i):
                     if bj:
-                        conv[i + j] += ai * bj
-        res = list(conv[:d])
-        rows = ctx._pow_rows
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k]
-                for i in range(d):
-                    res[i] += c * row[i]
-        return _make(ctx, res, self.den * other.den)
+                        acc[j % N] += ai * bj
+        return _make(ctx, ctx._fold(acc), self.den * other.den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "Cyclo":
         """Complex conjugation zeta -> zeta^{-1}."""
         ctx = self.ctx
-        d = ctx.degree
-        rows = ctx._pow_rows
-        res = [0] * d
+        acc = [0] * ctx.N
         for i, c in enumerate(self.num):
-            if c:
-                row = rows[(ctx.N - i) % ctx.N]
-                for j in range(d):
-                    res[j] += c * row[j]
-        return _make(ctx, res, self.den)
+            acc[-i % ctx.N] += c
+        return _make(ctx, ctx._fold(acc), self.den)
 
     # -- predicates and conversions --------------------------------------------
 

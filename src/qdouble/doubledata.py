@@ -389,7 +389,7 @@ class _Embeddings:
     completely, the kernels of the phi(N) maps sigma_t are the distinct primes
     above p, so X lies in their product pZ[zeta_N] and p divides each
     coordinate. B is computed from S. With R_inf, R_1 the largest max and L1
-    norms of ctx._pow_rows (coordinates of the powers of zeta_N) and |c|_1,
+    norms of the coordinates of the powers zeta_N^k, k < N, and |c|_1,
     |c|_inf those of the c_ik (conj x has L1 norm <= R_1 |x|_1; a product xy
     has coordinates <= R_inf |x|_1 |y|_1), the residuals are at most
     - unitarity: n R_inf |c|_1 R_1 |c|_1 + D^2 |G|^2;
@@ -400,7 +400,8 @@ class _Embeddings:
     """
 
     def __init__(self, ctx: CycloContext, S, order: int, dims: list[int]):
-        n, N, rows = len(S), ctx.N, ctx._pow_rows
+        n, N = len(S), ctx.N
+        rows = [ctx.root_sum((k,)).num for k in range(N)]
         self.S, self.N, self.dims = S, N, dims
         self.D = D = lcm(*(x.den for row in S for x in row))
         c = [[[v * (D // x.den) for v in x.num] for x in row] for row in S]

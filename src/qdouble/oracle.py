@@ -137,11 +137,6 @@ def projectively_centralizing_simples(dd: TwistedDouble,
                      if all(dd.common_phase(i, j) is not None for j in ms))
 
 
-def _where(dd: TwistedDouble, t: sc.Triple) -> str:
-    """The double of a failed check, named as dd.where names it, and the triple's K and H."""
-    return f"{dd.where} at K = {list(t.K.members)}, H = {list(t.H.members)}"
-
-
 def _differ(got: frozenset[int], expect: frozenset[int]) -> str:
     return f"they differ first at simple {min(got ^ expect)}"
 
@@ -173,14 +168,14 @@ def certify(dd: TwistedDouble) -> dict:
         other = owner.setdefault(ms, t)
         if other is not t:
             raise CheckFailure(
-                f"{_where(dd, t)}: member set shared with K = {list(other.K.members)}, "
+                f"{sc.where(dd, t)}: member set shared with K = {list(other.K.members)}, "
                 f"H = {list(other.H.members)}")
 
     for t in triples:
         got = sc.subcat_members(dd, sc.centralizer_triple(dd, t))
         expect = centralizing_simples(dd, members[t])
         if got != expect:
-            raise CheckFailure(f"{_where(dd, t)}: centralizer triple's members are not "
+            raise CheckFailure(f"{sc.where(dd, t)}: centralizer triple's members are not "
                                f"the AND of braiding rows; {_differ(got, expect)}")
 
     untwisted = dd.omega.is_trivial

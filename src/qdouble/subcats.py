@@ -91,6 +91,11 @@ class TripleFlags:
         return ",".join(_FLAG_ABBREVIATIONS[name] for name in self.names()) or "-"
 
 
+def where(dd: TwistedDouble, t: Triple) -> str:
+    """The double of a failed check, named as dd.where names it, and the triple's K and H."""
+    return f"{dd.where} at K = {list(t.K.members)}, H = {list(t.H.members)}"
+
+
 # -- bicharacter enumeration ------------------------------------------------------
 
 
@@ -282,7 +287,7 @@ def subcat_members(dd: TwistedDouble, t: Triple) -> frozenset[int]:
     dim = sum(dd.gamma[i].dim ** 2 for i in members)
     if dim != t.dim:
         raise DimensionMismatch(
-            f"members carry dimension {dim}, triple predicts {t.dim}")
+            f"{where(dd, t)}: members carry dimension {dim}, triple predicts {t.dim}")
     result = frozenset(members)
     dd.subcat_caches[t] = result
     return result
@@ -378,8 +383,10 @@ def enumerate_all(dd: TwistedDouble) -> tuple[Triple, ...]:
         return cached
     triples = sorted((t for K, H in dd.group.centralizing_pairs()
                       for t in bicharacters(dd, K, H)), key=Triple.sort_key)
-    if len(set(triples)) != len(triples):
-        raise CheckFailure("duplicate triples in enumeration")
+    # equal triples have equal sort keys, so a repeat sits next to its twin
+    for t, u in zip(triples, triples[1:]):
+        if t == u:
+            raise CheckFailure(f"{where(dd, t)}: duplicate triples in enumeration")
     result = tuple(triples)
     dd.subcat_caches[key] = result
     return result
@@ -523,7 +530,7 @@ def gauss_sum(dd: TwistedDouble, t: Triple) -> Cyclo:
                              for _ in range(gamma[i].dim ** 2))
     if tau != tau_theta:
         raise CheckFailure(
-            f"Gauss sum mismatch: formula {tau}, twist sum {tau_theta}")
+            f"{where(dd, t)}: Gauss sum mismatch: formula {tau}, twist sum {tau_theta}")
     return tau
 
 

@@ -1,13 +1,15 @@
 """Exact cyclotomic arithmetic."""
 
 import cmath
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdouble import CycloContext
-from qdouble.cyclotomic import cyclotomic_polynomial
+from qdouble.cyclotomic import Cyclo, cyclotomic_polynomial
 
 
 KNOWN_POLYS = {
@@ -133,26 +135,60 @@ def test_root_sum_matches_field_sum(N, exps):
     assert ctx.root_sum(exps) == sum([ctx.root_sum((e,)) for e in exps], ctx.root_sum(()))
 
 
-def _oracle_sum(ctx, exps):
-    """Coordinate sum of the shift-reduce rows x^(e mod N) mod Phi_N."""
-    total = [0] * ctx.degree
-    for e in exps:
-        total = [t + r for t, r in zip(total, ctx._pow_rows[e % ctx.N])]
+@lru_cache(maxsize=None)
+def _oracle_rows(N):
+    """x^k mod Phi_N for k < N, by shift and reduce: a second algorithm to the fold."""
+    phi = cyclotomic_polynomial(N)
+    d = len(phi) - 1
+    rows = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    while len(rows) < N:
+        prev = rows[-1]
+        rows.append(tuple(s - prev[-1] * p for s, p in zip((0,) + prev[:-1], phi)))
+    return rows
+
+
+def _oracle_sum(N, coeffs):
+    """Coordinate sum of c x^(e mod N) mod Phi_N over the (e, c) pairs."""
+    counts = [0] * N
+    for e, c in coeffs:
+        counts[e % N] += c
+    rows = _oracle_rows(N)
+    total = [0] * len(rows[0])
+    for row, c in zip(rows, counts):
+        if c:
+            total = [t + c * r for t, r in zip(total, row)]
     return tuple(total)
 
 
 def test_fold_reaches_coefficient_two():
-    # Phi_105 and Phi_210 are the first with a coefficient outside {0, 1, -1}
+    # Phi_105 and Phi_210 are the first with a coefficient outside {0, 1, -1},
+    # Phi_385 the first with one outside {0, +-1, +-2}
     for N in (105, 210):
         assert max(abs(p) for _, p in CycloContext(N)._phi_low) == 2
+    assert max(abs(p) for _, p in CycloContext(385)._phi_low) == 3
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.integers(1, 120), st.sampled_from((1, 2, 105, 210))),
+@given(st.one_of(st.integers(1, 120), st.sampled_from((1, 2, 105, 210, 385))),
        st.lists(st.integers(-500, 500), max_size=60))
 def test_root_sum_fold_matches_pow_rows(N, exps):
     ctx = CycloContext(N)
     z = ctx.root_sum(exps)
-    assert z.num == _oracle_sum(ctx, exps) and z.den == 1
+    assert z.num == _oracle_sum(N, ((e, 1) for e in exps)) and z.den == 1
     exact = sum(cmath.exp(2j * cmath.pi * e / N) for e in exps)
     assert abs(z.to_complex() - exact) <= 1e-9 * max(len(exps), 1)
+
+
+def test_product_and_conj_match_pow_rows():
+    # the schoolbook product and the reindexed sum, reduced by the oracle rows
+    for N in (8, 24, 105, 210, 385):
+        ctx = CycloContext(N)
+        for seed in range(20):
+            rng = random.Random(seed)
+            a, b = (Cyclo(ctx, tuple(rng.randint(-9, 9) for _ in range(ctx.degree)), 1)
+                    for _ in range(2))
+            product = [(i + j, x * y) for i, x in enumerate(a.num)
+                       for j, y in enumerate(b.num)]
+            conj = [(-i, x) for i, x in enumerate(a.num)]
+            assert (a * b).num == _oracle_sum(N, product), (N, seed)
+            assert a.conj().num == _oracle_sum(N, conj), (N, seed)

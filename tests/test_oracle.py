@@ -8,8 +8,8 @@ import pytest
 from qdouble import CheckFailure, Cyclo, TwistedDouble, builtin_group, oracle, subcats as sc
 from qdouble.groups import BUILTIN_GROUP_NAMES
 
-from conftest import (twisted_cyclic, twisted_cyclic_coboundary, twisted_quotient,
-                      twisted_z2_cubed, untwisted, untwisted_cyclic, untwisted_product)
+from conftest import (braiding_doubles, twisted_cyclic, twisted_cyclic_coboundary,
+                      twisted_quotient, twisted_z2_cubed, untwisted, untwisted_cyclic, untwisted_product)
 
 
 def test_fusion_closure_basics():
@@ -107,6 +107,35 @@ def test_certify_s3xs3():
     # 64 simples over phi(36) = 12 embeddings, proved once per distinct column
     rep = oracle.certify(untwisted_product("S3", "S3"))
     assert rep == {"triples": 68, "closed_sets": 68, "bijection": True}
+
+
+def test_certify_names_both_triples_of_a_shared_member_set():
+    # a fresh double, so the cached one keeps its member sets
+    dd = untwisted.__wrapped__("S3")
+    first, second = sc.enumerate_all(dd)[:2]
+    dd.subcat_caches[second] = sc.subcat_members(dd, first)
+    with pytest.raises(CheckFailure) as info:
+        oracle.certify(dd)
+    assert str(info.value) == ("S3 (cocycle mod 1) at K = [0], H = [0, 2, 5]: "
+                               "member set shared with K = [0], H = [0]")
+
+
+def test_flags_match_their_set_level_definitions():
+    # with M the members and C the simples centralizing M: symmetric iff M <= C,
+    # isotropic iff every twist is 0, Lagrangian iff isotropic of dimension |G|,
+    # nondegenerate iff M n C is the unit
+    doubles = (braiding_doubles() + [twisted_z2_cubed()]
+               + [untwisted(name) for name in BUILTIN_GROUP_NAMES]
+               + [untwisted_product("D4", "Z2"), untwisted_product("S3", "Z3")])
+    for dd in doubles:
+        for t in sc.enumerate_all(dd):
+            members = sc.subcat_members(dd, t)
+            central = oracle.centralizing_simples(dd, members)
+            isotropic = all(dd.gamma[i].twist == 0 for i in members)
+            expect = sc.TripleFlags(members <= central, isotropic,
+                                    isotropic and t.dim == dd.group.order,
+                                    members & central == {dd.unit_index})
+            assert sc.classify(dd, t) == expect, (dd.where, t)
 
 
 def test_closed_sets_are_joins_of_singletons():

@@ -1,6 +1,7 @@
 """Triples (K, H, B): enumeration, lattice operations, invariants."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -89,7 +90,8 @@ def test_build_subcat_dimension_mismatch():
                 for k in range(4))
     with pytest.raises(NotASubcategory, match="not a G-invariant bicharacter"):
         sc.build_subcat(dd, K, H, bad)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^Z4 \(cocycle mod 1\) at K = \[0, 1, 2, 3\], "
+                       r"H = \[0, 1, 2, 3\]: members carry dimension 3, triple predicts 4$"):
         sc.subcat_members(dd, sc.Triple(K, H, bad))
     # entries lie in 0..N-1, so each subcategory has one value: on Z2,
     # ((0, 0), (0, 3)) would have the members of the enumerated ((0, 0), (0, 1))
@@ -453,6 +455,17 @@ def test_meet_names_the_double_and_both_triples():
                                "pairing not well defined at (0, 2): 0 != 2")
 
 
+def test_duplicate_triples_name_the_double_and_the_triple(monkeypatch):
+    # a fresh double, so the cached one keeps its enumeration
+    dd = untwisted.__wrapped__("S3")
+    once = sc.bicharacters
+    monkeypatch.setattr(sc, "bicharacters", lambda dd, K, H: once(dd, K, H) * 2)
+    with pytest.raises(CheckFailure) as info:
+        sc.enumerate_all(dd)
+    assert str(info.value) == ("S3 (cocycle mod 1) at K = [0], H = [0]: "
+                               "duplicate triples in enumeration")
+
+
 def test_classify_z2():
     dd = untwisted("Z2")
     flags = [sc.classify(dd, t).short() for t in sc.enumerate_all(dd)]
@@ -552,6 +565,18 @@ def test_gauss_sum_matches_field_reference():
         for t in sc.enumerate_all(dd):
             formula, twists = _cyclo_gauss_sums(dd, t)
             assert sc.gauss_sum(dd, t) == formula == twists, (dd.group.name, t)
+
+
+def test_gauss_sum_mismatch_names_the_double_and_the_triple():
+    # the fermion's twist moved from -1 to 1: the twist sum is 4, the formula 2
+    dd = untwisted.__wrapped__("Z2")
+    gamma = list(dd.gamma)
+    gamma[3] = replace(gamma[3], twist=gamma[3].twist + 1)
+    dd._gamma = tuple(gamma)
+    with pytest.raises(CheckFailure) as info:
+        sc.gauss_sum(dd, sc.whole_triple(dd))
+    assert str(info.value) == ("Z2 (cocycle mod 1) at K = [0, 1], H = [0]: "
+                               "Gauss sum mismatch: formula 2, twist sum 4")
 
 
 def test_semion_invariants():
