@@ -148,11 +148,14 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
 
 def _dumps(x: object, pad: str = "\n") -> str:
     """json.dumps(x, indent=2) byte for byte, for str keys; pad precedes x's closing
-    bracket. Ints, int lists and lists of non-empty int lists are joined in C."""
+    bracket. Ints, int lists and lists of non-empty int lists are joined in C; a
+    callable is a value that renders itself, given pad."""
     if type(x) is int:      # not bool: bools, floats and None take json.dumps
         return int.__repr__(x)
     if type(x) is str:
         return _quote(x)
+    if callable(x):
+        return x(pad)
     if not x or not isinstance(x, (list, tuple, dict)):
         return json.dumps(x)
     sep = "," + (inner := pad + "  ")
@@ -183,10 +186,32 @@ def _triple_json(dd: TwistedDouble, t: sc.Triple) -> dict:
             "flags": sc.classify(dd, t).names()}
 
 
-def _label(dd: TwistedDouble, t: sc.Triple) -> str:
+def _triples_json(dd: TwistedDouble, pad: str) -> str:
+    """_dumps of [dict(_triple_json(dd, t), index=i) for i, t in enumerate(triples)],
+    triples = sc.enumerate_all(dd), rendered one (K, H) block at a time: the
+    texts of K, H, N and dim once per block, each flags list once and each row
+    of B once per block, so a triple adds only the join of its row texts."""
+    inner = pad + "  "          # a triple's braces
+    field = inner + "  "        # its keys
+    row = field + "  "          # the rows of B
+    flag_text = functools.cache(lambda f: _dumps(f.names(), field))
+    flags = iter(sc.all_flags(dd))
+    out: list[str] = []
+    for K, H, block in sc.blocks(dd):
+        head = (f'{{{field}"K": {_dumps(K.members, field)},{field}"H": {_dumps(H.members, field)}'
+                f',{field}"B": [{row}')
+        mid = f'{field}],{field}"N": {dd.ctx.N},{field}"dim": {block[0].dim},{field}"flags": '
+        row_text = functools.cache(lambda r: _dumps(r, row))
+        for t, f in zip(block, flags):
+            out.append(f'{head}{("," + row).join(map(row_text, t.B))}{mid}{flag_text(f)}'
+                       f',{field}"index": {len(out)}{inner}}}')
+    return f"[{inner}{(',' + inner).join(out)}{pad}]"
+
+
+def _label(t: sc.Triple, flags: sc.TripleFlags) -> str:
     return "K=%s;H=%s;dim=%d;flags=%s" % (
         "-".join(map(str, t.K.members)), "-".join(map(str, t.H.members)),
-        t.dim, sc.classify(dd, t).short())
+        t.dim, flags.short())
 
 
 def _hasse_edges(triples: Sequence[sc.Triple]) -> list[tuple[int, int]]:
@@ -279,8 +304,8 @@ def _cmd_subcats(args: argparse.Namespace) -> int:
     dd = _double(args)
     triples = sc.enumerate_all(dd)
     print(f"{len(triples)} fusion subcategories")
-    for i, t in enumerate(triples):
-        print(f"#{i} {_label(dd, t)} B={t.B}")
+    for i, (t, flags) in enumerate(zip(triples, sc.all_flags(dd))):
+        print(f"#{i} {_label(t, flags)} B={t.B}")
     return 0
 
 
@@ -290,14 +315,14 @@ def lattice_text(dd: TwistedDouble, fmt: str) -> str:
     edges = _hasse_edges(triples)
     if fmt == "dot":
         lines = ["digraph lattice {", "  rankdir=BT;"]
-        lines += [f'  n{i} [label="{_label(dd, t)}"];' for i, t in enumerate(triples)]
+        lines += [f'  n{i} [label="{_label(t, flags)}"];'
+                  for i, (t, flags) in enumerate(zip(triples, sc.all_flags(dd)))]
         lines += [f"  n{i} -> n{j};" for i, j in edges]
         lines.append("}")
         return "\n".join(lines) + "\n"
     doc = {"group": dd.group.name, "order": dd.group.order,
            "cocycle_modulus": dd.omega.modulus,
-           "triples": [dict(_triple_json(dd, t), index=i)
-                       for i, t in enumerate(triples)],
+           "triples": functools.partial(_triples_json, dd),
            "edges": [list(e) for e in edges]}
     return _dumps(doc) + "\n"
 

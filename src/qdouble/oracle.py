@@ -9,6 +9,7 @@ the S-matrix, each checked to be fusion-closed.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Iterable, Sequence
 
 from .doubledata import TwistedDouble
@@ -160,6 +161,11 @@ def certify(dd: TwistedDouble) -> dict:
     C(C(C(X))) = C(X); each M is an intersection of rows, M = C(X), so
     C(C(M)) = M. The centralizer triple S(H, K, .) has members C(M), and
     subcat_members certifies dim M = |K|[G:H], dim C(M) = |H|[G:K]: product |G|^2.
+
+    The flags of sc.all_flags, the pass that flag_counts reads, must match
+    their set-level definitions, with M the members and C = C(M): symmetric
+    iff M <= C, isotropic iff every member's twist is 0, Lagrangian iff
+    isotropic of dimension |G|, nondegenerate iff M n C is the unit.
     """
     triples = sc.enumerate_all(dd)
     members = {t: sc.subcat_members(dd, t) for t in triples}
@@ -171,12 +177,22 @@ def certify(dd: TwistedDouble) -> dict:
                 f"{sc.where(dd, t)}: member set shared with K = {list(other.K.members)}, "
                 f"H = {list(other.H.members)}")
 
-    for t in triples:
+    gamma, unit, order = dd.gamma, frozenset((dd.unit_index,)), dd.group.order
+    for t, flags in zip(triples, sc.all_flags(dd)):
+        ms = members[t]
         got = sc.subcat_members(dd, sc.centralizer_triple(dd, t))
-        expect = centralizing_simples(dd, members[t])
-        if got != expect:
+        central = centralizing_simples(dd, ms)
+        if got != central:
             raise CheckFailure(f"{sc.where(dd, t)}: centralizer triple's members are not "
-                               f"the AND of braiding rows; {_differ(got, expect)}")
+                               f"the AND of braiding rows; {_differ(got, central)}")
+        isotropic = all(gamma[i].twist == 0 for i in ms)
+        expect = sc.TripleFlags(ms <= central, isotropic, isotropic and t.dim == order,
+                                ms & central == unit)
+        if flags != expect:
+            name = next(f.name for f in fields(flags)
+                        if getattr(flags, f.name) != getattr(expect, f.name))
+            raise CheckFailure(f"{sc.where(dd, t)}: flag {name} is {getattr(flags, name)}, "
+                               f"its set-level definition gives {getattr(expect, name)}")
 
     untwisted = dd.omega.is_trivial
     closed = (all_closed_sets(dd) if untwisted else

@@ -12,7 +12,8 @@ lattice operations (centralizer, meet, join, center) act on triples directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .cyclotomic import Cyclo
@@ -392,6 +393,13 @@ def enumerate_all(dd: TwistedDouble) -> tuple[Triple, ...]:
     return result
 
 
+def blocks(dd: TwistedDouble) -> Iterator[tuple[Subgroup, Subgroup, list[Triple]]]:
+    """enumerate_all(dd) as (K, H, its triples) per pair, in order: the sort
+    keeps each pair's triples together."""
+    for (K, H), block in groupby(enumerate_all(dd), key=attrgetter("K", "H")):
+        yield K, H, list(block)
+
+
 def whole_triple(dd: TwistedDouble) -> Triple:
     G = dd.group
     return Triple.with_trivial_pairing(G.whole_group, G.trivial_subgroup)
@@ -464,45 +472,71 @@ def muger_center(dd: TwistedDouble, t: Triple) -> Triple:
 # -- invariants --------------------------------------------------------------------
 
 
-def classify(dd: TwistedDouble, t: Triple) -> TripleFlags:
-    """Flags from one pass over B on KH x KH, KH = K n H (that is K x K when K <= H)."""
-    N, K, H = dd.ctx.N, t.K, t.H
+def block_flags(dd: TwistedDouble, K: Subgroup, H: Subgroup,
+                tables: Iterable[tuple[tuple[int, ...], ...]]) -> list[TripleFlags]:
+    """The flags of (K, H, B) for each B in tables, from one pass over B on
+    KH x KH, KH = K n H (that is K x K when K <= H).
+
+    What depends on K and H alone is read once: KH's positions in K and H,
+    whether K <= H and K = H, and whether HK = G, decided as |H| |K| = |G| |KH|,
+    exact since HK is a subgroup when H and K are normal. Each B then only
+    decides its radical, isotropy and nondegeneracy.
+    """
+    N = dd.ctx.N
     KH = [a for a in K.members if a in H.member_set]
+    kpos = [K.index_of[a] for a in KH]
     hpos = [H.index_of[a] for a in KH]
-    block = [[*map(t.B[K.index_of[a]].__getitem__, hpos)] for a in KH]
-    # a is in the radical iff its row is antisymmetric: B(a, j) B(j, a) = 1 for j in KH
-    in_radical = [not any(map(N.__rmod__, map(int.__add__, row, col)))
-                  for row, col in zip(block, zip(*block))]
     k_in_h = len(KH) == len(K)
-    symmetric = k_in_h and all(in_radical)
-    isotropic = k_in_h and not any(row[i] for i, row in enumerate(block))
-    lagrangian = isotropic and K.members == H.members
-    # K and H are normal, so HK is a subgroup, of order |H||K| / |H n K|
-    nondegenerate = len(H) * len(K) == dd.group.order * len(KH) and sum(in_radical) == 1
-    return TripleFlags(symmetric, isotropic, lagrangian, nondegenerate)
+    k_is_h = K.members == H.members
+    spans = len(H) * len(K) == dd.group.order * len(KH)
+    negate = [-e % N for e in range(N)]
+    flags = []
+    for B in tables:
+        block = [tuple(map(B[i].__getitem__, hpos)) for i in kpos]
+        # a is in the radical iff its row is minus its column: B(a, j) B(j, a) = 1 for j in KH
+        radical = sum(map(tuple.__eq__, block,
+                          (tuple(map(negate.__getitem__, c)) for c in zip(*block))))
+        symmetric = k_in_h and radical == len(KH)
+        isotropic = k_in_h and not any(row[i] for i, row in enumerate(block))
+        flags.append(TripleFlags(symmetric, isotropic, isotropic and k_is_h,
+                                 spans and radical == 1))
+    return flags
+
+
+def classify(dd: TwistedDouble, t: Triple) -> TripleFlags:
+    """The flags of one triple."""
+    return block_flags(dd, t.K, t.H, [t.B])[0]
+
+
+def all_flags(dd: TwistedDouble) -> tuple[TripleFlags, ...]:
+    """The flags of each triple of enumerate_all(dd), in its order, from one
+    block_flags call per (K, H) block."""
+    key = ("flags",)
+    cached = dd.subcat_caches.get(key)
+    if cached is not None:
+        return cached
+    flags: list[TripleFlags] = []
+    for K, H, block in blocks(dd):
+        flags += block_flags(dd, K, H, [t.B for t in block])
+    result = dd.subcat_caches[key] = tuple(flags)
+    return result
 
 
 def flag_counts(dd: TwistedDouble) -> dict[str, int]:
-    """How many triples carry each flag, classifying each triple once.
+    """How many triples carry each flag, read off all_flags.
 
     Keyed by the flag names in field order, then "proper nondegenerate":
     the nondegenerate triples with 1 < dim < |G|^2, that is, other than
     the trivial and the whole triple.
     """
-    key = ("flags",)
-    cached = dd.subcat_caches.get(key)
-    if cached is not None:
-        return dict(cached)
     order = dd.group.order
     counts = dict.fromkeys([*_FLAG_ABBREVIATIONS, "proper nondegenerate"], 0)
-    for t in enumerate_all(dd):
-        names = classify(dd, t).names()
-        for name in names:
+    for t, f in zip(enumerate_all(dd), all_flags(dd)):
+        for name in f.names():
             counts[name] += 1
-        if "nondegenerate" in names and 1 < t.dim < order ** 2:
+        if f.nondegenerate and 1 < t.dim < order ** 2:
             counts["proper nondegenerate"] += 1
-    dd.subcat_caches[key] = counts
-    return dict(counts)
+    return counts
 
 
 def nondegenerate_count(dd: TwistedDouble) -> int:

@@ -7,7 +7,21 @@ from functools import reduce
 from qdouble import (TwistedDouble, builtin_cyclic, builtin_group, coboundary,
                      cyclic_group, pullback, validate)
 from qdouble.cocycles import ThreeCocycle, product
+from qdouble.cyclotomic import cyclotomic_polynomial
 from qdouble.groups import FiniteGroup, direct_product
+
+
+@functools.lru_cache(maxsize=None)
+def power_rows(N: int) -> list[tuple[int, ...]]:
+    """x^k mod Phi_N for k < N, by shift and reduce: a second algorithm to the
+    library's fold."""
+    phi = cyclotomic_polynomial(N)
+    d = len(phi) - 1
+    rows = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    while len(rows) < N:
+        prev = rows[-1]
+        rows.append(tuple(s - prev[-1] * p for s, p in zip((0,) + prev[:-1], phi)))
+    return rows
 
 
 @functools.lru_cache(maxsize=None)

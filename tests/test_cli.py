@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import qdouble
 from qdouble import CheckFailure, InputError, builtin_cyclic, oracle, subcats as sc
 from qdouble import cli
-from qdouble.cli import _dumps, _hasse_edges, lattice_text, main
+from qdouble.cli import _dumps, _hasse_edges, _triple_json, lattice_text, main
 from qdouble.groups import BUILTIN_GROUP_NAMES, builtin_group
 
 from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, twisted_z2_cubed,
@@ -247,12 +247,14 @@ def test_verify_flags_match_subcats_list(capsys):
 
 
 def test_verify_classifies_each_triple_once(monkeypatch, capsys):
-    calls = []
-    real = sc.classify
-    monkeypatch.setattr(sc, "classify", lambda dd, t: calls.append(t) or real(dd, t))
+    # certify, the flags: line and is_prime all read one block_flags pass
+    tables = []
+    real = sc.block_flags
+    monkeypatch.setattr(sc, "block_flags",
+                        lambda dd, K, H, Bs: tables.extend(Bs) or real(dd, K, H, Bs))
     code, out, err = run(capsys, "verify", "all", "--builtin", "D4")
     assert code == 0 and "triples: 45" in out
-    assert len(calls) == 45
+    assert len(tables) == 45
 
 
 def test_group_file_mult(tmp_path, capsys):
@@ -585,20 +587,19 @@ def test_dumps_matches_json_dumps(value):
     assert _dumps(value) == json.dumps(value, indent=2)
 
 
-def test_dumps_matches_json_dumps_on_cli_docs(monkeypatch, capsys):
-    docs = []
-
-    def recording(x, pad="\n"):
-        if pad == "\n":   # a document, not one of the writer's own recursive calls
-            docs.append(x)
-        return _dumps(x, pad)
-
-    monkeypatch.setattr(cli, "_dumps", recording)
-    for dd in (untwisted("D4"), twisted_quotient("S3", 3), untwisted_product("Z3", "Z3")):
-        lattice_text(dd, "json")
+def test_dumps_matches_json_dumps_on_cli_docs(capsys):
+    # the finished lattice text against json.dumps of the document built triple by triple
+    doubles = [untwisted("D4"), twisted_quotient("S3", 3), untwisted_product("Z3", "Z3"),
+               *braiding_doubles(), twisted_z2_cubed()]
+    for dd in doubles:
+        triples = sc.enumerate_all(dd)
+        ref = {"group": dd.group.name, "order": dd.group.order,
+               "cocycle_modulus": dd.omega.modulus,
+               "triples": [dict(_triple_json(dd, t), index=i) for i, t in enumerate(triples)],
+               "edges": [list(e) for e in _hasse_edges(triples)]}
+        assert lattice_text(dd, "json") == json.dumps(ref, indent=2) + "\n", dd.where
     # the invariants doc holds floats: the Gauss sum and central charge approximations
-    code, _, _ = run(capsys, "invariants", "--builtin", "S3", "--triple", "0,0-1-2-3-4-5,trivial")
-    assert code == 0 and len(docs) == 4
-    assert isinstance(docs[3]["central_charge"]["re"], float)
-    for doc in docs:
-        assert _dumps(doc) == json.dumps(doc, indent=2)
+    code, out, _ = run(capsys, "invariants", "--builtin", "S3", "--triple", "0,0-1-2-3-4-5,trivial")
+    doc = json.loads(out)
+    assert code == 0 and isinstance(doc["central_charge"]["re"], float)
+    assert out == json.dumps(doc, indent=2) + "\n"

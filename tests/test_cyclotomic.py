@@ -3,13 +3,14 @@
 import cmath
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdouble import CycloContext
 from qdouble.cyclotomic import Cyclo, cyclotomic_polynomial
+
+from conftest import power_rows
 
 
 KNOWN_POLYS = {
@@ -135,24 +136,12 @@ def test_root_sum_matches_field_sum(N, exps):
     assert ctx.root_sum(exps) == sum([ctx.root_sum((e,)) for e in exps], ctx.root_sum(()))
 
 
-@lru_cache(maxsize=None)
-def _oracle_rows(N):
-    """x^k mod Phi_N for k < N, by shift and reduce: a second algorithm to the fold."""
-    phi = cyclotomic_polynomial(N)
-    d = len(phi) - 1
-    rows = [tuple(int(i == k) for i in range(d)) for k in range(d)]
-    while len(rows) < N:
-        prev = rows[-1]
-        rows.append(tuple(s - prev[-1] * p for s, p in zip((0,) + prev[:-1], phi)))
-    return rows
-
-
 def _oracle_sum(N, coeffs):
     """Coordinate sum of c x^(e mod N) mod Phi_N over the (e, c) pairs."""
     counts = [0] * N
     for e, c in coeffs:
         counts[e % N] += c
-    rows = _oracle_rows(N)
+    rows = power_rows(N)
     total = [0] * len(rows[0])
     for row, c in zip(rows, counts):
         if c:

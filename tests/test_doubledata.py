@@ -15,8 +15,8 @@ from qdouble import (CheckFailure, GroupTooLarge, InputError, NotACocycle, Three
 from qdouble.characters import projective_table
 from qdouble.oracle import certify
 
-from conftest import (braiding_doubles, twisted_cyclic, twisted_quotient, twisted_z2_cubed,
-                      untwisted, untwisted_cyclic, untwisted_product)
+from conftest import (braiding_doubles, power_rows, twisted_cyclic, twisted_quotient,
+                      twisted_z2_cubed, untwisted, untwisted_cyclic, untwisted_product)
 
 
 EXPECTED_SIMPLES = {"Z2": 4, "Z3": 9, "Z4": 16, "Z2xZ2": 16, "S3": 8,
@@ -567,6 +567,28 @@ def test_embedding_bound_covers_every_residual():
             worst = max(map(abs, unitary + fusion))
             assert worst <= emb.bound, (name, label, worst, emb.bound)
             assert (worst == 0) == (label == "true"), (name, label)
+
+
+def test_embedding_bound_reads_the_norm_rows():
+    # B recomputed from the docstring's formula, with R_inf and R_1 read off the
+    # shift-and-reduce rows of zeta_N^k for every k < N; these fields have R_1 > 1
+    # (zeta^2 = zeta - 1 for N = 6), so rows for k < phi(N) alone would give 1
+    doubles = [untwisted("S3"), untwisted("Z3"), untwisted("S4"), untwisted_cyclic(5),
+               untwisted_cyclic(6), twisted_cyclic(3, 1), twisted_quotient("S3", 3),
+               untwisted_product("S3", "Z3")]
+    for dd in doubles:
+        rows = power_rows(dd.ctx.N)
+        r_inf = max(abs(v) for r in rows for v in r)
+        r_one = max(sum(map(abs, r)) for r in rows)
+        assert r_one > 1, dd.where
+        S = dd.s_matrix
+        n, d_max = len(S), max(s.dim for s in dd.gamma)
+        D = lcm(*(x.den for row in S for x in row))
+        l1 = max(sum(abs(v) * (D // x.den) for v in x.num) for row in S for x in row)
+        linf = max(abs(v) * (D // x.den) for row in S for x in row for v in x.num)
+        unitary = n * r_inf * l1 * r_one * l1 + D * D * dd.group.order ** 2
+        fusion = D * d_max * n * d_max ** 2 * linf + r_inf * l1 * l1
+        assert dd._embeddings(S).bound == max(unitary, fusion), dd.where
 
 
 def test_embedding_checks_match_cyclo_checks():

@@ -1,6 +1,7 @@
 """Set-level oracles: fusion closure, closed-set enumeration, certification."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -128,14 +129,39 @@ def test_flags_match_their_set_level_definitions():
                + [untwisted(name) for name in BUILTIN_GROUP_NAMES]
                + [untwisted_product("D4", "Z2"), untwisted_product("S3", "Z3")])
     for dd in doubles:
-        for t in sc.enumerate_all(dd):
+        # block_flags once per (K, H) block too, so no state leaks from one B to the next
+        triples = sc.enumerate_all(dd)
+        blocks = {}
+        for t in triples:
+            blocks.setdefault((t.K, t.H), []).append(t.B)
+        by_block = iter([f for (K, H), tables in blocks.items()
+                         for f in sc.block_flags(dd, K, H, tables)])
+        for t, in_block in zip(triples, by_block, strict=True):
             members = sc.subcat_members(dd, t)
             central = oracle.centralizing_simples(dd, members)
             isotropic = all(dd.gamma[i].twist == 0 for i in members)
             expect = sc.TripleFlags(members <= central, isotropic,
                                     isotropic and t.dim == dd.group.order,
                                     members & central == {dd.unit_index})
-            assert sc.classify(dd, t) == expect, (dd.where, t)
+            assert sc.classify(dd, t) == in_block == expect, (dd.where, t)
+
+
+def test_certify_names_a_wrong_flag(monkeypatch):
+    # a fresh double, so the cached one keeps its flags
+    dd = untwisted.__wrapped__("D4")
+    real = sc.block_flags
+
+    def flipped(dd, K, H, tables):
+        flags = real(dd, K, H, tables)
+        if len(K) == dd.group.order and len(H) == 1:    # the whole triple's block
+            flags[0] = replace(flags[0], nondegenerate=not flags[0].nondegenerate)
+        return flags
+
+    monkeypatch.setattr(sc, "block_flags", flipped)
+    with pytest.raises(CheckFailure) as info:
+        oracle.certify(dd)
+    assert str(info.value) == ("D4 (cocycle mod 1) at K = [0, 1, 2, 3, 4, 5, 6, 7], H = [0]: "
+                               "flag nondegenerate is False, its set-level definition gives True")
 
 
 def test_closed_sets_are_joins_of_singletons():
