@@ -13,9 +13,8 @@ import json
 import os
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cocycles import ThreeCocycle, builtin_cyclic, check_identities, trivial_cocycle, validate
 from .cyclotomic import Cyclo
@@ -146,31 +145,12 @@ def _parse_triple(dd: TwistedDouble, spec: str) -> sc.Triple:
 # -- serialization ------------------------------------------------------------------
 
 
-def _dumps(x: object, pad: str = "\n") -> str:
-    """json.dumps(x, indent=2) byte for byte, for str keys; pad precedes x's closing
-    bracket. Ints, int lists and lists of non-empty int lists are joined in C; a
-    callable is a value that renders itself, given pad."""
-    if type(x) is int:      # not bool: bools, floats and None take json.dumps
-        return int.__repr__(x)
-    if type(x) is str:
-        return _quote(x)
-    if callable(x):
-        return x(pad)
-    if not x or not isinstance(x, (list, tuple, dict)):
-        return json.dumps(x)
-    sep = "," + (inner := pad + "  ")
-    if isinstance(x, dict):
-        body = sep.join([_quote(k) + ": " + _dumps(v, inner) for k, v in x.items()])
-        return "{" + inner + body + pad + "}"
-    types = {*map(type, x)}
-    if types == {int}:
-        body = sep.join(map(int.__repr__, x))
-    elif types == {list} and all(x) and {*map(type, chain.from_iterable(x))} == {int}:
-        row = sep + "  "    # row[1:] is the newline and indent of a row's entries
-        body = sep.join(["[" + row[1:] + row.join(map(int.__repr__, r)) + inner + "]" for r in x])
-    else:
-        body = sep.join([_dumps(v, inner) for v in x])
-    return "[" + inner + body + pad + "]"
+def _json_list(items: Iterable[str], pad: str) -> str:
+    """json.dumps(indent=2)'s layout of a list of rendered, non-empty items; pad
+    precedes its ']'."""
+    inner = pad + "  "
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}{pad}]" if body else "[]"
 
 
 def _cyclo_json(z: Cyclo) -> dict:
@@ -187,25 +167,26 @@ def _triple_json(dd: TwistedDouble, t: sc.Triple) -> dict:
 
 
 def _triples_json(dd: TwistedDouble, pad: str) -> str:
-    """_dumps of [dict(_triple_json(dd, t), index=i) for i, t in enumerate(triples)],
-    triples = sc.enumerate_all(dd), rendered one (K, H) block at a time: the
-    texts of K, H, N and dim once per block, each flags list once and each row
-    of B once per block, so a triple adds only the join of its row texts."""
+    """json.dumps(indent=2) of [dict(_triple_json(dd, t), index=i) for i, t in
+    enumerate(triples)], triples = sc.enumerate_all(dd), at the indent pad, rendered
+    one (K, H) block at a time: the texts of K, H, N and dim once per block, each
+    flags list once and each row of B once per block, so a triple adds only the
+    join of its row texts."""
     inner = pad + "  "          # a triple's braces
     field = inner + "  "        # its keys
     row = field + "  "          # the rows of B
-    flag_text = functools.cache(lambda f: _dumps(f.names(), field))
+    flag_text = functools.cache(lambda f: _json_list(map(json.dumps, f.names()), field))
     flags = iter(sc.all_flags(dd))
     out: list[str] = []
     for K, H, block in sc.blocks(dd):
-        head = (f'{{{field}"K": {_dumps(K.members, field)},{field}"H": {_dumps(H.members, field)}'
-                f',{field}"B": [{row}')
+        head = (f'{{{field}"K": {_json_list(map(str, K.members), field)},'
+                f'{field}"H": {_json_list(map(str, H.members), field)},{field}"B": [{row}')
         mid = f'{field}],{field}"N": {dd.ctx.N},{field}"dim": {block[0].dim},{field}"flags": '
-        row_text = functools.cache(lambda r: _dumps(r, row))
+        row_text = functools.cache(lambda r: _json_list(map(str, r), row))
         for t, f in zip(block, flags):
             out.append(f'{head}{("," + row).join(map(row_text, t.B))}{mid}{flag_text(f)}'
                        f',{field}"index": {len(out)}{inner}}}')
-    return f"[{inner}{(',' + inner).join(out)}{pad}]"
+    return _json_list(out, pad)
 
 
 def _label(t: sc.Triple, flags: sc.TripleFlags) -> str:
@@ -320,11 +301,14 @@ def lattice_text(dd: TwistedDouble, fmt: str) -> str:
         lines += [f"  n{i} -> n{j};" for i, j in edges]
         lines.append("}")
         return "\n".join(lines) + "\n"
-    doc = {"group": dd.group.name, "order": dd.group.order,
-           "cocycle_modulus": dd.omega.modulus,
-           "triples": functools.partial(_triples_json, dd),
-           "edges": [list(e) for e in edges]}
-    return _dumps(doc) + "\n"
+    # json.dumps(indent=2) of the document: its three header fields, the triples,
+    # then the edges, each an [i, j] pair
+    pad = "\n  "
+    pair, end = pad + "    ", pad + "  "
+    edge_text = _json_list([f"[{pair}{i},{pair}{j}{end}]" for i, j in edges], pad)
+    return (f'{{{pad}"group": {json.dumps(dd.group.name)},{pad}"order": {dd.group.order},'
+            f'{pad}"cocycle_modulus": {dd.omega.modulus},'
+            f'{pad}"triples": {_triples_json(dd, pad)},{pad}"edges": {edge_text}\n}}\n')
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
@@ -356,7 +340,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                central_charge={"re": zeta.real, "im": zeta.imag},
                centralizer=_triple_json(dd, cent),
                muger_center=_triple_json(dd, center))
-    print(_dumps(doc))
+    print(json.dumps(doc, indent=2))
     return 0
 
 

@@ -18,18 +18,20 @@ from .groups import FiniteGroup, cyclic_group
 
 
 class NotACocycle(CheckFailure):
-    """The 3-cochain fails the cocycle identity; carries a witness quadruple."""
+    """The 3-cochain fails the cocycle identity; names the group and modulus (where)
+    and carries a witness quadruple."""
 
-    def __init__(self, witness: tuple[int, int, int, int]):
-        super().__init__(f"cocycle identity fails at {witness}")
+    def __init__(self, where: str, witness: tuple[int, int, int, int]):
+        super().__init__(f"{where}: cocycle identity fails at {witness}")
         self.witness = witness
 
 
 class NotNormalized(CheckFailure):
-    """The 3-cochain fails normalization; carries a witness pair."""
+    """The 3-cochain fails normalization; names the group and modulus (where) and
+    carries a witness pair."""
 
-    def __init__(self, witness: tuple[int, int]):
-        super().__init__(f"normalization fails at {witness}")
+    def __init__(self, where: str, witness: tuple[int, int]):
+        super().__init__(f"{where}: normalization fails at {witness}")
         self.witness = witness
 
 
@@ -149,7 +151,7 @@ def validate(omega: ThreeCocycle) -> None:
     for g in range(n):
         for l in range(n):
             if d[g][0][l] % m:
-                raise NotNormalized((g, l))
+                raise NotNormalized(f"{G.name} (cocycle mod {m})", (g, l))
     mul = G.mult
     for g1 in range(n):
         for g2 in range(n):
@@ -160,7 +162,7 @@ def validate(omega: ThreeCocycle) -> None:
                     lhs = d[g2][g3][g4] + d[g1][g23][g4] + d[g1][g2][g3]
                     rhs = d[g12][g3][g4] + d[g1][g2][mul[g3][g4]]
                     if (lhs - rhs) % m:
-                        raise NotACocycle((g1, g2, g3, g4))
+                        raise NotACocycle(f"{G.name} (cocycle mod {m})", (g1, g2, g3, g4))
     omega.__dict__["_valid"] = True
 
 

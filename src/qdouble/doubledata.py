@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 
-from .characters import CharacterTable, projective_table
+from .characters import CharacterTable, LiftFailure, projective_table
 from .cocycles import ThreeCocycle, trivial_cocycle, validate
 from .cyclotomic import Cyclo, CycloContext
 from .errors import CheckFailure, InputError
@@ -101,7 +101,10 @@ class TwistedDouble:
             C = FiniteGroup([[local_of[G.mul(x, y)] for y in local_of] for x in local_of],
                             name=f"C({G.name},{a})", validate=False, cap=G.cap)
             beta = [[Ba[x][y] for y in local_of] for x in local_of]
-        return projective_table(self.ctx, C, beta, self.omega.modulus)
+        try:
+            return projective_table(self.ctx, C, beta, self.omega.modulus)
+        except LiftFailure as exc:
+            raise LiftFailure(f"{self.where}: centralizer of a = {a}: {exc}") from exc
 
     @property
     def gamma(self) -> tuple[SimpleObject, ...]:
@@ -373,11 +376,6 @@ class TwistedDouble:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         return tuple(rows)
-
-    # -- fusion rows as sets -----------------------------------------------------------
-
-    def tensor_components(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.fusion[i][j])
 
 
 class _Embeddings:

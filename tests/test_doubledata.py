@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdouble import (CheckFailure, GroupTooLarge, InputError, NotACocycle, ThreeCocycle,
-                     TwistedDouble, VerlindeNonInteger, builtin_cyclic, builtin_group)
-from qdouble.characters import projective_table
+                     TwistedDouble, VerlindeNonInteger, builtin_cyclic, builtin_group, characters)
+from qdouble.characters import LiftFailure, projective_table
 from qdouble.oracle import certify
 
 from conftest import (braiding_doubles, power_rows, twisted_cyclic, twisted_quotient,
@@ -67,9 +67,21 @@ def test_double_rejects_a_non_cocycle_on_construction():
     G = builtin_group("Z3")
     dlog = [[[0] * 3 for _ in range(3)] for _ in range(3)]
     dlog[1][1][1] = 1
-    with pytest.raises(NotACocycle, match=r"cocycle identity fails at \(1, 1, 1, 1\)") as ei:
+    msg = r"^Z3 \(cocycle mod 3\): cocycle identity fails at \(1, 1, 1, 1\)$"
+    with pytest.raises(NotACocycle, match=msg) as ei:
         TwistedDouble(G, ThreeCocycle(G, 3, tuple(tuple(map(tuple, p)) for p in dlog)))
     assert ei.value.witness == (1, 1, 1, 1)
+
+
+def test_a_centralizer_table_failure_names_the_double(monkeypatch):
+    # one regular class too many: projective_table's count check fails, and the
+    # double adds its group, cocycle modulus and the element a
+    count = characters.beta_regular_class_count
+    monkeypatch.setattr(characters, "beta_regular_class_count", lambda *a: count(*a) + 1)
+    with pytest.raises(LiftFailure) as ei:
+        TwistedDouble(builtin_group("S3")).centralizer_table(1)
+    assert str(ei.value) == ("S3 (cocycle mod 1): centralizer of a = 1: "
+                             "projective character count does not match regular classes")
 
 
 def test_global_dimension():
@@ -161,8 +173,8 @@ def test_twisted_z2_semion():
     assert [list(row) for row in dd.s_matrix] == expected
     # every simple is invertible and self-dual: the fusion ring of Z2 x Z2
     assert dd.duals == (0, 1, 2, 3)
-    assert [[dd.tensor_components(i, j) for j in range(4)] for i in range(4)] == \
-        [[(i ^ j,) for j in range(4)] for i in range(4)]
+    assert [[dd.fusion[i][j] for j in range(4)] for i in range(4)] == \
+        [[((i ^ j, 1),) for j in range(4)] for i in range(4)]
 
 
 @pytest.mark.parametrize("name, error, match", [
@@ -302,15 +314,6 @@ def test_balancing():
                                       for k, c in enumerate(N[duals[i]][j])
                                       for _ in range(c * dims[k]))
                 assert S[i][j] == rhs, (dd.group.name, dd.omega.modulus, i, j)
-
-
-def test_tensor_components():
-    dd = untwisted("D4")
-    N = _dense(dd.fusion)
-    for i in (0, 3, 11, 21):
-        for j in (0, 5, 13):
-            comps = dd.tensor_components(i, j)
-            assert set(comps) == {k for k in range(len(dd.gamma)) if N[i][j][k]}
 
 
 def _cyclo_verlinde(dd):

@@ -30,7 +30,7 @@ def test_fusion_closure_is_closed():
         for i in c:
             assert duals[i] in c
             for j in c:
-                assert set(dd.tensor_components(i, j)) <= c
+                assert {k for k, _ in dd.fusion[i][j]} <= c
 
 
 def test_closure_is_minimal():
@@ -43,7 +43,7 @@ def _reference_closed_sets(dd):
     """Closed sets by saturating pairwise joins of frozenset closures."""
     n = len(dd.gamma)
     duals = dd.duals
-    comps = [[set(dd.tensor_components(i, j)) for j in range(n)] for i in range(n)]
+    comps = [[{k for k, _ in dd.fusion[i][j]} for j in range(n)] for i in range(n)]
 
     def closure(seed):
         cur = set(seed) | {dd.unit_index}
